@@ -25,7 +25,8 @@ from scipy.ndimage import convolve1d
 
 from landscape_lab._seeds import derive_rng
 from landscape_lab.errors import InputError
-from landscape_lab.landscape import EnergyLandscape, hessian_fd_batch, spectral_norm
+from landscape_lab.landscape import (EnergyLandscape, default_probe_radius,
+                                     hessian_fd_batch, spectral_norm, sqdist)
 
 _ATANH_CLIP = 1.0 - 1e-12
 
@@ -184,6 +185,10 @@ class LevelEnergy:
     def base_point(self, z) -> np.ndarray:
         return self.decoder.decode(z)
 
+    def nearest_memory(self, z) -> np.ndarray | int:
+        """Nearest memory of the decoded point: classes live in base space."""
+        return self.base.nearest_memory(self.decoder.decode(z))
+
     def encoded_memories(self) -> np.ndarray:
         return self.decoder.encode(self.base.memories.points)
 
@@ -236,9 +241,7 @@ def smoothness_report(hierarchy: AbstractionHierarchy,
     if probes < 2:
         raise InputError(f"probes must be >= 2, got {probes}")
     if probe_radius is None:
-        probe_radius = 2.0 * base.memories.radius
-        if probe_radius <= 0:
-            probe_radius = 1.0
+        probe_radius = default_probe_radius(base.memories)
     if not (probe_radius > 0):
         raise InputError(f"probe_radius must be positive, got {probe_radius}")
 
@@ -253,8 +256,8 @@ def smoothness_report(hierarchy: AbstractionHierarchy,
         hess_norm = float(np.max(spectral_norm(hess)))
 
         grads = np.asarray(lvl.grad(z))
-        dg = np.sqrt(((grads[:, None, :] - grads[None, :, :]) ** 2).sum(axis=-1))
-        dz = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=-1))
+        dg = np.sqrt(sqdist(grads, grads))
+        dz = np.sqrt(sqdist(z, z))
         iu = np.triu_indices(probes, k=1)
         num, den = dg[iu], dz[iu]
         ok = den > 1e-12

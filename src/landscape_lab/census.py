@@ -33,9 +33,8 @@ from landscape_lab._seeds import derive_rng
 from landscape_lab.abstraction import AbstractionHierarchy
 from landscape_lab.dynamics import FlowConfig, flow_batch
 from landscape_lab.errors import CensusFailureError, InputError
-from landscape_lab.landscape import EnergyLandscape, MemorySet
+from landscape_lab.landscape import CHUNK, EnergyLandscape, MemorySet, sqdist
 
-_CHUNK = 1024           # fixed work-item size; workers only affect scheduling
 _PRIVACY_KS = (1, 2, 5, 10)
 _MAX_FAILURE_RATE = 0.01
 
@@ -103,14 +102,12 @@ def _resolve_levels(hierarchy: AbstractionHierarchy, config: CensusConfig) -> tu
     return tuple(levels)
 
 
-def _resolve_sigma(landscape: EnergyLandscape, config: CensusConfig) -> float:
-    if config.query_sigma is not None:
-        return float(config.query_sigma)
-    r = landscape.memories.radius
-    return 1.5 * r if r > 0 else 1.0
+def default_query_sigma(memories: MemorySet) -> float:
+    """Corrupted-query scale: 1.5x the memory radius, else 1."""
+    return 1.5 * memories.radius if memories.radius > 0 else 1.0
 
 
-def _default_flow_config() -> FlowConfig:
+def default_flow_config() -> FlowConfig:
     # merged minima are weakly curved, so census flows trade gradient
     # tolerance for step budget; positive curvature of the canonical
     # energy never exceeds 1, keeping the unit step stable
@@ -125,7 +122,7 @@ def _chunked_flow(target, starts: np.ndarray, config: FlowConfig,
     worker count; threads only change scheduling.
     """
     m = starts.shape[0]
-    bounds = [(lo, min(lo + _CHUNK, m)) for lo in range(0, m, _CHUNK)]
+    bounds = [(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
     terminals = np.empty_like(starts)
     steps = np.empty(m, dtype=np.int64)
     converged = np.empty(m, dtype=bool)
@@ -154,14 +151,12 @@ def _mean_pairwise_distance(points: np.ndarray) -> float:
     if m < 2:
         return 0.0
     total = 0.0
-    for lo in range(0, m, _CHUNK):
-        a = points[lo:lo + _CHUNK]
-        d_local = np.sqrt(((a[:, None, :] - a[None, :, :]) ** 2).sum(axis=-1))
+    for lo in range(0, m, CHUNK):
+        a = points[lo:lo + CHUNK]
+        d_local = np.sqrt(sqdist(a, a))
         total += float(d_local[np.triu_indices(a.shape[0], k=1)].sum())
-        for lo2 in range(lo + _CHUNK, m, _CHUNK):
-            b = points[lo2:lo2 + _CHUNK]
-            d_cross = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1))
-            total += float(d_cross.sum())
+        for lo2 in range(lo + CHUNK, m, CHUNK):
+            total += float(np.sqrt(sqdist(a, points[lo2:lo2 + CHUNK])).sum())
     return total / (m * (m - 1) / 2.0)
 
 
@@ -169,9 +164,8 @@ def _knn_mean_distances(points: np.ndarray, references: np.ndarray) -> dict:
     """Mean distance to the k nearest references, per k, averaged over points."""
     n_ref = references.shape[0]
     sums = {k: 0.0 for k in _PRIVACY_KS}
-    for lo in range(0, points.shape[0], _CHUNK):
-        a = points[lo:lo + _CHUNK]
-        d = np.sqrt(((a[:, None, :] - references[None, :, :]) ** 2).sum(axis=-1))
+    for lo in range(0, points.shape[0], CHUNK):
+        d = np.sqrt(sqdist(points[lo:lo + CHUNK], references))
         d.sort(axis=1)
         for k in _PRIVACY_KS:
             kk = min(k, n_ref)
@@ -192,9 +186,10 @@ def run_census(landscape: EnergyLandscape,
     are excluded from the statistics and reported in the failures field.
     """
     levels = _resolve_levels(hierarchy, config)
-    flow_config = flow_config or _default_flow_config()
-    sigma = _resolve_sigma(landscape, config)
+    flow_config = flow_config or default_flow_config()
     mem = landscape.memories
+    sigma = (default_query_sigma(mem) if config.query_sigma is None
+             else float(config.query_sigma))
     classes = mem.classes()
     p_data = mem.class_proportions()
     c_maj = _majority_class(p_data)
@@ -216,9 +211,7 @@ def run_census(landscape: EnergyLandscape,
                 f"level {a}: {failures}/{config.n_queries} flows failed")
         terminals = out["terminals"][ok]
 
-        decoded = np.asarray(lvl.base_point(terminals))
-        d2 = ((decoded[:, None, :] - mem.points[None, :, :]) ** 2).sum(axis=-1)
-        basin_class = labels[d2.argmin(axis=1)]
+        basin_class = labels[lvl.nearest_memory(terminals)]
         m_ok = terminals.shape[0]
         p_gen = {c: float((basin_class == i).sum()) / m_ok
                  for i, c in enumerate(classes)}
@@ -244,7 +237,8 @@ def run_census(landscape: EnergyLandscape,
 @dataclass
 class _ResampledLandscape(EnergyLandscape):
     """Energy of a bootstrap multiset: duplicate draws become log-count
-    offsets on the scores, which is exactly the multiset log-sum-exp."""
+    offsets on the scores, which is exactly the multiset log-sum-exp.
+    nearest_memory is inherited: a basin's class ignores the draw counts."""
 
     log_counts: np.ndarray = field(default=None)
 
@@ -290,7 +284,7 @@ def bias_variance_probes(landscape: EnergyLandscape,
         raise InputError(
             f"bootstrap_rounds must be >= 10, got {config.bootstrap_rounds}")
     levels = _resolve_levels(hierarchy, config)
-    flow_config = flow_config or _default_flow_config()
+    flow_config = flow_config or default_flow_config()
     mem = landscape.memories
     classes = mem.classes()
     n_classes = len(classes)
@@ -316,10 +310,7 @@ def bias_variance_probes(landscape: EnergyLandscape,
             ok = out["converged"] & ~out["failed"]
             total_flows += mem.n
             failures += int((~ok).sum())
-            decoded = np.asarray(lvl.base_point(out["terminals"][ok]))
-            d2 = ((decoded[:, None, :] - resampled.memories.points[None, :, :]) ** 2
-                  ).sum(axis=-1)
-            pred = sub_idx[d2.argmin(axis=1)]
+            pred = sub_idx[lvl.nearest_memory(out["terminals"][ok])]
             rows = np.flatnonzero(ok)
             counts[a][rows, pred] += 1.0
             valid[a][rows] += 1.0

@@ -15,6 +15,7 @@ derives per-item seeds and chunks work deterministically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -34,6 +35,8 @@ from landscape_lab.abstraction import (
 from landscape_lab.census import (
     CensusConfig,
     bias_variance_probes,
+    default_flow_config,
+    default_query_sigma,
     run_census,
 )
 from landscape_lab.dynamics import FlowConfig, flow
@@ -68,18 +71,10 @@ _HIERARCHY_KEYS = {
     "contraction_base": 0.9,  # used when factors is None
     "depth": 4,
 }
-_FLOW_KEYS = {
-    "step_size": 1.0,
-    "grad_tol": 1e-5,
-    "max_steps": 8000,
-}
-_CENSUS_KEYS = {
-    "n_queries": 5000,
-    "query_sigma": None,
-    "levels": None,
-    "probe_sigma": 0.1,
-    "bootstrap_rounds": 50,
-}
+_FLOW_KEYS = {key: getattr(default_flow_config(), key)
+              for key in ("step_size", "grad_tol", "max_steps")}
+_CENSUS_KEYS = {f.name: f.default for f in dataclasses.fields(CensusConfig)
+                if f.name != "seed"}    # seed is a global key
 
 SCHEMAS = {
     "census": {**_LANDSCAPE_KEYS, **_HIERARCHY_KEYS, **_FLOW_KEYS, **_CENSUS_KEYS},
@@ -97,6 +92,10 @@ SCHEMAS = {
     "grid": {"side": 512, "p_red": [0.5, 0.6, 0.7, 0.8, 0.9], "levels": 3,
              "dump_bitmaps": False},
 }
+
+# example values giving the expected type of the keys whose default is None
+_NULLABLE_TYPES = {"memories_csv": "", "factors": [0.0], "query_sigma": 0.0,
+                   "levels": [0], "probe_radius": 0.0}
 
 _GLOBAL_KEYS = ("experiment", "seed", "out_dir", "format", "workers")
 
@@ -130,19 +129,23 @@ def validate_params(experiment: str, given: dict) -> dict:
             raise ConfigError(f"unknown config key {key!r} for experiment "
                               f"{experiment!r}")
         default = schema[key]
-        if default is not None and value is not None:
-            if isinstance(default, bool) != isinstance(value, bool):
-                raise ConfigError(f"config key {key!r} expects a bool")
-            if isinstance(default, bool):
-                pass
-            elif isinstance(default, (int, float)) and not isinstance(value, (int, float)):
-                raise ConfigError(f"config key {key!r} expects a number")
-            elif isinstance(default, str) and not isinstance(value, str):
-                raise ConfigError(f"config key {key!r} expects a string")
-            elif isinstance(default, list) and not isinstance(value, list):
-                raise ConfigError(f"config key {key!r} expects a list")
+        if value is not None or default is not None:
+            _check_type(key, _NULLABLE_TYPES[key] if default is None else default,
+                        value)
         params[key] = value
     return params
+
+
+def _check_type(key: str, example, value) -> None:
+    """Reject value unless it has the type of example, list elements too."""
+    if isinstance(example, bool) != isinstance(value, bool):
+        raise ConfigError(f"config key {key!r} expects a bool")
+    for kind, name in (((int, float), "number"), (str, "string"), (list, "list")):
+        if isinstance(example, kind) and not isinstance(value, kind):
+            raise ConfigError(f"config key {key!r} expects a {name}")
+    if isinstance(example, list):
+        for item in value:
+            _check_type(key, example[0], item)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +285,7 @@ def _experiment_knn(cfg: RunConfig) -> dict:
         mem = MemorySet(mem.points, tuple(str(y) for y in mem.labels))
     sigma = cfg.params.get("query_sigma")
     if sigma is None:
-        sigma = 1.5 * mem.radius if mem.radius > 0 else 1.0
+        sigma = default_query_sigma(mem)
     queries = mem.centroid + float(sigma) * derive_rng(
         cfg.seed, "knn-queries").standard_normal((int(cfg.params["n_queries"]), mem.dim))
     flow_cfg = _flow_config(cfg.params)

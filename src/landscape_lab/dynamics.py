@@ -24,7 +24,8 @@ import numpy as np
 
 from landscape_lab._seeds import derive_rng
 from landscape_lab.errors import InputError, NumericalFlowError
-from landscape_lab.landscape import hessian_fd_batch, spectral_norm
+from landscape_lab.landscape import (default_probe_radius, hessian_fd_batch,
+                                     spectral_norm, sqdist)
 
 logger = logging.getLogger(__name__)
 
@@ -66,7 +67,7 @@ def estimate_lipschitz(target, seed: int = 0, probes: int = 32,
     """Sampled gradient-Lipschitz estimate (max Hessian norm near the data)."""
     mem = target.memories
     if radius is None:
-        radius = 2.0 * mem.radius if mem.radius > 0 else 1.0
+        radius = default_probe_radius(mem)
     rng = derive_rng(seed, "lipschitz-probes")
     pts = mem.centroid + radius * rng.standard_normal((probes, target.dim))
     if hasattr(target, "encode"):
@@ -111,12 +112,16 @@ class MergedMinimum:
             raise InputError("a merged minimum needs at least 2 constituents")
 
 
-def flow_batch(target, starts: np.ndarray, config: FlowConfig) -> dict:
+def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
+               record: bool = False) -> dict:
     """Flow every row of starts to a stationary point.
 
     Returns arrays: terminals (m, d), steps (m,), converged (m,), failed
     (m,) and fail_step (m,). Rows that hit non-finite values are marked
-    failed and frozen rather than aborting the batch.
+    failed and frozen rather than aborting the batch. flow's recorder sets
+    record, which adds "trajectory": a snapshot of x per stepping
+    iteration. In each one every active row either steps or leaves, so row
+    r visited trajectory[:steps[r] + 1, r].
     """
     x = np.array(starts, dtype=np.float64)
     if x.ndim == 1:
@@ -134,6 +139,7 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig) -> dict:
     active = ~failed
 
     base_step = config.step_size / config.tau_rate
+    snapshots = [x.copy()] if record else None
 
     while active.any():
         idx = np.flatnonzero(active)
@@ -181,13 +187,18 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig) -> dict:
         x[good] = xt[accepted]
         e[good] = et[accepted]
         steps[good] += 1
+        if record:
+            snapshots.append(x.copy())
 
         hit = accepted & (steps[rows] >= config.max_steps)
         if hit.any():
             active[rows[hit]] = False
 
-    return {"terminals": x, "steps": steps, "converged": converged,
-            "failed": failed, "fail_step": fail_step}
+    out = {"terminals": x, "steps": steps, "converged": converged,
+           "failed": failed, "fail_step": fail_step}
+    if record:
+        out["trajectory"] = np.array(snapshots)
+    return out
 
 
 def flow(target, start, config: FlowConfig,
@@ -197,57 +208,23 @@ def flow(target, start, config: FlowConfig,
     target is an EnergyLandscape or a LevelEnergy. The basin index is the
     nearest memory to the terminal mapped back to base space; raises
     NumericalFlowError (carrying the step index) on non-finite values.
+    With record_trajectory the result keeps the visited states and their
+    energies.
     """
-    start = np.asarray(start, dtype=np.float64)
-    if record_trajectory:
-        return _flow_recorded(target, start, config)
-    out = flow_batch(target, start[None, :], config)
+    start = np.asarray(start, dtype=np.float64)[None, :]
+    out = flow_batch(target, start, config, record=record_trajectory)
     if out["failed"][0]:
         raise NumericalFlowError("non-finite energy or gradient during flow",
                                  step=int(out["fail_step"][0]))
     terminal = out["terminals"][0]
-    return FlowResult(
-        terminal=terminal,
-        steps_taken=int(out["steps"][0]),
-        converged=bool(out["converged"][0]),
-        basin_memory_index=_basin_index(target, terminal),
-    )
-
-
-def _flow_recorded(target, start: np.ndarray, config: FlowConfig) -> FlowResult:
-    """Single-row flow that keeps the visited states and energies.
-
-    Mirrors flow_batch's per-row arithmetic exactly (same operations on
-    shape-(1, d) slices) so recorded and unrecorded flows agree bitwise.
-    """
-    out = flow_batch(target, start[None, :], config)
-    if out["failed"][0]:
-        raise NumericalFlowError("non-finite energy or gradient during flow",
-                                 step=int(out["fail_step"][0]))
-    # replay step by step; cheap relative to the flow itself for desk scale
-    states = [start.copy()]
-    cfg1 = FlowConfig(step_size=config.step_size, grad_tol=config.grad_tol,
-                      max_steps=1, tau_rate=config.tau_rate)
-    x = start
-    for _ in range(int(out["steps"][0])):
-        x = flow_batch(target, x[None, :], cfg1)["terminals"][0]
-        states.append(x.copy())
-    trajectory = np.array(states)
-    energies = np.asarray(target.energy(trajectory), dtype=np.float64).reshape(-1)
-    return FlowResult(
-        terminal=out["terminals"][0],
-        steps_taken=int(out["steps"][0]),
-        converged=bool(out["converged"][0]),
-        basin_memory_index=_basin_index(target, out["terminals"][0]),
-        trajectory=trajectory,
-        energies=energies,
-    )
-
-
-def _basin_index(target, terminal: np.ndarray) -> int:
-    base_pt = np.asarray(target.base_point(terminal))
-    d2 = ((target.memories.points - base_pt) ** 2).sum(axis=1)
-    return int(d2.argmin())
+    steps = int(out["steps"][0])
+    result = FlowResult(terminal, steps, bool(out["converged"][0]),
+                        basin_memory_index=int(target.nearest_memory(terminal)))
+    if record_trajectory:
+        result.trajectory = out["trajectory"][:steps + 1, 0]
+        result.energies = np.asarray(target.energy(result.trajectory),
+                                     dtype=np.float64).reshape(-1)
+    return result
 
 
 def find_minima(target, starts: Sequence[np.ndarray], config: FlowConfig,
@@ -278,10 +255,8 @@ def find_minima(target, starts: Sequence[np.ndarray], config: FlowConfig,
     accepted: list[np.ndarray] = []
     for i in order:
         t = terminals[i]
-        if accepted:
-            dmin = min(float(np.sqrt(((t - a) ** 2).sum())) for a in accepted)
-            if dmin < dedup_radius:
-                continue
+        if accepted and np.sqrt(sqdist(t, np.array(accepted)).min()) < dedup_radius:
+            continue
         accepted.append(t)
     return accepted
 
@@ -314,7 +289,7 @@ def detect_merged(level_minima: Sequence[np.ndarray],
     pulled = np.atleast_2d(np.asarray([pullback(np.asarray(b)) for b in base_minima]))
     for z in level_minima:
         z = np.asarray(z, dtype=np.float64)
-        dist = np.sqrt(((pulled - z) ** 2).sum(axis=1))
+        dist = np.sqrt(sqdist(z, pulled))
         hits = np.flatnonzero(dist <= epsilon)
         if hits.shape[0] >= 2:
             idx = sorted(int(base_memory_indices[i]) for i in hits)
@@ -327,11 +302,17 @@ def attach_merged_ids(results: Sequence[FlowResult],
                       merged: Sequence[MergedMinimum]) -> None:
     """Annotate flow results with the index of the merged minimum they hit."""
     for r in results:
-        r.merged_cluster_id = None
-        for mid, mm in enumerate(merged):
-            if np.sqrt(((r.terminal - mm.center) ** 2).sum()) <= mm.epsilon:
-                r.merged_cluster_id = mid
-                break
+        r.merged_cluster_id = _merged_index(r.terminal, merged)
+
+
+def _merged_index(x, merged: Sequence[MergedMinimum]) -> int | None:
+    """Index of the first merged minimum whose epsilon-ball holds x."""
+    if not merged:
+        return None
+    centers = np.array([mm.center for mm in merged])
+    dist = np.sqrt(sqdist(np.asarray(x, dtype=np.float64), centers))
+    hits = np.flatnonzero(dist <= np.array([mm.epsilon for mm in merged]))
+    return int(hits[0]) if hits.shape[0] else None
 
 
 def _project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -421,11 +402,7 @@ def write_minima_csv(path, target, minima: Sequence[np.ndarray], level: int = 0,
         writer.writerow(["level", "min_id"] + [f"x_{k}" for k in range(d)]
                         + ["energy", "n_constituents"])
         for mid, x in enumerate(minima):
-            count = 1
-            if merged:
-                for mm in merged:
-                    if np.sqrt(((x - mm.center) ** 2).sum()) <= mm.epsilon:
-                        count = len(mm.constituent_indices)
-                        break
+            hit = _merged_index(x, merged)
+            count = 1 if hit is None else len(merged[hit].constituent_indices)
             writer.writerow([level, mid] + [repr(float(c)) for c in x]
                             + [repr(float(target.energy(x))), count])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from landscape_lab.errors import InputError
-from landscape_lab.landscape import EnergyLandscape, MemorySet
+from landscape_lab.landscape import EnergyLandscape, MemorySet, sqdist
 
 from landscape_lab import dynamics
 
@@ -67,7 +67,7 @@ def _sqdist_to_memories(memories: MemorySet, q) -> np.ndarray:
     if q.shape[-1] != memories.dim:
         raise InputError(
             f"query dimension {q.shape[-1]} != memory dimension {memories.dim}")
-    return ((memories.points - q) ** 2).sum(axis=-1)
+    return sqdist(q, memories.points)
 
 
 def _aggregate(memories: MemorySet, weights: np.ndarray):

@@ -14,10 +14,8 @@ canonical choice here:
   so every critical point lies in the convex hull of the memories.
 
 All evaluators accept a single point of shape (d,) or a batch of shape
-(m, d). Batched reductions are written with explicit broadcast-and-sum
-(never BLAS matmul) so each row's result is bit-identical regardless of how
-a batch is chunked; the Monte Carlo census relies on this for
-worker-count-independent determinism.
+(m, d). Every distance in the package comes from sqdist, whose docstring
+states the chunk-invariance contract the evaluators inherit.
 """
 
 from __future__ import annotations
@@ -32,6 +30,22 @@ import numpy as np
 from landscape_lab.errors import InputError
 
 _NUMERIC_TYPES = (int, float, np.integer, np.floating)
+
+CHUNK = 1024            # rows per work item of every chunked batch routine
+
+
+def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances from a (d,) or (m, d) to each row of b (n, d).
+
+    Takes float64 arrays as they are (no copy or check: this is the score
+    hot path). Chunk-invariance contract: an explicit broadcast-and-sum,
+    never a BLAS expansion, so a row's result is bit-identical however its
+    batch is chunked or offset; every result table is worker-count
+    independent because all distances come from here.
+    """
+    diff = a[..., None, :] - b
+    diff *= diff                # squared in place: same bits, half the memory
+    return diff.sum(axis=-1)
 
 
 def _is_numeric_label(label) -> bool:
@@ -82,12 +96,11 @@ class MemorySet:
     @property
     def radius(self) -> float:
         """Max distance from a memory to the centroid."""
-        return float(np.sqrt(((self.points - self.centroid) ** 2).sum(axis=1)).max())
+        return float(np.sqrt(sqdist(self.centroid, self.points)).max())
 
     @property
     def diameter(self) -> float:
-        diffs = self.points[:, None, :] - self.points[None, :, :]
-        return float(np.sqrt((diffs ** 2).sum(axis=-1)).max())
+        return float(np.sqrt(sqdist(self.points, self.points)).max())
 
     def classes(self) -> list:
         return sorted(set(self.labels))
@@ -128,8 +141,7 @@ class EnergyLandscape:
 
     def _scores(self, x: np.ndarray) -> np.ndarray:
         """Per-memory scores -beta * ||x - x_i||^2 / 2, shape (..., n)."""
-        diff = x[..., None, :] - self.memories.points
-        return -0.5 * self.beta * np.square(diff).sum(axis=-1)
+        return -0.5 * self.beta * sqdist(x, self.memories.points)
 
     def energy(self, x) -> np.ndarray | float:
         """Log-sum-exp energy, computed with max subtraction."""
@@ -158,11 +170,21 @@ class EnergyLandscape:
         return self._check_dim(x)
 
     def nearest_memory(self, x) -> np.ndarray | int:
-        """Index of the closest memory (ties go to the lower index)."""
+        """Index of the closest memory (ties go to the lower index), taking
+        batches CHUNK rows at a time so memory is bounded by the chunk."""
         x = self._check_dim(x)
-        diff = x[..., None, :] - self.memories.points
-        idx = np.square(diff).sum(axis=-1).argmin(axis=-1)
-        return int(idx) if idx.ndim == 0 else idx
+        points = self.memories.points
+        if x.ndim == 1:
+            return int(sqdist(x, points).argmin())
+        idx = np.empty(x.shape[0], dtype=np.intp)
+        for lo in range(0, x.shape[0], CHUNK):
+            idx[lo:lo + CHUNK] = sqdist(x[lo:lo + CHUNK], points).argmin(axis=1)
+        return idx
+
+
+def default_probe_radius(memories: MemorySet) -> float:
+    """Probe-ball radius around the centroid: 2x the memory radius, else 1."""
+    return 2.0 * memories.radius if memories.radius > 0 else 1.0
 
 
 def energy(landscape: EnergyLandscape, x) -> float:

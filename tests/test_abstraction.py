@@ -91,6 +91,17 @@ def test_level_grad_chain_rule():
         assert np.abs(lvl.grad(z) - fd).max() < 1e-6
 
 
+def test_level_nearest_memory_decodes_then_delegates():
+    ls = random_landscape(4)
+    z = np.random.default_rng(5).normal(size=(1100, 2))
+    for h in (diagonal_hierarchy([0.6, 0.3], dim=2), tanh_hierarchy([0.6, 0.3], dim=2)):
+        for a in range(h.levels + 1):
+            lvl = h.level_energy(ls, a)
+            expected = ls.nearest_memory(lvl.decode(z))
+            assert np.array_equal(lvl.nearest_memory(z), expected)
+            assert lvl.nearest_memory(z[7]) == expected[7]
+
+
 # ---------------------------------------------------------------------------
 # Smoothness estimates
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from landscape_lab.cli import (
+    SCHEMAS,
     RunConfig,
     build_run_config,
     emit_plotdata,
@@ -45,6 +46,29 @@ def test_type_checks():
         validate_params("grid", {"p_red": 0.5})      # list expected
     with pytest.raises(ConfigError):
         validate_params("biasvar", {"stratified": 3})
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("census", "query_sigma", "wide"),
+    ("census", "levels", "ab"),
+    ("census", "factors", 3),
+    ("census", "class_counts", ["a"]),
+    ("smoothness", "probe_radius", "x"),
+])
+def test_wrong_types_exit_2(tmp_path, capsys, experiment, key, value):
+    cfg = write_cfg(tmp_path, "c.json", {key: value})
+    code = main([experiment, "--config", cfg, "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_every_none_default_has_a_type():
+    for experiment, schema in SCHEMAS.items():
+        for key, default in schema.items():
+            if default is None:
+                validate_params(experiment, {key: None})
+                with pytest.raises(ConfigError):
+                    validate_params(experiment, {key: {}})
 
 
 def test_run_config_validation(tmp_path):

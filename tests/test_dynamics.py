@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from landscape_lab.abstraction import diagonal_hierarchy
+from landscape_lab.abstraction import diagonal_hierarchy, tanh_hierarchy
 from landscape_lab.dynamics import (
     FlowConfig,
     MergedMinimum,
@@ -95,6 +95,36 @@ def test_flow_energy_monotone_along_trajectory():
     assert res.trajectory.shape[0] == res.steps_taken + 1
     assert (np.diff(res.energies) <= 1e-12).all()
     assert np.array_equal(res.trajectory[-1], res.terminal)
+
+
+def replayed_trajectory(target, start, config):
+    """The former recorder: rerun the flow one max_steps=1 call per step."""
+    steps = int(flow_batch(target, start[None, :], config)["steps"][0])
+    one_step = FlowConfig(step_size=config.step_size, grad_tol=config.grad_tol,
+                          max_steps=1, tau_rate=config.tau_rate)
+    states = [start.copy()]
+    x = start
+    for _ in range(steps):
+        x = flow_batch(target, x[None, :], one_step)["terminals"][0]
+        states.append(x.copy())
+    trajectory = np.array(states)
+    return trajectory, np.asarray(target.energy(trajectory)).reshape(-1)
+
+
+def test_recorded_trajectory_equals_step_by_step_replay():
+    rng = np.random.default_rng(21)
+    pts = 0.4 * rng.standard_normal((6, 2))
+    ls = EnergyLandscape(MemorySet(pts, tuple(range(6))), 12.0)
+    targets = (ls, tanh_hierarchy([0.8], dim=2).level_energy(ls, 1))
+    cfg = FlowConfig(step_size=1.0, grad_tol=1e-8, max_steps=400)
+    for target in targets:
+        for start in rng.standard_normal((10, 2)):
+            res = flow(target, start, cfg, record_trajectory=True)
+            trajectory, energies = replayed_trajectory(target, start, cfg)
+            assert res.steps_taken >= 1
+            assert np.array_equal(res.trajectory, trajectory)
+            assert np.array_equal(res.energies, energies)
+            assert np.array_equal(res.trajectory[-1], res.terminal)
 
 
 def test_flow_idempotent_at_terminal():

@@ -17,6 +17,7 @@ from landscape_lab.landscape import (
     hessian_fd_raw,
     load_memory_csv,
     save_memory_csv,
+    sqdist,
 )
 
 
@@ -114,6 +115,49 @@ def test_energy_translation_invariance():
     a = EnergyLandscape(MemorySet(pts, tuple(range(6))), 3.0).energy(x)
     b = EnergyLandscape(MemorySet(pts + shift, tuple(range(6))), 3.0).energy(x + shift)
     assert abs(a - b) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Distance kernel and nearest memory
+# ---------------------------------------------------------------------------
+
+def rechunking_case():
+    rng = np.random.default_rng(11)
+    mem = MemorySet(rng.standard_normal((37, 5)), tuple(range(37)))
+    return EnergyLandscape(mem, 2.0), 3.0 * rng.standard_normal((2503, 5))
+
+
+def test_sqdist_matches_per_row_sums():
+    ls, x = rechunking_case()
+    pts = ls.memories.points
+    full = sqdist(x[:40], pts)
+    assert full.shape == (40, 37)
+    for r in range(40):
+        assert np.array_equal(full[r], ((pts - x[r]) ** 2).sum(axis=1))
+        assert np.array_equal(sqdist(x[r], pts), full[r])
+
+
+@pytest.mark.parametrize("batch", [1, 7, 1024, 1025, 2500])
+@pytest.mark.parametrize("offset", [0, 3])
+def test_sqdist_and_nearest_memory_rows_do_not_depend_on_chunking(batch, offset):
+    ls, x = rechunking_case()
+    pts = ls.memories.points
+    full_d2 = sqdist(x, pts)
+    full_idx = ls.nearest_memory(x)
+    assert np.array_equal(full_idx, full_d2.argmin(axis=1))
+    for lo in range(offset, x.shape[0], batch):
+        hi = min(lo + batch, x.shape[0])
+        assert np.array_equal(sqdist(x[lo:hi], pts), full_d2[lo:hi])
+        assert np.array_equal(ls.nearest_memory(x[lo:hi]), full_idx[lo:hi])
+
+
+def test_nearest_memory_single_point_and_ties():
+    ls = two_memory_1d(1.0)
+    assert ls.nearest_memory(np.array([0.4])) == 1
+    assert ls.nearest_memory(np.array([0.0])) == 0     # tie: lower index
+    assert list(ls.nearest_memory(np.array([[-3.0], [2.0]]))) == [0, 1]
+    with pytest.raises(InputError):
+        ls.nearest_memory(np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
