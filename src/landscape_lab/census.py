@@ -114,6 +114,25 @@ def default_flow_config() -> FlowConfig:
     return FlowConfig(step_size=1.0, grad_tol=1e-5, max_steps=8000)
 
 
+def _decoder_range_hint(landscape: EnergyLandscape,
+                        hierarchy: AbstractionHierarchy, levels) -> str:
+    """Failure-message suffix counting, per level, the memories outside the
+    decoder's range: decode(encode(x)) misses x by more than roundoff, so
+    the level energy has no minimum at x and flows toward it cannot
+    converge. Empty when every memory is in range."""
+    pts = landscape.memories.points
+    notes = []
+    for a in levels:
+        lvl = hierarchy.level_energy(landscape, a)
+        back = np.asarray(lvl.decode(lvl.encode(pts)))
+        # written so that a non-finite round trip counts as a miss
+        outside = int((~(np.abs(back - pts) <= 1e-13 * np.abs(pts)).all(axis=1)).sum())
+        if outside:
+            notes.append(f"; {outside} of {len(pts)} memories lie outside level "
+                         f"{a}'s decoder range and have no minimum there")
+    return "".join(notes)
+
+
 def _chunked_flow(target, starts: np.ndarray, config: FlowConfig,
                   workers: int = 1) -> dict:
     """flow_batch over fixed-size chunks, optionally on a thread pool.
@@ -147,16 +166,28 @@ def _chunked_flow(target, starts: np.ndarray, config: FlowConfig,
 
 
 def _mean_pairwise_distance(points: np.ndarray) -> float:
+    """Mean distance over the m(m-1)/2 unordered pairs of rows.
+
+    In 1-D, the sorted-gap closed form: the gap between the k-th and the
+    (k+1)-th smallest point lies between k(m-k) pairs, and every term is
+    non-negative, so nothing cancels. Otherwise CHUNK-row blocks: a
+    diagonal block is summed in full and halved (sqdist(a, a) is bitwise
+    symmetric with a zero diagonal), an off-diagonal block once.
+    """
     m = points.shape[0]
     if m < 2:
         return 0.0
-    total = 0.0
-    for lo in range(0, m, CHUNK):
-        a = points[lo:lo + CHUNK]
-        d_local = np.sqrt(sqdist(a, a))
-        total += float(d_local[np.triu_indices(a.shape[0], k=1)].sum())
-        for lo2 in range(lo + CHUNK, m, CHUNK):
-            total += float(np.sqrt(sqdist(a, points[lo2:lo2 + CHUNK])).sum())
+    if points.shape[1] == 1:
+        k = np.arange(1, m)
+        gaps = np.diff(np.sort(points[:, 0]))
+        total = float((gaps * (k * (m - k))).sum())
+    else:
+        total = 0.0
+        for lo in range(0, m, CHUNK):
+            a = points[lo:lo + CHUNK]
+            total += 0.5 * float(np.sqrt(sqdist(a, a)).sum())
+            for lo2 in range(lo + CHUNK, m, CHUNK):
+                total += float(np.sqrt(sqdist(a, points[lo2:lo2 + CHUNK])).sum())
     return total / (m * (m - 1) / 2.0)
 
 
@@ -208,7 +239,8 @@ def run_census(landscape: EnergyLandscape,
         failures = int((~ok).sum())
         if failures > _MAX_FAILURE_RATE * config.n_queries:
             raise CensusFailureError(
-                f"level {a}: {failures}/{config.n_queries} flows failed")
+                f"level {a}: {failures}/{config.n_queries} flows failed"
+                + _decoder_range_hint(landscape, hierarchy, (a,)))
         terminals = out["terminals"][ok]
 
         basin_class = labels[lvl.nearest_memory(terminals)]
@@ -317,7 +349,8 @@ def bias_variance_probes(landscape: EnergyLandscape,
 
     if failures > _MAX_FAILURE_RATE * max(total_flows, 1):
         raise CensusFailureError(
-            f"bias/variance probes: {failures}/{total_flows} flows failed")
+            f"bias/variance probes: {failures}/{total_flows} flows failed"
+            + _decoder_range_hint(landscape, hierarchy, levels))
 
     results = []
     for a in levels:

@@ -143,6 +143,10 @@ def _check_type(key: str, example, value) -> None:
     for kind, name in (((int, float), "number"), (str, "string"), (list, "list")):
         if isinstance(example, kind) and not isinstance(value, kind):
             raise ConfigError(f"config key {key!r} expects a {name}")
+    # the builders apply int() to int keys, which would truncate a fraction
+    if (isinstance(example, int) and not isinstance(example, bool)
+            and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"config key {key!r} expects a whole number")
     if isinstance(example, list):
         for item in value:
             _check_type(key, example[0], item)

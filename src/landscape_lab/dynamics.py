@@ -118,10 +118,12 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
 
     Returns arrays: terminals (m, d), steps (m,), converged (m,), failed
     (m,) and fail_step (m,). Rows that hit non-finite values are marked
-    failed and frozen rather than aborting the batch. flow's recorder sets
-    record, which adds "trajectory": a snapshot of x per stepping
-    iteration. In each one every active row either steps or leaves, so row
-    r visited trajectory[:steps[r] + 1, r].
+    failed and frozen rather than aborting the batch. A row stalled at
+    float resolution (no step length descends, or the accepted step leaves
+    x bitwise unchanged) ends not converged; steps counts only the steps
+    that moved it. flow's recorder sets record, which adds "trajectory": a
+    snapshot of x per stepping iteration. In each one every active row
+    either steps or leaves, so row r visited trajectory[:steps[r] + 1, r].
     """
     x = np.array(starts, dtype=np.float64)
     if x.ndim == 1:
@@ -179,18 +181,22 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
             if accepted.all():
                 break
 
-        # rows that cannot descend at any step length are at float resolution
-        stalled = ~accepted
+        # rows at float resolution end here, not converged: those that
+        # cannot descend at any step length, and those whose accepted
+        # trial leaves x bitwise unchanged (from there every iteration
+        # would repeat exactly until max_steps)
+        moved = accepted & (xt != xa).any(axis=1)
+        stalled = ~moved
         if stalled.any():
             active[rows[stalled]] = False
-        good = rows[accepted]
-        x[good] = xt[accepted]
-        e[good] = et[accepted]
+        good = rows[moved]
+        x[good] = xt[moved]
+        e[good] = et[moved]
         steps[good] += 1
         if record:
             snapshots.append(x.copy())
 
-        hit = accepted & (steps[rows] >= config.max_steps)
+        hit = moved & (steps[rows] >= config.max_steps)
         if hit.any():
             active[rows[hit]] = False
 
@@ -233,7 +239,9 @@ def find_minima(target, starts: Sequence[np.ndarray], config: FlowConfig,
 
     Converged terminals are ordered by energy (coordinates break ties) and
     greedily merged when within dedup_radius of an already accepted point.
-    Failed or non-converged starts are skipped and counted in the log.
+    Failed or non-converged starts are skipped and counted in the log; so
+    are starts stalled at float resolution, even when their gradient is
+    just above grad_tol.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=np.float64))
     if starts.shape[0] == 0:

@@ -15,7 +15,12 @@ canonical choice here:
 
 All evaluators accept a single point of shape (d,) or a batch of shape
 (m, d). Every distance in the package comes from sqdist, whose docstring
-states the chunk-invariance contract the evaluators inherit.
+states the chunk-invariance contract the evaluators inherit. sqdist has two
+paths, chosen by the dimension: below 8 coordinates it accumulates one
+coordinate at a time, from 8 up it broadcasts and sums. 8 is where numpy's
+sum switches from left to right to pairwise blocks, so both paths give the
+bits of a plain broadcast-and-sum. Neither uses BLAS, so a row's distances
+never depend on the batch it is computed in.
 """
 
 from __future__ import annotations
@@ -38,14 +43,33 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances from a (d,) or (m, d) to each row of b (n, d).
 
     Takes float64 arrays as they are (no copy or check: this is the score
-    hot path). Chunk-invariance contract: an explicit broadcast-and-sum,
-    never a BLAS expansion, so a row's result is bit-identical however its
-    batch is chunked or offset; every result table is worker-count
-    independent because all distances come from here.
+    hot path). Two paths, chosen by d = b.shape[1]:
+
+    * d < 8: the squares are accumulated into the (..., n) result one
+      coordinate at a time, so no (..., n, d) temporary is built. numpy's
+      add.reduce sums fewer than 8 terms left to right, so this gives the
+      same bits as the broadcast-and-sum below.
+    * d >= 8: an explicit broadcast-and-sum over the last axis. From 8
+      terms up numpy sums pairwise in blocks, an order the per-coordinate
+      loop would not reproduce.
+
+    Chunk-invariance contract: neither path uses a BLAS expansion, so a
+    row's result is bit-identical however its batch is chunked or offset;
+    every result table is worker-count independent because all distances
+    come from here.
     """
-    diff = a[..., None, :] - b
-    diff *= diff                # squared in place: same bits, half the memory
-    return diff.sum(axis=-1)
+    d = b.shape[1]
+    if d >= 8:
+        diff = a[..., None, :] - b
+        diff *= diff            # squared in place: same bits, half the memory
+        return diff.sum(axis=-1)
+    acc = a[..., None, 0] - b[:, 0]
+    acc *= acc
+    for k in range(1, d):
+        t = a[..., None, k] - b[:, k]
+        t *= t
+        acc += t
+    return acc
 
 
 def _is_numeric_label(label) -> bool:

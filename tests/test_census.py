@@ -8,6 +8,7 @@ from landscape_lab.abstraction import diagonal_hierarchy
 from landscape_lab.census import (
     CensusConfig,
     CensusReport,
+    _mean_pairwise_distance,
     amplification_sweep,
     attach_bias_variance,
     bias_variance_probes,
@@ -115,6 +116,28 @@ def test_census_failure_rate_invalidates():
     bad = FlowConfig(step_size=1.0, grad_tol=1e-12, max_steps=1)
     with pytest.raises(CensusFailureError):
         run_census(ls, hierarchy_1d(1), CensusConfig(n_queries=200, seed=0), bad)
+
+
+def test_mean_pairwise_distance_oracle():
+    assert _mean_pairwise_distance(np.array([[0.0], [1.0], [3.0]])) == 2.0
+    for dim in (1, 2):
+        assert _mean_pairwise_distance(np.zeros((0, dim))) == 0.0
+        assert _mean_pairwise_distance(np.ones((1, dim))) == 0.0
+
+
+@pytest.mark.parametrize("m", [2, 1023, 1025, 2049])
+@pytest.mark.parametrize("dim", [1, 2, 16])
+def test_mean_pairwise_distance_matches_brute_force(m, dim):
+    # 1-D closed form, and diagonal/off-diagonal CHUNK blocks otherwise;
+    # about a quarter of the points are duplicates
+    rng = np.random.default_rng(m + dim)
+    base = rng.standard_normal((m - m // 4, dim))
+    points = base[rng.permutation(np.arange(m) % base.shape[0])]
+    total = 0.0
+    for i in range(m - 1):
+        total += np.linalg.norm(points[i + 1:] - points[i], axis=1).sum()
+    want = total / (m * (m - 1) / 2)
+    assert abs(_mean_pairwise_distance(points) - want) <= 1e-12 * want
 
 
 def test_census_level_selection():

@@ -54,6 +54,12 @@ def test_type_checks():
     ("census", "factors", 3),
     ("census", "class_counts", ["a"]),
     ("smoothness", "probe_radius", "x"),
+    # fractional values for int keys, which int() would truncate
+    ("census", "levels", [0.5]),
+    ("census", "n_queries", 100.5),
+    ("census", "max_steps", 10.5),
+    ("census", "class_counts", [9.5, 1]),
+    ("odds", "scenarios", [[2, 1.5, 2]]),
 ])
 def test_wrong_types_exit_2(tmp_path, capsys, experiment, key, value):
     cfg = write_cfg(tmp_path, "c.json", {key: value})
@@ -254,6 +260,28 @@ def test_numerical_failure_exit_code(tmp_path):
                     {"n_queries": 200, "grad_tol": 1e-14, "max_steps": 1})
     assert main(["census", "--config", cfg,
                  "--out-dir", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("experiment", ["census", "biasvar"])
+def test_failure_names_memories_outside_decoder_range(tmp_path, capsys, experiment):
+    # tanh factors smaller than the memories' extent: memories outside
+    # (-c, c) have no level minimum, so flows toward them fail
+    cfg = write_cfg(tmp_path, "c.json", {
+        "dim": 2, "class_counts": [6, 2], "blob_spread": 0.2, "center_scale": 1.0,
+        "beta": 10.0, "decoder": "tanh", "depth": 2, "n_queries": 200,
+        "bootstrap_rounds": 10, "max_steps": 500})
+    assert main([experiment, "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert ("3 of 8 memories lie outside level 1's decoder range "
+            "and have no minimum there") in err
+    if experiment == "biasvar":
+        assert "4 of 8 memories lie outside level 2's decoder range" in err
+
+
+def test_whole_float_accepted_for_int_key():
+    params = validate_params("census", {"n_queries": 5000.0, "levels": [1.0]})
+    assert params["n_queries"] == 5000.0 and params["levels"] == [1.0]
 
 
 def test_missing_config_file(tmp_path):

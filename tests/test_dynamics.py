@@ -134,6 +134,25 @@ def test_flow_idempotent_at_terminal():
     assert np.linalg.norm(again.terminal - first.terminal) < 1e-6
 
 
+def test_flow_stall_at_float_resolution_ends_row():
+    # one row of this instance reaches |grad| ~ 1.3e-8, just above grad_tol,
+    # where its accepted step no longer moves x
+    cfg = FlowConfig(step_size=1.0, grad_tol=1e-8, max_steps=4000)
+    ms = MemorySet(np.random.default_rng(100).normal(size=(8, 2)), tuple(range(8)))
+    gx = np.linspace(-2.5, 2.5, 9)
+    starts = np.array([[a, b] for a in gx for b in gx]) + ms.centroid
+    ls = EnergyLandscape(ms, 1.0)
+    out = flow_batch(ls, starts, cfg)
+    stalled = np.flatnonzero(~out["converged"] & ~out["failed"])
+    assert stalled.shape[0] >= 1
+    assert (out["steps"][stalled] < cfg.max_steps).all()
+    for r in stalled:
+        again = flow_batch(ls, out["terminals"][r], cfg)
+        assert np.array_equal(again["terminals"][0], out["terminals"][r])
+        assert again["steps"][0] == 0
+        assert not again["converged"][0] and not again["failed"][0]
+
+
 def test_flow_nonfinite_raises_with_step():
     ls = two_memory_1d(4.0)
     with pytest.raises(NumericalFlowError) as err:

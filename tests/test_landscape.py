@@ -121,10 +121,30 @@ def test_energy_translation_invariance():
 # Distance kernel and nearest memory
 # ---------------------------------------------------------------------------
 
-def rechunking_case():
+def broadcast_sqdist(a, b):
+    """Reference: the broadcast-and-sum that sqdist must match bit for bit."""
+    d = a[..., None, :] - b
+    return (d * d).sum(-1)
+
+
+def rechunking_case(dim=5):
     rng = np.random.default_rng(11)
-    mem = MemorySet(rng.standard_normal((37, 5)), tuple(range(37)))
-    return EnergyLandscape(mem, 2.0), 3.0 * rng.standard_normal((2503, 5))
+    mem = MemorySet(rng.standard_normal((37, dim)), tuple(range(37)))
+    return EnergyLandscape(mem, 2.0), 3.0 * rng.standard_normal((2503, dim))
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_sqdist_equals_broadcast_reference(dim):
+    # both kernel paths (per-coordinate below 8, broadcast from 8 up)
+    rng = np.random.default_rng(dim)
+    b = rng.standard_normal((13, dim))
+    single = 2.0 * rng.standard_normal(dim)
+    assert np.array_equal(sqdist(single, b), broadcast_sqdist(single, b))
+    for m in (0, 1, 7, 1025):
+        a = 2.0 * rng.standard_normal((m, dim))
+        got = sqdist(a, b)
+        assert got.shape == (m, 13)
+        assert np.array_equal(got, broadcast_sqdist(a, b))
 
 
 def test_sqdist_matches_per_row_sums():
@@ -140,15 +160,17 @@ def test_sqdist_matches_per_row_sums():
 @pytest.mark.parametrize("batch", [1, 7, 1024, 1025, 2500])
 @pytest.mark.parametrize("offset", [0, 3])
 def test_sqdist_and_nearest_memory_rows_do_not_depend_on_chunking(batch, offset):
-    ls, x = rechunking_case()
-    pts = ls.memories.points
-    full_d2 = sqdist(x, pts)
-    full_idx = ls.nearest_memory(x)
-    assert np.array_equal(full_idx, full_d2.argmin(axis=1))
-    for lo in range(offset, x.shape[0], batch):
-        hi = min(lo + batch, x.shape[0])
-        assert np.array_equal(sqdist(x[lo:hi], pts), full_d2[lo:hi])
-        assert np.array_equal(ls.nearest_memory(x[lo:hi]), full_idx[lo:hi])
+    # dims 7 and 8 sit on either side of sqdist's switch between paths
+    for dim in (5, 7, 8):
+        ls, x = rechunking_case(dim)
+        pts = ls.memories.points
+        full_d2 = sqdist(x, pts)
+        full_idx = ls.nearest_memory(x)
+        assert np.array_equal(full_idx, full_d2.argmin(axis=1))
+        for lo in range(offset, x.shape[0], batch):
+            hi = min(lo + batch, x.shape[0])
+            assert np.array_equal(sqdist(x[lo:hi], pts), full_d2[lo:hi])
+            assert np.array_equal(ls.nearest_memory(x[lo:hi]), full_idx[lo:hi])
 
 
 def test_nearest_memory_single_point_and_ties():
