@@ -11,9 +11,7 @@ model for merged minima.
 from landscape_lab.landscape import (
     EnergyLandscape,
     MemorySet,
-    energy,
     gaussian_blobs,
-    grad_energy,
     hessian_fd,
     load_memory_csv,
     save_memory_csv,
@@ -27,7 +25,6 @@ from landscape_lab.abstraction import (
     diagonal_hierarchy,
     grid_smooth,
     jacobian_norm_probe,
-    level_energy,
     smoothness_report,
     tanh_hierarchy,
     total_curvature,
@@ -99,20 +96,17 @@ __all__ = [
     "coarsen",
     "detect_merged",
     "diagonal_hierarchy",
-    "energy",
     "expected_coarse_share",
     "find_minima",
     "flow",
     "flow_batch",
     "gaussian_blobs",
-    "grad_energy",
     "grid_smooth",
     "hessian_fd",
     "init_grid",
     "initial_odds",
     "jacobian_norm_probe",
     "knn_predict",
-    "level_energy",
     "load_memory_csv",
     "merged_minimum_locate",
     "run_census",

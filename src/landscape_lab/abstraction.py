@@ -149,8 +149,8 @@ class LevelEnergy:
     """Energy at one abstraction level: E_a(z) = E(psi_a(z)).
 
     Exposes the same evaluator protocol as EnergyLandscape (batch-capable
-    energy/grad, dim, base_point) so flows and Hessian probes work
-    unchanged at any level.
+    energy/grad, dim, memories, nearest_memory) so flows and Hessian
+    probes work unchanged at any level.
     """
 
     base: EnergyLandscape
@@ -182,21 +182,12 @@ class LevelEnergy:
         z = np.asarray(z, dtype=np.float64)
         return self.decoder.jacobian_diag(z) * self.base.grad(self.decoder.decode(z))
 
-    def base_point(self, z) -> np.ndarray:
-        return self.decoder.decode(z)
-
     def nearest_memory(self, z) -> np.ndarray | int:
         """Nearest memory of the decoded point: classes live in base space."""
         return self.base.nearest_memory(self.decoder.decode(z))
 
     def encoded_memories(self) -> np.ndarray:
         return self.decoder.encode(self.base.memories.points)
-
-
-def level_energy(hierarchy: AbstractionHierarchy, base: EnergyLandscape,
-                 a: int, z) -> float:
-    """Energy at abstraction level a; level 0 equals the base energy."""
-    return hierarchy.level_energy(base, a).energy(z)
 
 
 @dataclass

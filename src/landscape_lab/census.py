@@ -329,8 +329,10 @@ def bias_variance_probes(landscape: EnergyLandscape,
     # counts[level][probe, class] accumulated over rounds
     counts = {a: np.zeros((mem.n, n_classes)) for a in levels}
     valid = {a: np.zeros(mem.n) for a in levels}
+    # failures only grow and every planned flow runs unless this raises,
+    # so checking after each level gives the end-of-run outcome early
+    planned = config.bootstrap_rounds * len(levels) * mem.n
     failures = 0
-    total_flows = 0
     for b in range(config.bootstrap_rounds):
         rng = derive_rng(config.seed, "bootstrap", b)
         resampled = _bootstrap_landscape(landscape, rng, stratified)
@@ -340,17 +342,15 @@ def bias_variance_probes(landscape: EnergyLandscape,
             out = _chunked_flow(lvl, np.asarray(lvl.encode(probes)),
                                 flow_config, workers)
             ok = out["converged"] & ~out["failed"]
-            total_flows += mem.n
             failures += int((~ok).sum())
+            if failures > _MAX_FAILURE_RATE * planned:
+                raise CensusFailureError(
+                    f"bias/variance probes: {failures} of {planned} planned "
+                    "flows failed" + _decoder_range_hint(landscape, hierarchy, levels))
             pred = sub_idx[lvl.nearest_memory(out["terminals"][ok])]
             rows = np.flatnonzero(ok)
             counts[a][rows, pred] += 1.0
             valid[a][rows] += 1.0
-
-    if failures > _MAX_FAILURE_RATE * max(total_flows, 1):
-        raise CensusFailureError(
-            f"bias/variance probes: {failures}/{total_flows} flows failed"
-            + _decoder_range_hint(landscape, hierarchy, levels))
 
     results = []
     for a in levels:

@@ -3,10 +3,15 @@
 Subcommands: census | smoothness | grid | knn | odds | biasvar | privacy.
 Each run reads an optional flat JSON config (closed schema: unknown keys
 are rejected by name), resolves seed/out_dir/format/workers with
-precedence flag > environment > config > default, writes its result
-tables plus plot-data files, and echoes the fully resolved configuration
-into manifest.json. Exit codes: 0 success, 2 input or config error,
-3 numerical failure.
+precedence flag > environment > config > default, computes its result
+tables once and writes each from memory, writes the plot-data file of
+every census, grid or smoothness table from the same in-memory rows, and
+echoes the fully resolved configuration into manifest.json. Exit codes:
+0 success, 2 input or config error, 3 numerical failure.
+
+census writes census.csv and privacy.csv from one census run; privacy is
+an alias of census, kept for existing scripts, with the same schema and
+outputs (its manifest names the subcommand it was called as).
 
 Worker counts never change emitted numbers, only wall time; every module
 derives per-item seeds and chunks work deterministically.
@@ -50,7 +55,7 @@ from landscape_lab.gridsim import amplification_curve, init_grid, coarsen, write
 from landscape_lab.knn import SoftWeights, argmax_class, knn_predict, soft_knn_predict
 from landscape_lab.landscape import EnergyLandscape, MemorySet, gaussian_blobs, load_memory_csv
 from landscape_lab.oddsmodel import MergeScenario, initial_odds, simulate_merge, smoothed_odds
-from landscape_lab.tables import read_table, write_table
+from landscape_lab.tables import write_table
 
 EXPERIMENTS = ("census", "smoothness", "grid", "knn", "odds", "biasvar", "privacy")
 
@@ -78,7 +83,6 @@ _CENSUS_KEYS = {f.name: f.default for f in dataclasses.fields(CensusConfig)
 
 SCHEMAS = {
     "census": {**_LANDSCAPE_KEYS, **_HIERARCHY_KEYS, **_FLOW_KEYS, **_CENSUS_KEYS},
-    "privacy": {**_LANDSCAPE_KEYS, **_HIERARCHY_KEYS, **_FLOW_KEYS, **_CENSUS_KEYS},
     "biasvar": {**_LANDSCAPE_KEYS, **_HIERARCHY_KEYS, **_FLOW_KEYS, **_CENSUS_KEYS,
                 "stratified": True},
     "smoothness": {**_LANDSCAPE_KEYS, **_HIERARCHY_KEYS,
@@ -92,6 +96,7 @@ SCHEMAS = {
     "grid": {"side": 512, "p_red": [0.5, 0.6, 0.7, 0.8, 0.9], "levels": 3,
              "dump_bitmaps": False},
 }
+SCHEMAS["privacy"] = SCHEMAS["census"]
 
 # example values giving the expected type of the keys whose default is None
 _NULLABLE_TYPES = {"memories_csv": "", "factors": [0.0], "query_sigma": 0.0,
@@ -211,9 +216,12 @@ def _census_config(params: dict, seed: int) -> CensusConfig:
 _CENSUS_COLUMNS = ["level", "class", "p_data", "p_gen", "amplification",
                    "diversity", "privacy_k1", "privacy_k2", "privacy_k5",
                    "privacy_k10", "n_queries", "failures"]
+_PRIVACY_COLUMNS = ["level", "k", "mean_knn_distance", "diversity",
+                    "n_queries", "failures"]
 
 
 def _experiment_census(cfg: RunConfig) -> dict:
+    """The census and privacy tables, both from one run_census call."""
     landscape = _build_landscape(cfg.params, cfg.seed)
     hierarchy = _build_hierarchy(cfg.params, landscape.dim)
     reports = run_census(landscape, hierarchy, _census_config(cfg.params, cfg.seed),
@@ -232,20 +240,13 @@ def _experiment_census(cfg: RunConfig) -> dict:
                 "privacy_k10": r.privacy_knn_distance[10],
                 "n_queries": r.n_queries, "failures": r.failures,
             })
-    return {"census": (_CENSUS_COLUMNS, rows)}
-
-
-def _experiment_privacy(cfg: RunConfig) -> dict:
-    landscape = _build_landscape(cfg.params, cfg.seed)
-    hierarchy = _build_hierarchy(cfg.params, landscape.dim)
-    reports = run_census(landscape, hierarchy, _census_config(cfg.params, cfg.seed),
-                         _flow_config(cfg.params), workers=cfg.workers)
-    rows = [{"level": r.level, "k": k, "mean_knn_distance": r.privacy_knn_distance[k],
-             "diversity": r.diversity_mean_pairwise,
-             "n_queries": r.n_queries, "failures": r.failures}
-            for r in reports for k in sorted(r.privacy_knn_distance)]
-    return {"privacy": (["level", "k", "mean_knn_distance", "diversity",
-                         "n_queries", "failures"], rows)}
+    privacy_rows = [{"level": r.level, "k": k,
+                     "mean_knn_distance": r.privacy_knn_distance[k],
+                     "diversity": r.diversity_mean_pairwise,
+                     "n_queries": r.n_queries, "failures": r.failures}
+                    for r in reports for k in sorted(r.privacy_knn_distance)]
+    return {"census": (_CENSUS_COLUMNS, rows),
+            "privacy": (_PRIVACY_COLUMNS, privacy_rows)}
 
 
 def _experiment_biasvar(cfg: RunConfig) -> dict:
@@ -355,7 +356,7 @@ def _experiment_grid(cfg: RunConfig) -> dict:
 
 _EXPERIMENT_FNS = {
     "census": _experiment_census,
-    "privacy": _experiment_privacy,
+    "privacy": _experiment_census,
     "biasvar": _experiment_biasvar,
     "smoothness": _experiment_smoothness,
     "knn": _experiment_knn,
@@ -366,58 +367,35 @@ _EXPERIMENT_FNS = {
 _PLOTDATA_SOURCES = ("census", "grid", "smoothness")
 
 
-def emit_plotdata(out_dir, fmt: str = "csv") -> list[Path]:
-    """Reshape result tables found in out_dir into long-format plot data.
-
-    Emits (series, x, y, stderr) rows per figure-ready curve; raises an
-    input error when no reshapeable table exists.
-    """
-    out_dir = Path(out_dir)
-    written = []
-    found = False
-    for name in _PLOTDATA_SOURCES:
-        try:
-            rows = read_table(out_dir, name)
-        except InputError:
-            continue
-        found = True
-        written.append(write_table(out_dir, f"plotdata_{name}",
-                                   ["series", "x", "y", "stderr"],
-                                   _reshape_plotdata(name, rows), fmt))
-    if not found:
-        raise InputError(f"no result tables to reshape in {out_dir}")
-    return written
-
-
 def _reshape_plotdata(name: str, rows: list[dict]) -> list[dict]:
+    """Long-format (series, x, y, stderr) rows per figure-ready curve."""
     out = []
     if name == "census":
         seen = set()
         for r in rows:
-            level = int(r["level"])
+            level = r["level"]
             if level in seen:
                 continue
             seen.add(level)
-            n = int(r["n_queries"]) - int(r["failures"])
+            n = r["n_queries"] - r["failures"]
             # majority row shares the level-wide amplification value
-            p = max(float(x["p_gen"]) for x in rows if int(x["level"]) == level)
+            p = max(x["p_gen"] for x in rows if x["level"] == level)
             se = (p * (1 - p) / n) ** 0.5 if n > 0 else 0.0
             out.append({"series": "amplification", "x": level,
-                        "y": float(r["amplification"]), "stderr": se})
+                        "y": r["amplification"], "stderr": se})
             out.append({"series": "diversity", "x": level,
-                        "y": float(r["diversity"]), "stderr": None})
+                        "y": r["diversity"], "stderr": None})
             out.append({"series": "privacy_k1", "x": level,
-                        "y": float(r["privacy_k1"]), "stderr": None})
+                        "y": r["privacy_k1"], "stderr": None})
     elif name == "grid":
         for r in rows:
-            out.append({"series": f"p_red={float(r['p_red_init'])}",
-                        "x": int(r["level"]), "y": float(r["red_share"]),
-                        "stderr": None})
+            out.append({"series": f"p_red={r['p_red_init']}", "x": r["level"],
+                        "y": r["red_share"], "stderr": None})
     elif name == "smoothness":
         for r in rows:
             for series in ("hessian_norm_est", "lipschitz_est", "jacobian_norm_est"):
-                out.append({"series": series, "x": int(r["level"]),
-                            "y": float(r[series]), "stderr": None})
+                out.append({"series": series, "x": r["level"], "y": r[series],
+                            "stderr": None})
     return out
 
 
@@ -432,8 +410,10 @@ def run(config: RunConfig) -> int:
     tables = _EXPERIMENT_FNS[config.experiment](config)
     for name, (columns, rows) in tables.items():
         write_table(config.out_dir, name, columns, rows, config.format)
-    if config.experiment in _PLOTDATA_SOURCES:
-        emit_plotdata(config.out_dir, config.format)
+        if name in _PLOTDATA_SOURCES:
+            write_table(config.out_dir, f"plotdata_{name}",
+                        ["series", "x", "y", "stderr"],
+                        _reshape_plotdata(name, rows), config.format)
     manifest = {
         "experiment": config.experiment,
         "seed": config.seed,

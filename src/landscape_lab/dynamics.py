@@ -1,10 +1,9 @@
 """Gradient-flow retrieval, basin assignment, and merged-minimum detection.
 
-Flows integrate x' = -(1/tau_rate) * grad E(x) with explicit Euler steps
-and energy backtracking: a step that would raise the energy has its length
-halved until it does not, so accepted trajectories are non-increasing in
-energy by construction. tau_rate only reparameterizes time; the terminal
-set is unchanged.
+Flows integrate x' = -grad E(x) with explicit Euler steps of length
+step_size and energy backtracking: a step that would raise the energy has
+its length halved until it does not, so accepted trajectories are
+non-increasing in energy by construction.
 
 flow_batch advances many starts at once. Every per-row decision (step
 halving, convergence, termination) uses only that row's state, so a row's
@@ -37,7 +36,7 @@ class FlowConfig:
     """Integration parameters for the descent flow.
 
     If lipschitz_hint is supplied (an estimate of the gradient's Lipschitz
-    constant), construction warns when the effective step size violates the
+    constant), construction warns when the step size violates the
     explicit-Euler stability bound step * L < 2; backtracking still keeps
     such flows descending, just slowly.
     """
@@ -45,17 +44,16 @@ class FlowConfig:
     step_size: float = 1.0
     grad_tol: float = 1e-8
     max_steps: int = 10000
-    tau_rate: float = 1.0
     lipschitz_hint: float | None = None
 
     def __post_init__(self):
-        for name in ("step_size", "grad_tol", "tau_rate"):
+        for name in ("step_size", "grad_tol"):
             if not (getattr(self, name) > 0):
                 raise InputError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_steps < 1:
             raise InputError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.lipschitz_hint is not None:
-            if (self.step_size / self.tau_rate) * self.lipschitz_hint >= 2.0:
+            if self.step_size * self.lipschitz_hint >= 2.0:
                 warnings.warn(
                     "step_size times estimated Lipschitz constant is >= 2; "
                     "explicit integration may rely on backtracking",
@@ -140,7 +138,6 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
     fail_step = np.where(failed, 0, -1).astype(np.int64)
     active = ~failed
 
-    base_step = config.step_size / config.tau_rate
     snapshots = [x.copy()] if record else None
 
     while active.any():
@@ -163,7 +160,7 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
 
         rows = idx[moving]
         gm = g[moving]
-        scale = np.full(rows.shape[0], base_step)
+        scale = np.full(rows.shape[0], config.step_size)
         accepted = np.zeros(rows.shape[0], dtype=bool)
         xa, ea = x[rows], e[rows]
         xt = np.empty_like(xa)

@@ -189,10 +189,6 @@ class EnergyLandscape:
         attended = (w[..., :, None] * self.memories.points).sum(axis=-2)
         return x - attended
 
-    def base_point(self, x) -> np.ndarray:
-        """Identity; mirrors LevelEnergy's decode-to-base-space hook."""
-        return self._check_dim(x)
-
     def nearest_memory(self, x) -> np.ndarray | int:
         """Index of the closest memory (ties go to the lower index), taking
         batches CHUNK rows at a time so memory is bounded by the chunk."""
@@ -209,14 +205,6 @@ class EnergyLandscape:
 def default_probe_radius(memories: MemorySet) -> float:
     """Probe-ball radius around the centroid: 2x the memory radius, else 1."""
     return 2.0 * memories.radius if memories.radius > 0 else 1.0
-
-
-def energy(landscape: EnergyLandscape, x) -> float:
-    return landscape.energy(x)
-
-
-def grad_energy(landscape: EnergyLandscape, x) -> np.ndarray:
-    return landscape.grad(x)
 
 
 def _hessian_stencil(x: np.ndarray, h: float) -> np.ndarray:

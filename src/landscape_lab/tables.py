@@ -52,16 +52,3 @@ def write_table(out_dir, name: str, columns: list[str], rows: list[dict],
         raise InputError(f"unknown table format {fmt!r}")
     return path
 
-
-def read_table(out_dir, name: str) -> list[dict]:
-    """Read a table written by write_table, trying csv then json."""
-    out_dir = Path(out_dir)
-    csv_path = out_dir / f"{name}.csv"
-    if csv_path.exists():
-        with open(csv_path, newline="", encoding="utf-8") as fh:
-            return [dict(r) for r in csv.DictReader(fh)]
-    json_path = out_dir / f"{name}.json"
-    if json_path.exists():
-        with open(json_path, encoding="utf-8") as fh:
-            return json.load(fh)
-    raise InputError(f"missing result table {name!r} in {out_dir}")

@@ -11,7 +11,6 @@ from landscape_lab.abstraction import (
     diagonal_hierarchy,
     grid_smooth,
     jacobian_norm_probe,
-    level_energy,
     smoothness_report,
     tanh_hierarchy,
     total_curvature,
@@ -52,7 +51,7 @@ def test_level_out_of_range():
     ls = random_landscape(0)
     h = diagonal_hierarchy([0.5], dim=2)
     with pytest.raises(InputError):
-        level_energy(h, ls, 2, np.zeros(2))
+        h.level_energy(ls, 2).energy(np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +70,7 @@ def test_diagonal_closed_form():
     ms = MemorySet(np.zeros((1, 2)), ("m",))
     ls = EnergyLandscape(ms, 1.0)
     h = diagonal_hierarchy([0.5], dim=2)
-    assert level_energy(h, ls, 1, np.array([2.0, 0.0])) == pytest.approx(0.5, abs=1e-12)
+    assert h.level_energy(ls, 1).energy(np.array([2.0, 0.0])) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_level_energy_at_fixed_origin():
@@ -79,7 +78,7 @@ def test_level_energy_at_fixed_origin():
     ls = EnergyLandscape(ms, 4.0)
     h = diagonal_hierarchy([0.5], dim=1)
     expected = 0.5 - math.log(2.0) / 4.0
-    assert level_energy(h, ls, 1, np.array([0.0])) == pytest.approx(expected, abs=1e-12)
+    assert h.level_energy(ls, 1).energy(np.array([0.0])) == pytest.approx(expected, abs=1e-12)
 
 
 def test_level_grad_chain_rule():

@@ -261,7 +261,7 @@ def test_11_worker_count_never_changes_tables(tmp_path):
         assert cli_main(["census", "--config", str(cfg), "--seed", "31",
                          "--out-dir", str(out), "--workers", str(workers)]) == 0
         outs[workers] = out
-    for name in ("census.csv", "plotdata_census.csv"):
+    for name in ("census.csv", "privacy.csv", "plotdata_census.csv"):
         assert (outs[1] / name).read_bytes() == (outs[8] / name).read_bytes()
 
     for exp, table in (("grid", "grid.csv"), ("odds", "odds.csv")):

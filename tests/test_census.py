@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from landscape_lab.abstraction import diagonal_hierarchy
+from landscape_lab import census
+from landscape_lab._seeds import derive_seed
+from landscape_lab.abstraction import diagonal_hierarchy, tanh_hierarchy
 from landscape_lab.census import (
     CensusConfig,
     CensusReport,
@@ -16,7 +18,7 @@ from landscape_lab.census import (
 )
 from landscape_lab.dynamics import FlowConfig
 from landscape_lab.errors import CensusFailureError, InputError
-from landscape_lab.landscape import EnergyLandscape, MemorySet
+from landscape_lab.landscape import EnergyLandscape, MemorySet, gaussian_blobs
 
 
 def biased_1d_landscape(beta=40.0):
@@ -270,3 +272,27 @@ def test_biasvar_deterministic():
     a = bias_variance_probes(ls, hierarchy_1d(2), cfg)
     b = bias_variance_probes(ls, hierarchy_1d(2), cfg, workers=3)
     assert a == b
+
+
+def test_biasvar_fails_before_running_every_round(monkeypatch):
+    # the CLI's tanh config whose memories partly lie outside the decoder
+    # range: flows toward them cannot converge, so the run is rejected
+    # once failures pass 1 % of the planned flows, not after all rounds
+    ms = gaussian_blobs(dim=2, class_counts=[6, 2], spread=0.2,
+                        seed=derive_seed(0, "landscape"), center_scale=1.0,
+                        labels=["c0", "c1"])
+    ls = EnergyLandscape(ms, 10.0)
+    hierarchy = tanh_hierarchy([0.9, 0.81], dim=2)
+    cfg = CensusConfig(seed=0, bootstrap_rounds=50)
+    flow_cfg = FlowConfig(step_size=1.0, grad_tol=1e-5, max_steps=500)
+    calls = []
+    real = census._chunked_flow
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(census, "_chunked_flow", counting)
+    with pytest.raises(CensusFailureError, match="decoder range"):
+        bias_variance_probes(ls, hierarchy, cfg, flow_cfg)
+    assert len(calls) < cfg.bootstrap_rounds * (hierarchy.levels + 1)

@@ -10,12 +10,11 @@ from landscape_lab.cli import (
     SCHEMAS,
     RunConfig,
     build_run_config,
-    emit_plotdata,
     main,
     run,
     validate_params,
 )
-from landscape_lab.errors import ConfigError, InputError
+from landscape_lab.errors import ConfigError
 from landscape_lab.landscape import MemorySet, save_memory_csv
 
 
@@ -239,6 +238,29 @@ def test_privacy_experiment(tmp_path):
     level0 = {int(r["k"]): float(r["mean_knn_distance"])
               for r in rows if r["level"] == "0"}
     assert level0[1] <= level0[2] <= level0[5] <= level0[10]
+    assert json.loads((out / "manifest.json").read_text())["experiment"] == "privacy"
+    # privacy is an alias of census: one census run writes both tables
+    census_out = tmp_path / "census"
+    assert main(["census", "--config", cfg, "--seed", "9",
+                 "--out-dir", str(census_out)]) == 0
+    for name in ("census.csv", "privacy.csv", "plotdata_census.csv"):
+        assert (out / name).read_bytes() == (census_out / name).read_bytes()
+
+
+def test_plotdata_comes_from_this_runs_tables(tmp_path):
+    # an older run's CSV tables in the same directory must not leak into
+    # the plot data of a JSON run
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"dim": 1, "n_queries": 300, "depth": 2, "class_counts": [3, 2]})
+    out = tmp_path / "out"
+    assert main(["census", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
+    assert main(["census", "--config", cfg, "--seed", "2", "--format", "json",
+                 "--out-dir", str(out)]) == 0
+    census = json.loads((out / "census.json").read_text())
+    plot = json.loads((out / "plotdata_census.json").read_text())
+    for series in ("amplification", "diversity", "privacy_k1"):
+        expected = {r["level"]: r[series] for r in census}
+        assert {r["x"]: r["y"] for r in plot if r["series"] == series} == expected
 
 
 def test_memories_csv_input(tmp_path):
@@ -292,11 +314,6 @@ def test_missing_config_file(tmp_path):
 # ---------------------------------------------------------------------------
 # Plot data
 # ---------------------------------------------------------------------------
-
-def test_emit_plotdata_missing_tables(tmp_path):
-    with pytest.raises(InputError):
-        emit_plotdata(tmp_path)
-
 
 def test_emit_plotdata_grid_series(tmp_path):
     cfg = write_cfg(tmp_path, "g.json", {"side": 64, "p_red": [0.6, 0.9], "levels": 2})

@@ -101,7 +101,7 @@ def replayed_trajectory(target, start, config):
     """The former recorder: rerun the flow one max_steps=1 call per step."""
     steps = int(flow_batch(target, start[None, :], config)["steps"][0])
     one_step = FlowConfig(step_size=config.step_size, grad_tol=config.grad_tol,
-                          max_steps=1, tau_rate=config.tau_rate)
+                          max_steps=1)
     states = [start.copy()]
     x = start
     for _ in range(steps):
@@ -175,9 +175,9 @@ def test_flow_batch_matches_single():
         assert res.steps_taken == out["steps"][i]
 
 
-def test_flow_tau_rate_rescales_time_only():
+def test_flow_step_size_rescales_time_only():
     ls = two_memory_1d(4.0)
-    slow = FlowConfig(step_size=1.0, grad_tol=1e-8, max_steps=10000, tau_rate=2.0)
+    slow = FlowConfig(step_size=0.5, grad_tol=1e-8, max_steps=10000)
     a = flow(ls, np.array([0.3]), CFG)
     b = flow(ls, np.array([0.3]), slow)
     assert abs(a.terminal[0] - b.terminal[0]) < 1e-6

@@ -10,9 +10,7 @@ from landscape_lab.errors import InputError
 from landscape_lab.landscape import (
     EnergyLandscape,
     MemorySet,
-    energy,
     gaussian_blobs,
-    grad_energy,
     hessian_fd,
     hessian_fd_raw,
     load_memory_csv,
@@ -72,7 +70,7 @@ def test_energy_dimension_mismatch():
     with pytest.raises(InputError):
         two_memory_1d(1.0).energy(np.zeros(2))
     with pytest.raises(InputError):
-        grad_energy(two_memory_1d(1.0), np.zeros(3))
+        two_memory_1d(1.0).grad(np.zeros(3))
 
 
 def test_energy_batch_matches_scalar():
@@ -290,12 +288,6 @@ def test_hessian_asymmetry_tiny():
 def test_hessian_step_validation():
     with pytest.raises(InputError):
         hessian_fd(two_memory_1d(1.0), np.array([0.0]), h=0.0)
-
-
-def test_functional_wrappers():
-    ls = two_memory_1d(4.0)
-    assert energy(ls, np.array([0.0])) == ls.energy(np.array([0.0]))
-    assert np.array_equal(grad_energy(ls, np.array([0.3])), ls.grad(np.array([0.3])))
 
 
 # ---------------------------------------------------------------------------
