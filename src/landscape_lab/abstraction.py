@@ -149,8 +149,8 @@ class LevelEnergy:
     """Energy at one abstraction level: E_a(z) = E(psi_a(z)).
 
     Exposes the same evaluator protocol as EnergyLandscape (batch-capable
-    energy/grad, dim, memories, nearest_memory) so flows and Hessian
-    probes work unchanged at any level.
+    energy, grad and the fused energy_grad, dim, memories, nearest_memory)
+    so flows and Hessian probes work unchanged at any level.
     """
 
     base: EnergyLandscape
@@ -178,9 +178,14 @@ class LevelEnergy:
     def energy(self, z):
         return self.base.energy(self.decoder.decode(z))
 
-    def grad(self, z):
+    def energy_grad(self, z):
+        """Energy and chain-rule gradient from one base score pass."""
         z = np.asarray(z, dtype=np.float64)
-        return self.decoder.jacobian_diag(z) * self.base.grad(self.decoder.decode(z))
+        e, g = self.base.energy_grad(self.decoder.decode(z))
+        return e, self.decoder.jacobian_diag(z) * g
+
+    def grad(self, z):
+        return self.energy_grad(z)[1]
 
     def nearest_memory(self, z) -> np.ndarray | int:
         """Nearest memory of the decoded point: classes live in base space."""

@@ -75,8 +75,6 @@ class CensusReport:
     privacy_knn_distance: dict
     n_queries: int
     failures: int
-    bias_per_class: dict | None = None
-    variance_mean: float | None = None
 
     def __post_init__(self):
         for name in ("p_data", "p_gen"):
@@ -134,11 +132,15 @@ def _decoder_range_hint(landscape: EnergyLandscape,
 
 
 def _chunked_flow(target, starts: np.ndarray, config: FlowConfig,
-                  workers: int = 1) -> dict:
+                  workers: int, max_failures: float) -> dict:
     """flow_batch over fixed-size chunks, optionally on a thread pool.
 
     Chunk boundaries are constants, so the arithmetic is identical at any
-    worker count; threads only change scheduling.
+    worker count; threads only change scheduling. Results are taken in
+    chunk order, and a failure is a row that failed or did not converge.
+    Once more than max_failures rows have failed, the chunks not yet
+    started are cancelled and the arrays returned end with the chunk that
+    passed the budget, so where a run stops does not depend on workers.
     """
     m = starts.shape[0]
     bounds = [(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
@@ -147,22 +149,30 @@ def _chunked_flow(target, starts: np.ndarray, config: FlowConfig,
     converged = np.empty(m, dtype=bool)
     failed = np.empty(m, dtype=bool)
 
-    def work(lo_hi):
-        lo, hi = lo_hi
-        return lo, hi, flow_batch(target, starts[lo:hi], config)
-
+    pool = None
     if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, bounds))
+        pool = ThreadPoolExecutor(max_workers=workers)
+        futures = [pool.submit(flow_batch, target, starts[lo:hi], config)
+                   for lo, hi in bounds]
+        results = (f.result() for f in futures)
     else:
-        results = [work(b) for b in bounds]
-    for lo, hi, out in results:
-        terminals[lo:hi] = out["terminals"]
-        steps[lo:hi] = out["steps"]
-        converged[lo:hi] = out["converged"]
-        failed[lo:hi] = out["failed"]
-    return {"terminals": terminals, "steps": steps,
-            "converged": converged, "failed": failed}
+        results = (flow_batch(target, starts[lo:hi], config) for lo, hi in bounds)
+    end, failures = m, 0
+    try:
+        for (lo, hi), out in zip(bounds, results):
+            terminals[lo:hi] = out["terminals"]
+            steps[lo:hi] = out["steps"]
+            converged[lo:hi] = out["converged"]
+            failed[lo:hi] = out["failed"]
+            failures += int((~out["converged"] | out["failed"]).sum())
+            if failures > max_failures:
+                end = hi
+                break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return {"terminals": terminals[:end], "steps": steps[:end],
+            "converged": converged[:end], "failed": failed[:end]}
 
 
 def _mean_pairwise_distance(points: np.ndarray) -> float:
@@ -213,8 +223,9 @@ def run_census(landscape: EnergyLandscape,
     """Basin census per abstraction level.
 
     Raises CensusFailureError when more than 1% of a level's flows fail
-    (numerical breakdown or non-convergence); failures below the threshold
-    are excluded from the statistics and reported in the failures field.
+    (numerical breakdown or non-convergence), as soon as the chunk that
+    passes that budget has run; failures below the threshold are excluded
+    from the statistics and reported in the failures field.
     """
     levels = _resolve_levels(hierarchy, config)
     flow_config = flow_config or default_flow_config()
@@ -229,17 +240,19 @@ def run_census(landscape: EnergyLandscape,
     unit = derive_rng(config.seed, "census-queries").standard_normal(
         (config.n_queries, mem.dim))
 
+    budget = _MAX_FAILURE_RATE * config.n_queries
     reports = []
     for a in levels:
         lvl = hierarchy.level_energy(landscape, a)
         center = np.asarray(lvl.encode(mem.centroid))
         starts = center + sigma * unit
-        out = _chunked_flow(lvl, starts, flow_config, workers)
+        out = _chunked_flow(lvl, starts, flow_config, workers, budget)
         ok = out["converged"] & ~out["failed"]
         failures = int((~ok).sum())
-        if failures > _MAX_FAILURE_RATE * config.n_queries:
+        if failures > budget:
             raise CensusFailureError(
-                f"level {a}: {failures}/{config.n_queries} flows failed"
+                f"level {a}: {failures}/{ok.shape[0]} flows failed "
+                f"(of {config.n_queries} planned)"
                 + _decoder_range_hint(landscape, hierarchy, (a,)))
         terminals = out["terminals"][ok]
 
@@ -332,6 +345,7 @@ def bias_variance_probes(landscape: EnergyLandscape,
     # failures only grow and every planned flow runs unless this raises,
     # so checking after each level gives the end-of-run outcome early
     planned = config.bootstrap_rounds * len(levels) * mem.n
+    budget = _MAX_FAILURE_RATE * planned
     failures = 0
     for b in range(config.bootstrap_rounds):
         rng = derive_rng(config.seed, "bootstrap", b)
@@ -340,10 +354,10 @@ def bias_variance_probes(landscape: EnergyLandscape,
         for a in levels:
             lvl = hierarchy.level_energy(resampled, a)
             out = _chunked_flow(lvl, np.asarray(lvl.encode(probes)),
-                                flow_config, workers)
+                                flow_config, workers, budget - failures)
             ok = out["converged"] & ~out["failed"]
             failures += int((~ok).sum())
-            if failures > _MAX_FAILURE_RATE * planned:
+            if failures > budget:
                 raise CensusFailureError(
                     f"bias/variance probes: {failures} of {planned} planned "
                     "flows failed" + _decoder_range_hint(landscape, hierarchy, levels))
@@ -367,16 +381,6 @@ def bias_variance_probes(landscape: EnergyLandscape,
             "variance_mean": variance,
         })
     return results
-
-
-def attach_bias_variance(reports: list[CensusReport], probe_rows: list[dict]) -> None:
-    """Merge bias_variance_probes output into census reports, by level."""
-    by_level = {r["level"]: r for r in probe_rows}
-    for report in reports:
-        row = by_level.get(report.level)
-        if row is not None:
-            report.bias_per_class = dict(row["bias_per_class"])
-            report.variance_mean = row["variance_mean"]
 
 
 def amplification_sweep(landscape: EnergyLandscape,

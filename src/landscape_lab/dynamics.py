@@ -8,7 +8,9 @@ non-increasing in energy by construction.
 flow_batch advances many starts at once. Every per-row decision (step
 halving, convergence, termination) uses only that row's state, so a row's
 result is bit-identical no matter how starts are grouped into batches;
-callers may chunk work across threads freely.
+callers may chunk work across threads freely. Each trial is evaluated once,
+by the target's energy_grad, and an accepted trial's gradient drives the
+next step.
 """
 
 from __future__ import annotations
@@ -86,7 +88,6 @@ class FlowResult:
     steps_taken: int
     converged: bool
     basin_memory_index: int | None = None
-    merged_cluster_id: int | None = None
     trajectory: np.ndarray | None = None
     energies: np.ndarray | None = None
 
@@ -131,7 +132,8 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
             f"start dimension {x.shape[1]} != energy dimension {target.dim}")
     m = x.shape[0]
 
-    e = np.asarray(target.energy(x), dtype=np.float64).reshape(m)
+    e, g = target.energy_grad(x)
+    e = np.asarray(e, dtype=np.float64).reshape(m)
     steps = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
     failed = ~np.isfinite(e)
@@ -142,8 +144,8 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
 
     while active.any():
         idx = np.flatnonzero(active)
-        g = np.asarray(target.grad(x[idx]))
-        gnorm = np.sqrt((g * g).sum(axis=1))
+        gi = g[idx]
+        gnorm = np.sqrt((gi * gi).sum(axis=1))
 
         bad = ~np.isfinite(gnorm)
         if bad.any():
@@ -159,20 +161,23 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
             continue
 
         rows = idx[moving]
-        gm = g[moving]
+        gm = gi[moving]
         scale = np.full(rows.shape[0], config.step_size)
         accepted = np.zeros(rows.shape[0], dtype=bool)
         xa, ea = x[rows], e[rows]
         xt = np.empty_like(xa)
         et = np.empty_like(ea)
+        gt = np.empty_like(xa)
         for _ in range(_MAX_HALVINGS):
             todo = ~accepted
             trial = xa[todo] - scale[todo, None] * gm[todo]
-            etrial = np.asarray(target.energy(trial), dtype=np.float64).reshape(-1)
+            etrial, gtrial = target.energy_grad(trial)
+            etrial = np.asarray(etrial, dtype=np.float64).reshape(-1)
             ok = np.isfinite(etrial) & (etrial <= ea[todo])
             sub = np.flatnonzero(todo)
             xt[sub[ok]] = trial[ok]
             et[sub[ok]] = etrial[ok]
+            gt[sub[ok]] = gtrial[ok]
             accepted[sub[ok]] = True
             scale[sub[~ok]] *= 0.5
             if accepted.all():
@@ -189,6 +194,7 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
         good = rows[moved]
         x[good] = xt[moved]
         e[good] = et[moved]
+        g[good] = gt[moved]
         steps[good] += 1
         if record:
             snapshots.append(x.copy())
@@ -301,13 +307,6 @@ def detect_merged(level_minima: Sequence[np.ndarray],
             merged.append(MergedMinimum(center=z, constituent_indices=idx,
                                         epsilon=epsilon))
     return merged
-
-
-def attach_merged_ids(results: Sequence[FlowResult],
-                      merged: Sequence[MergedMinimum]) -> None:
-    """Annotate flow results with the index of the merged minimum they hit."""
-    for r in results:
-        r.merged_cluster_id = _merged_index(r.terminal, merged)
 
 
 def _merged_index(x, merged: Sequence[MergedMinimum]) -> int | None:

@@ -72,6 +72,22 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
+def weighted_sum(w: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """sum_i w_i x_i: weights (..., n) against points (n, d), shape (..., d).
+
+    Gives the bits of the broadcast (w[..., :, None] * points).sum(-2)
+    without its (..., n, d) product. For d >= 2, einsum with its default
+    optimize=False adds the memories' terms in the same order as that
+    reduction. At d = 1 the reduction runs along a contiguous axis, which
+    numpy sums pairwise, and only the plain row sum matches it. No BLAS
+    (w @ points rounds differently), so a row's result does not depend on
+    its batch. A test checks both paths against the broadcast.
+    """
+    if points.shape[1] == 1:
+        return (w * points[:, 0]).sum(axis=-1)[..., None]
+    return np.einsum("...n,nd->...d", w, points)
+
+
 def _is_numeric_label(label) -> bool:
     return isinstance(label, _NUMERIC_TYPES) and not isinstance(label, bool)
 
@@ -182,12 +198,25 @@ class EnergyLandscape:
         w = np.exp(s)
         return w / w.sum(axis=-1, keepdims=True)
 
+    def energy_grad(self, x) -> tuple:
+        """Energy and analytic gradient from one score pass.
+
+        The softmax weights that normalise the log-sum-exp also give the
+        gradient x - sum_i w_i x_i, so both come from the same exp. Each
+        is bit-identical to what energy and weights compute alone.
+        """
+        x = self._check_dim(x)
+        s = self._scores(x)
+        m = s.max(axis=-1)
+        ex = np.exp(s - m[..., None])
+        z = ex.sum(axis=-1)
+        e = -(m + np.log(z)) / self.beta
+        g = x - weighted_sum(ex / z[..., None], self.memories.points)
+        return (float(e) if e.ndim == 0 else e), g
+
     def grad(self, x) -> np.ndarray:
         """Analytic gradient: x minus the weight-averaged memory."""
-        x = self._check_dim(x)
-        w = self.weights(x)
-        attended = (w[..., :, None] * self.memories.points).sum(axis=-2)
-        return x - attended
+        return self.energy_grad(x)[1]
 
     def nearest_memory(self, x) -> np.ndarray | int:
         """Index of the closest memory (ties go to the lower index), taking

@@ -90,6 +90,21 @@ def test_level_grad_chain_rule():
         assert np.abs(lvl.grad(z) - fd).max() < 1e-6
 
 
+def test_level_energy_grad_equals_energy_and_chain_rule():
+    ls = random_landscape(6)
+    z = np.random.default_rng(7).normal(size=(40, 2))
+    for h in (diagonal_hierarchy([0.6], dim=2), tanh_hierarchy([0.6], dim=2)):
+        lvl = h.level_energy(ls, 1)
+        for pts in (z, z[3]):
+            e, g = lvl.energy_grad(pts)
+            x = lvl.decode(pts)
+            base_grad = x - (ls.weights(x)[..., :, None] * ls.memories.points).sum(axis=-2)
+            assert type(e) is type(lvl.energy(pts))
+            assert np.array_equal(e, lvl.energy(pts))
+            assert np.array_equal(g, h.decoders[1].jacobian_diag(pts) * base_grad)
+            assert np.array_equal(lvl.grad(pts), g)
+
+
 def test_level_nearest_memory_decodes_then_delegates():
     ls = random_landscape(4)
     z = np.random.default_rng(5).normal(size=(1100, 2))

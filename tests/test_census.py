@@ -12,7 +12,6 @@ from landscape_lab.census import (
     CensusReport,
     _mean_pairwise_distance,
     amplification_sweep,
-    attach_bias_variance,
     bias_variance_probes,
     run_census,
 )
@@ -253,18 +252,6 @@ def test_biasvar_rounds_validation():
             n_queries=100, seed=0, bootstrap_rounds=5))
 
 
-def test_attach_bias_variance():
-    ms = MemorySet(np.array([[-1.0], [1.0]]), ("a", "b"))
-    ls = EnergyLandscape(ms, 12.0)
-    cfg = CensusConfig(n_queries=200, seed=7, probe_sigma=1e-9, bootstrap_rounds=12)
-    reports = run_census(ls, hierarchy_1d(2), cfg)
-    assert all(r.bias_per_class is None for r in reports)
-    attach_bias_variance(reports, bias_variance_probes(ls, hierarchy_1d(2), cfg))
-    for r in reports:
-        assert r.bias_per_class == {"a": 0.0, "b": 0.0}
-        assert r.variance_mean == 0.0
-
-
 def test_biasvar_deterministic():
     ms = MemorySet(np.array([[-1.0], [0.2], [1.0]]), ("a", "a", "b"))
     ls = EnergyLandscape(ms, 12.0)
@@ -296,3 +283,36 @@ def test_biasvar_fails_before_running_every_round(monkeypatch):
     with pytest.raises(CensusFailureError, match="decoder range"):
         bias_variance_probes(ls, hierarchy, cfg, flow_cfg)
     assert len(calls) < cfg.bootstrap_rounds * (hierarchy.levels + 1)
+
+
+def test_census_fails_after_the_chunk_that_passes_the_budget(monkeypatch):
+    # the same tanh config: level 1 fails, and at its failure rate the 1 %
+    # budget is passed within the first CHUNK rows, so the level's other
+    # chunks never run; results are checked in chunk order, so the count
+    # in the message does not depend on the worker count
+    ms = gaussian_blobs(dim=2, class_counts=[6, 2], spread=0.2,
+                        seed=derive_seed(0, "landscape"), center_scale=1.0,
+                        labels=["c0", "c1"])
+    ls = EnergyLandscape(ms, 10.0)
+    hierarchy = tanh_hierarchy([0.9, 0.81], dim=2)
+    cfg = CensusConfig(n_queries=5000, seed=0)
+    flow_cfg = FlowConfig(step_size=1.0, grad_tol=1e-5, max_steps=500)
+    chunks = -(-cfg.n_queries // census.CHUNK)
+    calls = []
+    real = census.flow_batch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(census, "flow_batch", counting)
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(CensusFailureError, match="decoder range") as err:
+            run_census(ls, hierarchy, cfg, flow_cfg, workers=workers)
+        messages.append(str(err.value))
+        if workers == 1:
+            # level 0 passes in full, level 1 stops after its first chunk
+            assert len(calls) == chunks + 1
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("level 1: ") and f"/{census.CHUNK} flows" in messages[0]

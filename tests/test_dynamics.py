@@ -11,7 +11,6 @@ from landscape_lab.dynamics import (
     FlowConfig,
     MergedMinimum,
     _project_to_simplex,
-    attach_merged_ids,
     default_dedup_radius,
     detect_merged,
     estimate_lipschitz,
@@ -175,6 +174,43 @@ def test_flow_batch_matches_single():
         assert res.steps_taken == out["steps"][i]
 
 
+class UnfusedEvaluator:
+    """Offers flow_batch nothing but dim and energy_grad, computed the
+    unfused way: energy, then x minus the broadcast weighted sum of the
+    weights. Logs the rows of each call."""
+
+    def __init__(self, landscape):
+        self.landscape = landscape
+        self.dim = landscape.dim
+        self.rows = []
+
+    def energy_grad(self, x):
+        self.rows.append(x.shape[0])
+        w = self.landscape.weights(x)
+        attended = (w[..., :, None] * self.landscape.memories.points).sum(axis=-2)
+        return self.landscape.energy(x), x - attended
+
+
+def test_flow_batch_evaluates_each_trial_once():
+    # one energy_grad call for the starts, then one per batch of trials:
+    # no separate gradient pass, and the same bits as the unfused values.
+    # The Hessian is at most I, so here every unit step descends and each
+    # stepping iteration is one call whose rows are the rows that step
+    rng = np.random.default_rng(12)
+    ls = EnergyLandscape(MemorySet(rng.normal(size=(8, 2)), tuple(range(8))), 4.0)
+    starts = ls.memories.centroid + 2.0 * rng.normal(size=(30, 2))
+    unfused = UnfusedEvaluator(ls)
+    out = flow_batch(unfused, starts, CFG)
+    expected = flow_batch(ls, starts, CFG)
+    assert out.keys() == expected.keys()
+    for key in out:
+        assert np.array_equal(out[key], expected[key])
+    assert expected["converged"].all()
+    assert unfused.rows[0] == starts.shape[0]
+    assert len(unfused.rows) - 1 == int(expected["steps"].max())
+    assert sum(unfused.rows[1:]) == int(expected["steps"].sum())
+
+
 def test_flow_step_size_rescales_time_only():
     ls = two_memory_1d(4.0)
     slow = FlowConfig(step_size=0.5, grad_tol=1e-8, max_steps=10000)
@@ -295,14 +331,6 @@ def test_detect_merged_zero_epsilon_empty():
 def test_merged_minimum_invariants():
     with pytest.raises(InputError):
         MergedMinimum(np.zeros(1), (3,), 0.5)   # needs >= 2 constituents
-
-
-def test_attach_merged_ids():
-    ls = two_memory_1d(0.5)
-    res = flow(ls, np.array([0.3]), CFG)
-    mm = MergedMinimum(np.array([0.0]), (0, 1), 0.5)
-    attach_merged_ids([res], [mm])
-    assert res.merged_cluster_id == 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from landscape_lab.landscape import (
     load_memory_csv,
     save_memory_csv,
     sqdist,
+    weighted_sum,
 )
+from landscape_lab.census import _ResampledLandscape
 
 
 def two_memory_1d(beta):
@@ -158,17 +160,24 @@ def test_sqdist_matches_per_row_sums():
 @pytest.mark.parametrize("batch", [1, 7, 1024, 1025, 2500])
 @pytest.mark.parametrize("offset", [0, 3])
 def test_sqdist_and_nearest_memory_rows_do_not_depend_on_chunking(batch, offset):
-    # dims 7 and 8 sit on either side of sqdist's switch between paths
-    for dim in (5, 7, 8):
+    # also gates grad and energy_grad; dims 7 and 8 sit on either side of
+    # sqdist's switch between paths, dim 1 takes weighted_sum's own path
+    for dim in (1, 5, 7, 8):
         ls, x = rechunking_case(dim)
         pts = ls.memories.points
         full_d2 = sqdist(x, pts)
         full_idx = ls.nearest_memory(x)
+        full_e, full_g = ls.energy_grad(x)
         assert np.array_equal(full_idx, full_d2.argmin(axis=1))
+        assert np.array_equal(ls.grad(x), full_g)
         for lo in range(offset, x.shape[0], batch):
             hi = min(lo + batch, x.shape[0])
             assert np.array_equal(sqdist(x[lo:hi], pts), full_d2[lo:hi])
             assert np.array_equal(ls.nearest_memory(x[lo:hi]), full_idx[lo:hi])
+            e, g = ls.energy_grad(x[lo:hi])
+            assert np.array_equal(e, full_e[lo:hi])
+            assert np.array_equal(g, full_g[lo:hi])
+            assert np.array_equal(ls.grad(x[lo:hi]), full_g[lo:hi])
 
 
 def test_nearest_memory_single_point_and_ties():
@@ -193,6 +202,43 @@ def test_weights_simplex_property(coords, beta):
     w = ls.weights(np.array(coords))
     assert (w >= 0).all()
     assert abs(float(w.sum()) - 1.0) < 1e-12
+
+
+def broadcast_weighted_sum(w, points):
+    """Reference: the (..., n, d) product that weighted_sum must match."""
+    return (w[..., :, None] * points).sum(axis=-2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 16])
+def test_weighted_sum_equals_broadcast_reference(dim):
+    rng = np.random.default_rng(dim)
+    for n in (1, 2, 6, 8, 9, 10, 33, 250):
+        points = rng.standard_normal((n, dim))
+        for shape in [(n,)] + [(rows, n) for rows in (1, 2, 3, 7, 64, 1024, 1025)]:
+            w = rng.random(shape)
+            w /= w.sum(axis=-1, keepdims=True)
+            got = weighted_sum(w, points)
+            assert got.shape == shape[:-1] + (dim,)
+            assert np.array_equal(got, broadcast_weighted_sum(w, points))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_energy_grad_equals_energy_and_reference_grad(dim):
+    # the reference gradient is x minus the broadcast weighted sum of
+    # weights(x); the resampled landscape reaches energy_grad through its
+    # _scores override
+    ls, x = rechunking_case(dim)
+    log_counts = np.log(np.random.default_rng(dim).integers(1, 4, ls.memories.n))
+    resampled = _ResampledLandscape(ls.memories, ls.beta, log_counts=log_counts)
+    for target in (ls, resampled):
+        for pts in (x[:300], x[5]):
+            e, g = target.energy_grad(pts)
+            assert type(e) is type(target.energy(pts))
+            assert np.array_equal(e, target.energy(pts))
+            reference = pts - broadcast_weighted_sum(target.weights(pts),
+                                                     target.memories.points)
+            assert np.array_equal(g, reference)
+            assert np.array_equal(target.grad(pts), g)
 
 
 def test_grad_single_memory():
