@@ -48,7 +48,6 @@ from landscape_lab.knn import (
 from landscape_lab.census import (
     CensusConfig,
     CensusReport,
-    amplification_sweep,
     bias_variance_probes,
     run_census,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "SoftWeights",
     "TanhDecoder",
     "amplification_curve",
-    "amplification_sweep",
     "attendance_profile",
     "bias_variance_probes",
     "coarsen",

@@ -33,6 +33,7 @@ from landscape_lab._seeds import derive_rng
 from landscape_lab.abstraction import AbstractionHierarchy
 from landscape_lab.dynamics import FlowConfig, flow_batch
 from landscape_lab.errors import CensusFailureError, InputError
+from landscape_lab.knn import argmax_class
 from landscape_lab.landscape import CHUNK, EnergyLandscape, MemorySet, sqdist
 
 _PRIVACY_KS = (1, 2, 5, 10)
@@ -84,11 +85,6 @@ class CensusReport:
         if not (-1.0 <= self.amplification <= 1.0):
             raise InputError(
                 f"amplification must be in [-1, 1], got {self.amplification}")
-
-
-def _majority_class(p_data: dict):
-    best = max(p_data.values())
-    return sorted(c for c, p in p_data.items() if p == best)[0]
 
 
 def _resolve_levels(hierarchy: AbstractionHierarchy, config: CensusConfig) -> tuple:
@@ -234,7 +230,7 @@ def run_census(landscape: EnergyLandscape,
              else float(config.query_sigma))
     classes = mem.classes()
     p_data = mem.class_proportions()
-    c_maj = _majority_class(p_data)
+    c_maj = argmax_class(p_data)
     labels = np.array([classes.index(y) for y in mem.labels])
 
     unit = derive_rng(config.seed, "census-queries").standard_normal(
@@ -382,27 +378,3 @@ def bias_variance_probes(landscape: EnergyLandscape,
         })
     return results
 
-
-def amplification_sweep(landscape: EnergyLandscape,
-                        hierarchy: AbstractionHierarchy,
-                        config: CensusConfig,
-                        flow_config: FlowConfig | None = None,
-                        workers: int = 1) -> list[dict]:
-    """Amplification and diversity per level, for trend assertions."""
-    levels = _resolve_levels(hierarchy, config)
-    if len(levels) < 3:
-        raise InputError(f"need at least 3 levels to sweep, got {len(levels)}")
-    reports = run_census(landscape, hierarchy, config, flow_config, workers)
-    c_maj = _majority_class(landscape.memories.class_proportions())
-    rows = []
-    for r in reports:
-        p = r.p_gen[c_maj]
-        m = r.n_queries - r.failures
-        rows.append({
-            "level": r.level,
-            "amplification": r.amplification,
-            "diversity_mean_pairwise": r.diversity_mean_pairwise,
-            "p_gen_majority": p,
-            "stderr": float(np.sqrt(max(p * (1.0 - p), 0.0) / m)) if m else 0.0,
-        })
-    return rows

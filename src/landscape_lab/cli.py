@@ -371,15 +371,15 @@ def _reshape_plotdata(name: str, rows: list[dict]) -> list[dict]:
     """Long-format (series, x, y, stderr) rows per figure-ready curve."""
     out = []
     if name == "census":
-        seen = set()
+        by_level = {}
         for r in rows:
-            level = r["level"]
-            if level in seen:
-                continue
-            seen.add(level)
+            by_level.setdefault(r["level"], []).append(r)
+        for level, group in by_level.items():
+            # amplification is the data-majority class's shift; rows come
+            # in sorted class order, so index ties go to the sorted-first
+            r = group[argmax_class({i: x["p_data"] for i, x in enumerate(group)})]
             n = r["n_queries"] - r["failures"]
-            # majority row shares the level-wide amplification value
-            p = max(x["p_gen"] for x in rows if x["level"] == level)
+            p = r["p_gen"]
             se = (p * (1 - p) / n) ** 0.5 if n > 0 else 0.0
             out.append({"series": "amplification", "x": level,
                         "y": r["amplification"], "stderr": se})

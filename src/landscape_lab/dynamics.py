@@ -15,9 +15,7 @@ next step.
 
 from __future__ import annotations
 
-import csv
 import logging
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,8 +23,7 @@ import numpy as np
 
 from landscape_lab._seeds import derive_rng
 from landscape_lab.errors import InputError, NumericalFlowError
-from landscape_lab.landscape import (default_probe_radius, hessian_fd_batch,
-                                     spectral_norm, sqdist)
+from landscape_lab.landscape import sqdist
 
 logger = logging.getLogger(__name__)
 
@@ -35,18 +32,11 @@ _MAX_HALVINGS = 60
 
 @dataclass
 class FlowConfig:
-    """Integration parameters for the descent flow.
-
-    If lipschitz_hint is supplied (an estimate of the gradient's Lipschitz
-    constant), construction warns when the step size violates the
-    explicit-Euler stability bound step * L < 2; backtracking still keeps
-    such flows descending, just slowly.
-    """
+    """Integration parameters for the descent flow."""
 
     step_size: float = 1.0
     grad_tol: float = 1e-8
     max_steps: int = 10000
-    lipschitz_hint: float | None = None
 
     def __post_init__(self):
         for name in ("step_size", "grad_tol"):
@@ -54,32 +44,6 @@ class FlowConfig:
                 raise InputError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_steps < 1:
             raise InputError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.lipschitz_hint is not None:
-            if self.step_size * self.lipschitz_hint >= 2.0:
-                warnings.warn(
-                    "step_size times estimated Lipschitz constant is >= 2; "
-                    "explicit integration may rely on backtracking",
-                    stacklevel=2)
-
-
-def estimate_lipschitz(target, seed: int = 0, probes: int = 32,
-                       radius: float | None = None) -> float:
-    """Sampled gradient-Lipschitz estimate (max Hessian norm near the data)."""
-    mem = target.memories
-    if radius is None:
-        radius = default_probe_radius(mem)
-    rng = derive_rng(seed, "lipschitz-probes")
-    pts = mem.centroid + radius * rng.standard_normal((probes, target.dim))
-    if hasattr(target, "encode"):
-        pts = np.asarray(target.encode(pts))
-    return float(np.max(spectral_norm(hessian_fd_batch(target, pts))))
-
-
-def stable_flow_config(target, seed: int = 0, **overrides) -> FlowConfig:
-    """FlowConfig with step_size chosen against a sampled Lipschitz estimate."""
-    lip = estimate_lipschitz(target, seed=seed)
-    step = overrides.pop("step_size", min(0.25, 1.0 / max(lip, 1e-9)))
-    return FlowConfig(step_size=step, lipschitz_hint=lip, **overrides)
 
 
 @dataclass
@@ -272,12 +236,6 @@ def find_minima(target, starts: Sequence[np.ndarray], config: FlowConfig,
     return accepted
 
 
-def default_dedup_radius(memories) -> float:
-    """Default merge radius: 10% of the memory-set diameter."""
-    d = memories.diameter
-    return 0.1 * d if d > 0 else 0.1
-
-
 def detect_merged(level_minima: Sequence[np.ndarray],
                   base_minima: Sequence[np.ndarray],
                   base_memory_indices: Sequence[int],
@@ -307,16 +265,6 @@ def detect_merged(level_minima: Sequence[np.ndarray],
             merged.append(MergedMinimum(center=z, constituent_indices=idx,
                                         epsilon=epsilon))
     return merged
-
-
-def _merged_index(x, merged: Sequence[MergedMinimum]) -> int | None:
-    """Index of the first merged minimum whose epsilon-ball holds x."""
-    if not merged:
-        return None
-    centers = np.array([mm.center for mm in merged])
-    dist = np.sqrt(sqdist(np.asarray(x, dtype=np.float64), centers))
-    hits = np.flatnonzero(dist <= np.array([mm.epsilon for mm in merged]))
-    return int(hits[0]) if hits.shape[0] else None
 
 
 def _project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -376,37 +324,3 @@ def merged_minimum_locate(target, constituents: Sequence[np.ndarray],
             best_alpha, best_e = alpha, e
     return hull_point(best_alpha)
 
-
-# ---------------------------------------------------------------------------
-# CSV dumps
-# ---------------------------------------------------------------------------
-
-def write_trajectory_csv(path, target, starts: Sequence[np.ndarray],
-                         config: FlowConfig) -> None:
-    """Dump recorded trajectories: start_id, step, x_0.., energy."""
-    starts = np.atleast_2d(np.asarray(starts, dtype=np.float64))
-    d = starts.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["start_id", "step"] + [f"x_{k}" for k in range(d)] + ["energy"])
-        for sid, q in enumerate(starts):
-            res = flow(target, q, config, record_trajectory=True)
-            for step, (xrow, erow) in enumerate(zip(res.trajectory, res.energies)):
-                writer.writerow([sid, step] + [repr(float(c)) for c in xrow]
-                                + [repr(float(erow))])
-
-
-def write_minima_csv(path, target, minima: Sequence[np.ndarray], level: int = 0,
-                     merged: Sequence[MergedMinimum] | None = None) -> None:
-    """Dump located minima: level, min_id, x_0.., energy, n_constituents."""
-    minima = [np.asarray(m, dtype=np.float64) for m in minima]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        d = minima[0].shape[0] if minima else target.dim
-        writer.writerow(["level", "min_id"] + [f"x_{k}" for k in range(d)]
-                        + ["energy", "n_constituents"])
-        for mid, x in enumerate(minima):
-            hit = _merged_index(x, merged)
-            count = 1 if hit is None else len(merged[hit].constituent_indices)
-            writer.writerow([level, mid] + [repr(float(c)) for c in x]
-                            + [repr(float(target.energy(x))), count])

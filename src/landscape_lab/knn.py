@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from landscape_lab.errors import InputError
-from landscape_lab.landscape import EnergyLandscape, MemorySet, sqdist
+from landscape_lab.landscape import EnergyLandscape, MemorySet, _softmax, sqdist
 
 from landscape_lab import dynamics
 
@@ -56,10 +56,8 @@ def soft_weights_from_sqdist(sqdist: np.ndarray, tau: float) -> np.ndarray:
     """Softmax of -sqdist / tau with max subtraction."""
     if not (tau > 0):
         raise InputError(f"tau must be positive, got {tau}")
-    s = -np.asarray(sqdist, dtype=np.float64) / tau
-    s = s - s.max(axis=-1, keepdims=True)
-    w = np.exp(s)
-    return w / w.sum(axis=-1, keepdims=True)
+    _, ex, z = _softmax(-np.asarray(sqdist, dtype=np.float64) / tau)
+    return ex / z[..., None]
 
 
 def _sqdist_to_memories(memories: MemorySet, q) -> np.ndarray:

@@ -88,6 +88,18 @@ def weighted_sum(w: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.einsum("...n,nd->...d", w, points)
 
 
+def _softmax(s: np.ndarray) -> tuple:
+    """Max-shifted softmax of scores s (..., n), as (m, ex, z).
+
+    m is the row max, ex = exp(s - m) and z the row sum of ex, so the
+    weights are ex / z and the log-sum-exp is m + log(z). The energy, its
+    weights and gradient, and the soft k-NN weights all come from here.
+    """
+    m = s.max(axis=-1)
+    ex = np.exp(s - m[..., None])
+    return m, ex, ex.sum(axis=-1)
+
+
 def _is_numeric_label(label) -> bool:
     return isinstance(label, _NUMERIC_TYPES) and not isinstance(label, bool)
 
@@ -185,18 +197,14 @@ class EnergyLandscape:
 
     def energy(self, x) -> np.ndarray | float:
         """Log-sum-exp energy, computed with max subtraction."""
-        s = self._scores(self._check_dim(x))
-        m = s.max(axis=-1)
-        lse = m + np.log(np.exp(s - m[..., None]).sum(axis=-1))
-        e = -lse / self.beta
+        m, _, z = _softmax(self._scores(self._check_dim(x)))
+        e = -(m + np.log(z)) / self.beta
         return float(e) if e.ndim == 0 else e
 
     def weights(self, x) -> np.ndarray:
         """Softmax attention over memories; non-negative, sums to 1."""
-        s = self._scores(self._check_dim(x))
-        s = s - s.max(axis=-1, keepdims=True)
-        w = np.exp(s)
-        return w / w.sum(axis=-1, keepdims=True)
+        _, ex, z = _softmax(self._scores(self._check_dim(x)))
+        return ex / z[..., None]
 
     def energy_grad(self, x) -> tuple:
         """Energy and analytic gradient from one score pass.
@@ -206,10 +214,7 @@ class EnergyLandscape:
         is bit-identical to what energy and weights compute alone.
         """
         x = self._check_dim(x)
-        s = self._scores(x)
-        m = s.max(axis=-1)
-        ex = np.exp(s - m[..., None])
-        z = ex.sum(axis=-1)
+        m, ex, z = _softmax(self._scores(x))
         e = -(m + np.log(z)) / self.beta
         g = x - weighted_sum(ex / z[..., None], self.memories.points)
         return (float(e) if e.ndim == 0 else e), g
@@ -276,25 +281,16 @@ def _assemble_hessian(values: np.ndarray, d: int, h: float) -> np.ndarray:
     return hess
 
 
-def hessian_fd_raw(target, x, h: float = 1e-4) -> np.ndarray:
-    """Central-difference Hessian before symmetrization."""
-    if not (h > 0):
-        raise InputError(f"finite-difference step must be positive, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InputError("hessian_fd expects a single point of shape (d,)")
-    values = np.asarray(target.energy(_hessian_stencil(x, h)))
-    return _assemble_hessian(values, x.shape[0], h)
-
-
 def hessian_fd(target, x, h: float = 1e-4) -> np.ndarray:
-    """Symmetrized central-difference Hessian (H + H^T) / 2.
+    """Symmetrized central-difference Hessian (H + H^T) / 2 at one point.
 
     target is anything exposing a batch-capable .energy, so the same code
     serves the base landscape and every abstraction level.
     """
-    raw = hessian_fd_raw(target, x, h)
-    return 0.5 * (raw + raw.T)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise InputError("hessian_fd expects a single point of shape (d,)")
+    return hessian_fd_batch(target, x[None], h)[0]
 
 
 def hessian_fd_batch(target, points: np.ndarray, h: float = 1e-4) -> np.ndarray:

@@ -11,7 +11,6 @@ from landscape_lab.census import (
     CensusConfig,
     CensusReport,
     _mean_pairwise_distance,
-    amplification_sweep,
     bias_variance_probes,
     run_census,
 )
@@ -152,24 +151,16 @@ def test_census_level_selection():
 
 
 # ---------------------------------------------------------------------------
-# amplification_sweep
+# Trends across levels
 # ---------------------------------------------------------------------------
-
-def test_sweep_requires_three_levels():
-    ls = biased_1d_landscape()
-    with pytest.raises(InputError):
-        amplification_sweep(ls, hierarchy_1d(1), CensusConfig(n_queries=200, seed=0))
-
 
 def test_sweep_amplification_and_diversity_rise():
     ls = biased_1d_landscape()
-    rows = amplification_sweep(ls, hierarchy_1d(4),
-                               CensusConfig(n_queries=4000, seed=23))
-    amps = [r["amplification"] for r in rows]
-    divs = [r["diversity_mean_pairwise"] for r in rows]
+    reports = run_census(ls, hierarchy_1d(4), CensusConfig(n_queries=4000, seed=23))
+    amps = [r.amplification for r in reports]
+    divs = [r.diversity_mean_pairwise for r in reports]
     assert all(b > a for a, b in zip(amps, amps[1:])), amps
     assert all(b > a for a, b in zip(divs, divs[1:])), divs
-    assert all(r["stderr"] > 0 for r in rows)
 
 
 def test_sweep_balanced_control_flat():
@@ -178,9 +169,9 @@ def test_sweep_balanced_control_flat():
     ms = MemorySet(pts, ("A",) * 3 + ("B",) * 3)
     ls = EnergyLandscape(ms, 30.0)
     n = 4000
-    rows = amplification_sweep(ls, hierarchy_1d(4), CensusConfig(n_queries=n, seed=29))
-    for r in rows:
-        assert abs(r["amplification"]) < 3 * math.sqrt(0.25 / n)
+    reports = run_census(ls, hierarchy_1d(4), CensusConfig(n_queries=n, seed=29))
+    for r in reports:
+        assert abs(r.amplification) < 3 * math.sqrt(0.25 / n)
 
 
 # ---------------------------------------------------------------------------

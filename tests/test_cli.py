@@ -263,6 +263,29 @@ def test_plotdata_comes_from_this_runs_tables(tmp_path):
         assert {r["x"]: r["y"] for r in plot if r["series"] == series} == expected
 
 
+def test_plotdata_amplification_stderr_is_the_data_majority_share(tmp_path):
+    # the data majority c0 generates nothing while c2 generates most
+    # queries, so the stderr of c0's generated share is 0, not c2's
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"dim": 1, "class_counts": [4, 3, 3], "blob_spread": 0.2,
+                     "center_scale": 1.0, "beta": 10.0, "depth": 4, "n_queries": 2000})
+    out = tmp_path / "out"
+    assert main(["census", "--config", cfg, "--seed", "0", "--out-dir", str(out)]) == 0
+    census = read_csv(out / "census.csv")
+    plot = [r for r in read_csv(out / "plotdata_census.csv")
+            if r["series"] == "amplification"]
+    assert len(plot) == 5
+    for r in plot:
+        rows = [c for c in census if c["level"] == r["x"]]
+        majority = max(rows, key=lambda c: float(c["p_data"]))
+        p = float(majority["p_gen"])
+        n = int(majority["n_queries"]) - int(majority["failures"])
+        assert float(r["stderr"]) == pytest.approx(math.sqrt(p * (1 - p) / n), abs=1e-15)
+    level0 = {c["class"]: float(c["p_gen"]) for c in census if c["level"] == "0"}
+    assert level0["c0"] == 0.0 and level0["c2"] > level0["c1"]
+    assert float(plot[0]["stderr"]) == 0.0
+
+
 def test_memories_csv_input(tmp_path):
     ms = MemorySet(np.array([[-1.0], [1.0]]), ("L", "R"))
     mem_path = tmp_path / "mem.csv"

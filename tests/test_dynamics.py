@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,16 +9,11 @@ from landscape_lab.dynamics import (
     FlowConfig,
     MergedMinimum,
     _project_to_simplex,
-    default_dedup_radius,
     detect_merged,
-    estimate_lipschitz,
     find_minima,
     flow,
     flow_batch,
     merged_minimum_locate,
-    stable_flow_config,
-    write_minima_csv,
-    write_trajectory_csv,
 )
 from landscape_lab.errors import InputError, NumericalFlowError
 from landscape_lab.landscape import EnergyLandscape, MemorySet
@@ -44,19 +37,6 @@ def test_flow_config_validation():
         FlowConfig(grad_tol=-1.0)
     with pytest.raises(InputError):
         FlowConfig(max_steps=0)
-
-
-def test_flow_config_stability_warning():
-    with pytest.warns(UserWarning):
-        FlowConfig(step_size=3.0, lipschitz_hint=1.0)
-    FlowConfig(step_size=1.0, lipschitz_hint=1.0)  # no warning expected
-
-
-def test_stable_flow_config():
-    ls = two_memory_1d(4.0)
-    cfg = stable_flow_config(ls)
-    assert cfg.step_size * cfg.lipschitz_hint < 2.0
-    assert estimate_lipschitz(ls) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -372,33 +352,3 @@ def test_merged_locate_beats_random_simplex_samples():
     samples = alphas @ np.array(hull)
     assert e_best <= float(np.min(ls.energy(samples))) + 1e-9
 
-
-# ---------------------------------------------------------------------------
-# CSV dumps
-# ---------------------------------------------------------------------------
-
-def test_trajectory_csv(tmp_path):
-    path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(path, two_memory_1d(4.0), [np.array([0.3])], CFG)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["start_id", "step", "x_0", "energy"]
-    energies = [float(r[3]) for r in rows[1:]]
-    assert (np.diff(energies) <= 1e-12).all()
-
-
-def test_minima_csv(tmp_path):
-    ls = two_memory_1d(0.5)
-    mins = find_minima(ls, np.linspace(-2, 2, 11)[:, None], CFG, dedup_radius=0.2)
-    mm = MergedMinimum(np.array([0.0]), (0, 1), 0.5)
-    path = tmp_path / "minima.csv"
-    write_minima_csv(path, ls, mins, level=0, merged=[mm])
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["level", "min_id", "x_0", "energy", "n_constituents"]
-    assert rows[1][4] == "2"
-
-
-def test_default_dedup_radius():
-    ms = MemorySet(np.array([[-1.0], [1.0]]), ("a", "b"))
-    assert default_dedup_radius(ms) == pytest.approx(0.2)

@@ -10,9 +10,11 @@ from landscape_lab.errors import InputError
 from landscape_lab.landscape import (
     EnergyLandscape,
     MemorySet,
+    _assemble_hessian,
+    _hessian_stencil,
     gaussian_blobs,
     hessian_fd,
-    hessian_fd_raw,
+    hessian_fd_batch,
     load_memory_csv,
     save_memory_csv,
     sqdist,
@@ -327,8 +329,21 @@ def test_hessian_asymmetry_tiny():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(6, 4))
     ls = EnergyLandscape(MemorySet(pts, tuple(range(6))), 2.0)
-    raw = hessian_fd_raw(ls, rng.normal(size=4))
+    stencil = _hessian_stencil(rng.normal(size=4), 1e-4)
+    raw = _assemble_hessian(np.asarray(ls.energy(stencil)), 4, 1e-4)
     assert np.abs(raw - raw.T).max() < 1e-6
+
+
+def test_hessian_fd_is_the_batch_row():
+    rng = np.random.default_rng(6)
+    for d in (1, 2, 5):
+        ls = EnergyLandscape(MemorySet(rng.normal(size=(7, d)), tuple(range(7))), 3.0)
+        pts = rng.normal(size=(3, d))
+        batch = hessian_fd_batch(ls, pts)
+        for x, h in zip(pts, batch):
+            assert np.array_equal(hessian_fd(ls, x), h)
+    with pytest.raises(InputError):
+        hessian_fd(ls, pts)     # one point only
 
 
 def test_hessian_step_validation():
