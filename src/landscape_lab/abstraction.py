@@ -79,20 +79,20 @@ class TanhDecoder:
 class AbstractionHierarchy:
     """Indexed family of decoders psi_a for levels a = 0..A.
 
-    Level 0 must be the identity (factor 1); factors are strictly
-    decreasing afterwards. Construction samples each decoder's derivative
-    to check the claimed Jacobian bound.
+    Each decoder's factor is its claimed contraction factor. Level 0 must
+    be the identity (factor 1); factors are strictly decreasing afterwards.
+    Construction samples each decoder's derivative to check the claimed
+    Jacobian bound.
     """
 
     decoders: tuple
-    factors: tuple
     dim: int
 
     def __post_init__(self):
         self.decoders = tuple(self.decoders)
-        self.factors = tuple(float(c) for c in self.factors)
-        if len(self.decoders) != len(self.factors) or not self.decoders:
-            raise InputError("decoders and factors must be non-empty and parallel")
+        if not self.decoders:
+            raise InputError("decoders must be non-empty")
+        self.factors = tuple(float(d.factor) for d in self.decoders)
         if self.dim < 1:
             raise InputError("dim must be >= 1")
         if abs(self.factors[0] - 1.0) > 1e-12:
@@ -133,15 +133,14 @@ class AbstractionHierarchy:
 
 def diagonal_hierarchy(factors: Sequence[float], dim: int) -> AbstractionHierarchy:
     """Hierarchy of uniform scalings; level 0 identity is prepended."""
-    facs = (1.0, *[float(c) for c in factors])
-    return AbstractionHierarchy(tuple(DiagonalDecoder(c) for c in facs), facs, dim)
+    decs = [DiagonalDecoder(c) for c in (1.0, *factors)]
+    return AbstractionHierarchy(decs, dim)
 
 
 def tanh_hierarchy(factors: Sequence[float], dim: int) -> AbstractionHierarchy:
     """Scaled-tanh hierarchy; level 0 stays the identity scaling."""
-    decs = (DiagonalDecoder(1.0), *[TanhDecoder(float(c)) for c in factors])
-    facs = (1.0, *[float(c) for c in factors])
-    return AbstractionHierarchy(decs, facs, dim)
+    decs = [DiagonalDecoder(1.0), *(TanhDecoder(c) for c in factors)]
+    return AbstractionHierarchy(decs, dim)
 
 
 @dataclass

@@ -46,8 +46,6 @@ class CensusConfig:
     query_sigma: float | None = None    # default resolves to 1.5x memory radius
     seed: int = 0
     levels: tuple | None = None         # default: every hierarchy level
-    probe_sigma: float = 0.1
-    bootstrap_rounds: int = 50
 
     def __post_init__(self):
         if self.n_queries < 1:
@@ -57,11 +55,6 @@ class CensusConfig:
                           stacklevel=2)
         if self.query_sigma is not None and not (self.query_sigma > 0):
             raise InputError(f"query_sigma must be positive, got {self.query_sigma}")
-        if not (self.probe_sigma > 0):
-            raise InputError(f"probe_sigma must be positive, got {self.probe_sigma}")
-        if self.bootstrap_rounds < 1:
-            raise InputError(
-                f"bootstrap_rounds must be >= 1, got {self.bootstrap_rounds}")
         if self.levels is not None:
             self.levels = tuple(int(a) for a in self.levels)
 
@@ -87,13 +80,10 @@ class CensusReport:
                 f"amplification must be in [-1, 1], got {self.amplification}")
 
 
-def _resolve_levels(hierarchy: AbstractionHierarchy, config: CensusConfig) -> tuple:
-    levels = config.levels
+def _resolve_levels(hierarchy: AbstractionHierarchy, levels) -> tuple:
     if levels is None:
-        levels = tuple(range(hierarchy.levels + 1))
-    for a in levels:
-        hierarchy.check_level(a)
-    return tuple(levels)
+        levels = range(hierarchy.levels + 1)
+    return tuple(hierarchy.check_level(a) for a in levels)
 
 
 def default_query_sigma(memories: MemorySet) -> float:
@@ -128,22 +118,21 @@ def _decoder_range_hint(landscape: EnergyLandscape,
 
 
 def _chunked_flow(target, starts: np.ndarray, config: FlowConfig,
-                  workers: int, max_failures: float) -> dict:
+                  workers: int, max_failures: float) -> tuple:
     """flow_batch over fixed-size chunks, optionally on a thread pool.
 
-    Chunk boundaries are constants, so the arithmetic is identical at any
-    worker count; threads only change scheduling. Results are taken in
-    chunk order, and a failure is a row that failed or did not converge.
-    Once more than max_failures rows have failed, the chunks not yet
-    started are cancelled and the arrays returned end with the chunk that
-    passed the budget, so where a run stops does not depend on workers.
+    Returns (terminals, ok), where ok marks the rows that converged
+    without failing. Chunk boundaries are constants, so the arithmetic is
+    identical at any worker count; threads only change scheduling. Results
+    are taken in chunk order. Once more than max_failures rows are not ok,
+    the chunks not yet started are cancelled and the arrays returned end
+    with the chunk that passed the budget, so where a run stops does not
+    depend on workers.
     """
     m = starts.shape[0]
     bounds = [(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
     terminals = np.empty_like(starts)
-    steps = np.empty(m, dtype=np.int64)
-    converged = np.empty(m, dtype=bool)
-    failed = np.empty(m, dtype=bool)
+    ok = np.empty(m, dtype=bool)
 
     pool = None
     if workers > 1 and len(bounds) > 1:
@@ -157,18 +146,15 @@ def _chunked_flow(target, starts: np.ndarray, config: FlowConfig,
     try:
         for (lo, hi), out in zip(bounds, results):
             terminals[lo:hi] = out["terminals"]
-            steps[lo:hi] = out["steps"]
-            converged[lo:hi] = out["converged"]
-            failed[lo:hi] = out["failed"]
-            failures += int((~out["converged"] | out["failed"]).sum())
+            ok[lo:hi] = out["converged"] & ~out["failed"]
+            failures += int((~ok[lo:hi]).sum())
             if failures > max_failures:
                 end = hi
                 break
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return {"terminals": terminals[:end], "steps": steps[:end],
-            "converged": converged[:end], "failed": failed[:end]}
+    return terminals[:end], ok[:end]
 
 
 def _mean_pairwise_distance(points: np.ndarray) -> float:
@@ -223,7 +209,7 @@ def run_census(landscape: EnergyLandscape,
     passes that budget has run; failures below the threshold are excluded
     from the statistics and reported in the failures field.
     """
-    levels = _resolve_levels(hierarchy, config)
+    levels = _resolve_levels(hierarchy, config.levels)
     flow_config = flow_config or default_flow_config()
     mem = landscape.memories
     sigma = (default_query_sigma(mem) if config.query_sigma is None
@@ -242,15 +228,14 @@ def run_census(landscape: EnergyLandscape,
         lvl = hierarchy.level_energy(landscape, a)
         center = np.asarray(lvl.encode(mem.centroid))
         starts = center + sigma * unit
-        out = _chunked_flow(lvl, starts, flow_config, workers, budget)
-        ok = out["converged"] & ~out["failed"]
+        terminals, ok = _chunked_flow(lvl, starts, flow_config, workers, budget)
         failures = int((~ok).sum())
         if failures > budget:
             raise CensusFailureError(
                 f"level {a}: {failures}/{ok.shape[0]} flows failed "
                 f"(of {config.n_queries} planned)"
                 + _decoder_range_hint(landscape, hierarchy, (a,)))
-        terminals = out["terminals"][ok]
+        terminals = terminals[ok]
 
         basin_class = labels[lvl.nearest_memory(terminals)]
         m_ok = terminals.shape[0]
@@ -306,9 +291,13 @@ def _bootstrap_landscape(landscape: EnergyLandscape, rng: np.random.Generator,
 
 def bias_variance_probes(landscape: EnergyLandscape,
                          hierarchy: AbstractionHierarchy,
-                         config: CensusConfig,
                          flow_config: FlowConfig | None = None,
+                         *,
+                         probe_sigma: float = 0.1,
+                         bootstrap_rounds: int = 50,
                          stratified: bool = True,
+                         seed: int = 0,
+                         levels: tuple | None = None,
                          workers: int = 1) -> list[dict]:
     """Per-level bias and variance of the basin classifier.
 
@@ -319,45 +308,45 @@ def bias_variance_probes(landscape: EnergyLandscape,
     expectation over rounds gives, per probe, the mean one-hot prediction
     p. Bias is the mean of (p - true one-hot) over probes, per class;
     variance is the mean of (1 - ||p||^2), the one-hot shortcut for the
-    expected squared deviation from the mean prediction.
+    expected squared deviation from the mean prediction. seed draws the
+    probe noise and the resamples; levels defaults to every hierarchy level.
     """
-    if config.bootstrap_rounds < 10:
-        raise InputError(
-            f"bootstrap_rounds must be >= 10, got {config.bootstrap_rounds}")
-    levels = _resolve_levels(hierarchy, config)
+    if not (probe_sigma > 0):
+        raise InputError(f"probe_sigma must be positive, got {probe_sigma}")
+    if bootstrap_rounds < 10:
+        raise InputError(f"bootstrap_rounds must be >= 10, got {bootstrap_rounds}")
+    levels = _resolve_levels(hierarchy, levels)
     flow_config = flow_config or default_flow_config()
     mem = landscape.memories
     classes = mem.classes()
     n_classes = len(classes)
     true_idx = np.array([classes.index(y) for y in mem.labels])
 
-    noise = derive_rng(config.seed, "probe-noise").standard_normal(
-        (mem.n, mem.dim))
-    probes = mem.points + config.probe_sigma * noise
+    noise = derive_rng(seed, "probe-noise").standard_normal((mem.n, mem.dim))
+    probes = mem.points + probe_sigma * noise
 
     # counts[level][probe, class] accumulated over rounds
     counts = {a: np.zeros((mem.n, n_classes)) for a in levels}
     valid = {a: np.zeros(mem.n) for a in levels}
     # failures only grow and every planned flow runs unless this raises,
     # so checking after each level gives the end-of-run outcome early
-    planned = config.bootstrap_rounds * len(levels) * mem.n
+    planned = bootstrap_rounds * len(levels) * mem.n
     budget = _MAX_FAILURE_RATE * planned
     failures = 0
-    for b in range(config.bootstrap_rounds):
-        rng = derive_rng(config.seed, "bootstrap", b)
+    for b in range(bootstrap_rounds):
+        rng = derive_rng(seed, "bootstrap", b)
         resampled = _bootstrap_landscape(landscape, rng, stratified)
         sub_idx = np.array([classes.index(y) for y in resampled.memories.labels])
         for a in levels:
             lvl = hierarchy.level_energy(resampled, a)
-            out = _chunked_flow(lvl, np.asarray(lvl.encode(probes)),
-                                flow_config, workers, budget - failures)
-            ok = out["converged"] & ~out["failed"]
+            terminals, ok = _chunked_flow(lvl, np.asarray(lvl.encode(probes)),
+                                          flow_config, workers, budget - failures)
             failures += int((~ok).sum())
             if failures > budget:
                 raise CensusFailureError(
                     f"bias/variance probes: {failures} of {planned} planned "
                     "flows failed" + _decoder_range_hint(landscape, hierarchy, levels))
-            pred = sub_idx[lvl.nearest_memory(out["terminals"][ok])]
+            pred = sub_idx[lvl.nearest_memory(terminals[ok])]
             rows = np.flatnonzero(ok)
             counts[a][rows, pred] += 1.0
             valid[a][rows] += 1.0

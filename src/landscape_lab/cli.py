@@ -4,10 +4,10 @@ Subcommands: census | smoothness | grid | knn | odds | biasvar | privacy.
 Each run reads an optional flat JSON config (closed schema: unknown keys
 are rejected by name), resolves seed/out_dir/format/workers with
 precedence flag > environment > config > default, computes its result
-tables once and writes each from memory, writes the plot-data file of
-every census, grid or smoothness table from the same in-memory rows, and
-echoes the fully resolved configuration into manifest.json. Exit codes:
-0 success, 2 input or config error, 3 numerical failure.
+tables once, plot data included, and writes each from memory, and echoes
+the fully resolved configuration into manifest.json. Each experiment's
+schema holds exactly the keys it reads. Exit codes: 0 success, 2 input or
+config error, 3 numerical failure.
 
 census writes census.csv and privacy.csv from one census run; privacy is
 an alias of census, kept for existing scripts, with the same schema and
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -62,14 +63,14 @@ EXPERIMENTS = ("census", "smoothness", "grid", "knn", "odds", "biasvar", "privac
 ENV_SEED = "LANDSCAPE_LAB_SEED"
 ENV_OUT_DIR = "LANDSCAPE_LAB_OUT_DIR"
 
-_LANDSCAPE_KEYS = {
+_MEMORY_KEYS = {
     "memories_csv": None,     # path; overrides the synthetic generator
     "dim": 1,
     "class_counts": [9, 1],
     "blob_spread": 0.08,
     "center_scale": 1.0,
-    "beta": 40.0,
 }
+_LANDSCAPE_KEYS = {**_MEMORY_KEYS, "beta": 40.0}
 _HIERARCHY_KEYS = {
     "decoder": "diagonal",    # diagonal | tanh
     "factors": None,          # explicit list for levels 1..A
@@ -81,14 +82,23 @@ _FLOW_KEYS = {key: getattr(default_flow_config(), key)
 _CENSUS_KEYS = {f.name: f.default for f in dataclasses.fields(CensusConfig)
                 if f.name != "seed"}    # seed is a global key
 
+
+def _defaults(fn, *names) -> dict:
+    """The signature defaults of fn's named parameters."""
+    parameters = inspect.signature(fn).parameters
+    return {name: parameters[name].default for name in names}
+
+
 SCHEMAS = {
     "census": {**_LANDSCAPE_KEYS, **_HIERARCHY_KEYS, **_FLOW_KEYS, **_CENSUS_KEYS},
-    "biasvar": {**_LANDSCAPE_KEYS, **_HIERARCHY_KEYS, **_FLOW_KEYS, **_CENSUS_KEYS,
-                "stratified": True},
+    "biasvar": {**_LANDSCAPE_KEYS, **_HIERARCHY_KEYS, **_FLOW_KEYS,
+                **_defaults(bias_variance_probes, "probe_sigma", "bootstrap_rounds",
+                            "stratified", "levels")},
     "smoothness": {**_LANDSCAPE_KEYS, **_HIERARCHY_KEYS,
-                   "probes": 256, "probe_radius": None, "fd_step": 1e-4,
-                   "jacobian_probes": 64},
-    "knn": {**_LANDSCAPE_KEYS, **_FLOW_KEYS,
+                   **_defaults(smoothness_report, "probes", "probe_radius", "fd_step"),
+                   "jacobian_probes": _defaults(jacobian_norm_probe, "probes")["probes"]},
+    # each tau sets beta = 2/tau, so knn reads the memories but no beta
+    "knn": {**_MEMORY_KEYS, **_FLOW_KEYS,
             "taus": [0.02, 0.1, 0.5, 2.0, 10.0], "n_queries": 50,
             "query_sigma": None},
     "odds": {"scenarios": [[2, 1, 2], [3, 1, 3], [3, 2, 4], [9, 1, 3]],
@@ -109,7 +119,7 @@ _GLOBAL_KEYS = ("experiment", "seed", "out_dir", "format", "workers")
 class RunConfig:
     experiment: str
     seed: int = 0
-    out_dir: Path = Path("runs")
+    out_dir: Path | str = "runs"
     format: str = "csv"
     workers: int = 1
     params: dict | None = None
@@ -161,20 +171,22 @@ def _check_type(key: str, example, value) -> None:
 # Shared builders
 # ---------------------------------------------------------------------------
 
-def _build_landscape(params: dict, seed: int) -> EnergyLandscape:
+def _build_memories(params: dict, seed: int) -> MemorySet:
     if params.get("memories_csv"):
-        memories = load_memory_csv(params["memories_csv"])
-    else:
-        counts = [int(c) for c in params["class_counts"]]
-        memories = gaussian_blobs(
-            dim=int(params["dim"]),
-            class_counts=counts,
-            spread=float(params["blob_spread"]),
-            seed=derive_seed(seed, "landscape"),
-            center_scale=float(params["center_scale"]),
-            labels=[f"c{i}" for i in range(len(counts))],
-        )
-    return EnergyLandscape(memories, beta=float(params["beta"]))
+        return load_memory_csv(params["memories_csv"])
+    counts = [int(c) for c in params["class_counts"]]
+    return gaussian_blobs(
+        dim=int(params["dim"]),
+        class_counts=counts,
+        spread=float(params["blob_spread"]),
+        seed=derive_seed(seed, "landscape"),
+        center_scale=float(params["center_scale"]),
+        labels=[f"c{i}" for i in range(len(counts))],
+    )
+
+
+def _build_landscape(params: dict, seed: int) -> EnergyLandscape:
+    return EnergyLandscape(_build_memories(params, seed), beta=float(params["beta"]))
 
 
 def _build_hierarchy(params: dict, dim: int):
@@ -198,19 +210,16 @@ def _flow_config(params: dict) -> FlowConfig:
 
 
 def _census_config(params: dict, seed: int) -> CensusConfig:
-    levels = params.get("levels")
     return CensusConfig(
         n_queries=int(params["n_queries"]),
         query_sigma=params.get("query_sigma"),
         seed=seed,
-        levels=tuple(int(a) for a in levels) if levels is not None else None,
-        probe_sigma=float(params["probe_sigma"]),
-        bootstrap_rounds=int(params["bootstrap_rounds"]),
+        levels=params.get("levels"),
     )
 
 
 # ---------------------------------------------------------------------------
-# Experiments: each returns {table_name: (columns, rows)}
+# Experiments: each returns {table_name: (columns, rows)}, plot data included
 # ---------------------------------------------------------------------------
 
 _CENSUS_COLUMNS = ["level", "class", "p_data", "p_gen", "amplification",
@@ -218,10 +227,13 @@ _CENSUS_COLUMNS = ["level", "class", "p_data", "p_gen", "amplification",
                    "privacy_k10", "n_queries", "failures"]
 _PRIVACY_COLUMNS = ["level", "k", "mean_knn_distance", "diversity",
                     "n_queries", "failures"]
+# long format: one (series, x, y, stderr) row per point of a figure-ready curve
+_PLOTDATA_COLUMNS = ["series", "x", "y", "stderr"]
 
 
 def _experiment_census(cfg: RunConfig) -> dict:
-    """The census and privacy tables, both from one run_census call."""
+    """The census, privacy and census plot-data tables, all from one
+    run_census call."""
     landscape = _build_landscape(cfg.params, cfg.seed)
     hierarchy = _build_hierarchy(cfg.params, landscape.dim)
     reports = run_census(landscape, hierarchy, _census_config(cfg.params, cfg.seed),
@@ -245,17 +257,33 @@ def _experiment_census(cfg: RunConfig) -> dict:
                      "diversity": r.diversity_mean_pairwise,
                      "n_queries": r.n_queries, "failures": r.failures}
                     for r in reports for k in sorted(r.privacy_knn_distance)]
+    plot_rows = []
+    for r in reports:
+        # binomial stderr of the share the amplification is measured on:
+        # the data-majority class's, over the level's converged queries
+        p = r.p_gen[argmax_class(r.p_data)]
+        se = (p * (1 - p) / (r.n_queries - r.failures)) ** 0.5
+        plot_rows += [
+            {"series": "amplification", "x": r.level, "y": r.amplification, "stderr": se},
+            {"series": "diversity", "x": r.level, "y": r.diversity_mean_pairwise,
+             "stderr": None},
+            {"series": "privacy_k1", "x": r.level, "y": r.privacy_knn_distance[1],
+             "stderr": None},
+        ]
     return {"census": (_CENSUS_COLUMNS, rows),
-            "privacy": (_PRIVACY_COLUMNS, privacy_rows)}
+            "privacy": (_PRIVACY_COLUMNS, privacy_rows),
+            "plotdata_census": (_PLOTDATA_COLUMNS, plot_rows)}
 
 
 def _experiment_biasvar(cfg: RunConfig) -> dict:
     landscape = _build_landscape(cfg.params, cfg.seed)
     hierarchy = _build_hierarchy(cfg.params, landscape.dim)
     results = bias_variance_probes(
-        landscape, hierarchy, _census_config(cfg.params, cfg.seed),
-        _flow_config(cfg.params), stratified=bool(cfg.params["stratified"]),
-        workers=cfg.workers)
+        landscape, hierarchy, _flow_config(cfg.params),
+        probe_sigma=float(cfg.params["probe_sigma"]),
+        bootstrap_rounds=int(cfg.params["bootstrap_rounds"]),
+        stratified=bool(cfg.params["stratified"]),
+        seed=cfg.seed, levels=cfg.params.get("levels"), workers=cfg.workers)
     rows = [{"level": r["level"], "class": c, "bias": b,
              "variance_mean": r["variance_mean"]}
             for r in results for c, b in sorted(r["bias_per_class"].items())]
@@ -271,6 +299,7 @@ def _experiment_smoothness(cfg: RunConfig) -> dict:
         probe_radius=cfg.params.get("probe_radius"),
         seed=cfg.seed,
         fd_step=float(cfg.params["fd_step"]))
+    columns = ["level", "hessian_norm_est", "lipschitz_est", "jacobian_norm_est"]
     rows = []
     for r in reports:
         jac = jacobian_norm_probe(hierarchy, r.level,
@@ -278,13 +307,14 @@ def _experiment_smoothness(cfg: RunConfig) -> dict:
                                   seed=cfg.seed)
         rows.append({"level": r.level, "hessian_norm_est": r.hessian_norm_est,
                      "lipschitz_est": r.lipschitz_est, "jacobian_norm_est": jac})
-    return {"smoothness": (["level", "hessian_norm_est", "lipschitz_est",
-                            "jacobian_norm_est"], rows)}
+    plot_rows = [{"series": series, "x": row["level"], "y": row[series], "stderr": None}
+                 for row in rows for series in columns[1:]]
+    return {"smoothness": (columns, rows),
+            "plotdata_smoothness": (_PLOTDATA_COLUMNS, plot_rows)}
 
 
 def _experiment_knn(cfg: RunConfig) -> dict:
-    landscape = _build_landscape(cfg.params, cfg.seed)
-    mem = landscape.memories
+    mem = _build_memories(cfg.params, cfg.seed)
     if mem.labels_numeric():
         # this table compares class outcomes, so labels act as identifiers
         mem = MemorySet(mem.points, tuple(str(y) for y in mem.labels))
@@ -338,20 +368,23 @@ def _experiment_odds(cfg: RunConfig) -> dict:
 
 
 def _experiment_grid(cfg: RunConfig) -> dict:
-    rows = []
+    rows, plot_rows = [], []
     side = int(cfg.params["side"])
     levels = int(cfg.params["levels"])
     for i, p in enumerate(cfg.params["p_red"]):
         sub_seed = derive_seed(cfg.seed, "grid", i)
         for level, share in amplification_curve(side, float(p), levels, seed=sub_seed):
             rows.append({"p_red_init": float(p), "level": level, "red_share": share})
+            plot_rows.append({"series": f"p_red={float(p)}", "x": level, "y": share,
+                              "stderr": None})
         if cfg.params["dump_bitmaps"]:
             grid = init_grid(side, float(p), seed=derive_seed(sub_seed, "init"))
             write_pbm(grid, cfg.out_dir / f"grid_p{p}_level0.pbm")
             for level in range(1, levels + 1):
                 grid = coarsen(grid, seed=derive_seed(sub_seed, "coarsen", level))
                 write_pbm(grid, cfg.out_dir / f"grid_p{p}_level{level}.pbm")
-    return {"grid": (["p_red_init", "level", "red_share"], rows)}
+    return {"grid": (["p_red_init", "level", "red_share"], rows),
+            "plotdata_grid": (_PLOTDATA_COLUMNS, plot_rows)}
 
 
 _EXPERIMENT_FNS = {
@@ -364,41 +397,6 @@ _EXPERIMENT_FNS = {
     "grid": _experiment_grid,
 }
 
-_PLOTDATA_SOURCES = ("census", "grid", "smoothness")
-
-
-def _reshape_plotdata(name: str, rows: list[dict]) -> list[dict]:
-    """Long-format (series, x, y, stderr) rows per figure-ready curve."""
-    out = []
-    if name == "census":
-        by_level = {}
-        for r in rows:
-            by_level.setdefault(r["level"], []).append(r)
-        for level, group in by_level.items():
-            # amplification is the data-majority class's shift; rows come
-            # in sorted class order, so index ties go to the sorted-first
-            r = group[argmax_class({i: x["p_data"] for i, x in enumerate(group)})]
-            n = r["n_queries"] - r["failures"]
-            p = r["p_gen"]
-            se = (p * (1 - p) / n) ** 0.5 if n > 0 else 0.0
-            out.append({"series": "amplification", "x": level,
-                        "y": r["amplification"], "stderr": se})
-            out.append({"series": "diversity", "x": level,
-                        "y": r["diversity"], "stderr": None})
-            out.append({"series": "privacy_k1", "x": level,
-                        "y": r["privacy_k1"], "stderr": None})
-    elif name == "grid":
-        for r in rows:
-            out.append({"series": f"p_red={r['p_red_init']}", "x": r["level"],
-                        "y": r["red_share"], "stderr": None})
-    elif name == "smoothness":
-        for r in rows:
-            for series in ("hessian_norm_est", "lipschitz_est", "jacobian_norm_est"):
-                out.append({"series": series, "x": r["level"], "y": r[series],
-                            "stderr": None})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
@@ -410,10 +408,6 @@ def run(config: RunConfig) -> int:
     tables = _EXPERIMENT_FNS[config.experiment](config)
     for name, (columns, rows) in tables.items():
         write_table(config.out_dir, name, columns, rows, config.format)
-        if name in _PLOTDATA_SOURCES:
-            write_table(config.out_dir, f"plotdata_{name}",
-                        ["series", "x", "y", "stderr"],
-                        _reshape_plotdata(name, rows), config.format)
     manifest = {
         "experiment": config.experiment,
         "seed": config.seed,
@@ -451,24 +445,25 @@ def build_run_config(experiment: str, args: argparse.Namespace) -> RunConfig:
             f"{experiment!r} subcommand was invoked")
     params = {k: v for k, v in file_cfg.items() if k not in _GLOBAL_KEYS}
 
-    seed = file_cfg.get("seed", 0)
-    out_dir = file_cfg.get("out_dir", "runs")
+    # precedence: flag > environment > config file > RunConfig default
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    resolved = {}
+    for key in ("seed", "out_dir", "format", "workers"):
+        resolved[key] = file_cfg.get(key, defaults[key])
+        _check_type(key, defaults[key], resolved[key])
     if os.environ.get(ENV_SEED):
         try:
-            seed = int(os.environ[ENV_SEED])
+            resolved["seed"] = int(os.environ[ENV_SEED])
         except ValueError:
             raise ConfigError(f"{ENV_SEED} must be an integer") from None
     if os.environ.get(ENV_OUT_DIR):
-        out_dir = os.environ[ENV_OUT_DIR]
-    if args.seed is not None:
-        seed = args.seed
-    if args.out_dir is not None:
-        out_dir = args.out_dir
-
-    fmt = args.format if args.format is not None else file_cfg.get("format", "csv")
-    workers = args.workers if args.workers is not None else file_cfg.get("workers", 1)
-    return RunConfig(experiment=experiment, seed=int(seed), out_dir=Path(out_dir),
-                     format=fmt, workers=int(workers), params=params)
+        resolved["out_dir"] = os.environ[ENV_OUT_DIR]
+    for key in resolved:
+        if getattr(args, key) is not None:
+            resolved[key] = getattr(args, key)
+    for key in ("seed", "workers"):
+        resolved[key] = int(resolved[key])
+    return RunConfig(experiment=experiment, params=params, **resolved)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -29,16 +29,25 @@ def random_landscape(seed, n=10, dim=2, beta=4.0, scale=1.0):
 # Hierarchy construction
 # ---------------------------------------------------------------------------
 
+class OverclaimingDecoder(DiagonalDecoder):
+    """Claims its factor but decodes by 0.9."""
+
+    def decode(self, z):
+        return 0.9 * np.asarray(z, dtype=np.float64)
+
+
 def test_hierarchy_validation():
     with pytest.raises(InputError):             # level-0 factor must be 1
-        AbstractionHierarchy((DiagonalDecoder(0.9),), (0.9,), dim=2)
+        AbstractionHierarchy((DiagonalDecoder(0.9),), dim=2)
     with pytest.raises(InputError):             # strictly decreasing
         diagonal_hierarchy([0.9, 0.9], dim=2)
+    with pytest.raises(InputError):             # the decoders' own factors decide
+        AbstractionHierarchy((DiagonalDecoder(1.0), DiagonalDecoder(0.5),
+                              DiagonalDecoder(0.8)), dim=2)
     with pytest.raises(InputError):             # factor > 1
         diagonal_hierarchy([1.2], dim=2)
     with pytest.raises(InputError):             # decoder violates claimed bound
-        AbstractionHierarchy((DiagonalDecoder(1.0), DiagonalDecoder(0.9)),
-                             (1.0, 0.5), dim=2)
+        AbstractionHierarchy((DiagonalDecoder(1.0), OverclaimingDecoder(0.5)), dim=2)
     h = diagonal_hierarchy([0.9, 0.8], dim=3)
     assert h.levels == 2
     with pytest.raises(InputError):

@@ -35,8 +35,8 @@ def hierarchy_1d(depth=4):
 def test_census_config_validation():
     with pytest.raises(InputError):
         CensusConfig(n_queries=0)
-    with pytest.raises(InputError):
-        CensusConfig(probe_sigma=0.0)
+    with pytest.raises(InputError, match="probe_sigma"):    # checked where it is read
+        bias_variance_probes(biased_1d_landscape(), hierarchy_1d(1), probe_sigma=0.0)
     with pytest.warns(UserWarning):
         CensusConfig(n_queries=50)
 
@@ -183,8 +183,8 @@ def test_biasvar_zero_when_resampling_cannot_move_basins():
     # a tiny probe scale every probe stays in its own sharp basin
     ms = MemorySet(np.array([[-1.0], [1.0]]), ("a", "b"))
     ls = EnergyLandscape(ms, 12.0)
-    rows = bias_variance_probes(ls, hierarchy_1d(2), CensusConfig(
-        n_queries=100, seed=7, probe_sigma=1e-9, bootstrap_rounds=12))
+    rows = bias_variance_probes(ls, hierarchy_1d(2), seed=7, probe_sigma=1e-9,
+                                bootstrap_rounds=12)
     for r in rows:
         assert r["bias_per_class"] == {"a": 0.0, "b": 0.0}
         assert r["variance_mean"] == 0.0
@@ -193,8 +193,8 @@ def test_biasvar_zero_when_resampling_cannot_move_basins():
 def test_biasvar_single_memory_exact_zero():
     ms = MemorySet(np.array([[0.5]]), ("only",))
     ls = EnergyLandscape(ms, 5.0)
-    rows = bias_variance_probes(ls, hierarchy_1d(1), CensusConfig(
-        n_queries=100, seed=7, probe_sigma=1e-9, bootstrap_rounds=12))
+    rows = bias_variance_probes(ls, hierarchy_1d(1), seed=7, probe_sigma=1e-9,
+                                bootstrap_rounds=12)
     for r in rows:
         assert r["bias_per_class"] == {"only": 0.0}
         assert r["variance_mean"] == 0.0
@@ -208,10 +208,8 @@ def test_biasvar_nonstratified_two_memory_enumeration():
     # variance is mean(2 p (1-p)) = 3/8.
     ms = MemorySet(np.array([[0.0], [1.0]]), ("a", "b"))
     ls = EnergyLandscape(ms, 12.0)
-    rows = bias_variance_probes(
-        ls, hierarchy_1d(1),
-        CensusConfig(n_queries=100, seed=13, probe_sigma=1e-9, bootstrap_rounds=600),
-        stratified=False)
+    rows = bias_variance_probes(ls, hierarchy_1d(1), seed=13, probe_sigma=1e-9,
+                                bootstrap_rounds=600, stratified=False)
     for r in rows:
         assert r["bias_per_class"]["a"] == pytest.approx(0.0, abs=0.06)
         assert r["bias_per_class"]["b"] == pytest.approx(0.0, abs=0.06)
@@ -226,10 +224,8 @@ def test_biasvar_stratified_three_memory_enumeration():
     # probability 1/4: bias = (-1/12, +1/12), variance = (3/8) / 3 = 1/8.
     ms = MemorySet(np.array([[-1.0], [0.2], [1.0]]), ("a", "a", "b"))
     ls = EnergyLandscape(ms, 12.0)
-    rows = bias_variance_probes(
-        ls, hierarchy_1d(1),
-        CensusConfig(n_queries=100, seed=19, probe_sigma=1e-9, bootstrap_rounds=600),
-        stratified=True)
+    rows = bias_variance_probes(ls, hierarchy_1d(1), seed=19, probe_sigma=1e-9,
+                                bootstrap_rounds=600, stratified=True)
     for r in rows:
         assert r["bias_per_class"]["a"] == pytest.approx(-1.0 / 12.0, abs=0.03)
         assert r["bias_per_class"]["b"] == pytest.approx(+1.0 / 12.0, abs=0.03)
@@ -238,17 +234,16 @@ def test_biasvar_stratified_three_memory_enumeration():
 
 def test_biasvar_rounds_validation():
     ls = biased_1d_landscape()
-    with pytest.raises(InputError):
-        bias_variance_probes(ls, hierarchy_1d(1), CensusConfig(
-            n_queries=100, seed=0, bootstrap_rounds=5))
+    with pytest.raises(InputError, match="bootstrap_rounds"):
+        bias_variance_probes(ls, hierarchy_1d(1), seed=0, bootstrap_rounds=5)
 
 
 def test_biasvar_deterministic():
     ms = MemorySet(np.array([[-1.0], [0.2], [1.0]]), ("a", "a", "b"))
     ls = EnergyLandscape(ms, 12.0)
-    cfg = CensusConfig(n_queries=100, seed=3, probe_sigma=0.01, bootstrap_rounds=15)
-    a = bias_variance_probes(ls, hierarchy_1d(2), cfg)
-    b = bias_variance_probes(ls, hierarchy_1d(2), cfg, workers=3)
+    kwargs = {"seed": 3, "probe_sigma": 0.01, "bootstrap_rounds": 15}
+    a = bias_variance_probes(ls, hierarchy_1d(2), **kwargs)
+    b = bias_variance_probes(ls, hierarchy_1d(2), **kwargs, workers=3)
     assert a == b
 
 
@@ -261,7 +256,7 @@ def test_biasvar_fails_before_running_every_round(monkeypatch):
                         labels=["c0", "c1"])
     ls = EnergyLandscape(ms, 10.0)
     hierarchy = tanh_hierarchy([0.9, 0.81], dim=2)
-    cfg = CensusConfig(seed=0, bootstrap_rounds=50)
+    rounds = 50
     flow_cfg = FlowConfig(step_size=1.0, grad_tol=1e-5, max_steps=500)
     calls = []
     real = census._chunked_flow
@@ -272,8 +267,8 @@ def test_biasvar_fails_before_running_every_round(monkeypatch):
 
     monkeypatch.setattr(census, "_chunked_flow", counting)
     with pytest.raises(CensusFailureError, match="decoder range"):
-        bias_variance_probes(ls, hierarchy, cfg, flow_cfg)
-    assert len(calls) < cfg.bootstrap_rounds * (hierarchy.levels + 1)
+        bias_variance_probes(ls, hierarchy, flow_cfg, seed=0, bootstrap_rounds=rounds)
+    assert len(calls) < rounds * (hierarchy.levels + 1)
 
 
 def test_census_fails_after_the_chunk_that_passes_the_budget(monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from landscape_lab.abstraction import jacobian_norm_probe, smoothness_report
+from landscape_lab.census import bias_variance_probes
 from landscape_lab.cli import (
     SCHEMAS,
     RunConfig,
@@ -33,9 +36,29 @@ def write_cfg(tmp_path, name, payload):
 # Config handling
 # ---------------------------------------------------------------------------
 
-def test_unknown_key_rejected_by_name():
-    with pytest.raises(ConfigError, match="typo_key"):
-        validate_params("grid", {"typo_key": 1})
+@pytest.mark.parametrize("experiment, key", [
+    ("grid", "typo_key"),
+    # keys an experiment does not read are not in its schema
+    ("census", "probe_sigma"),
+    ("census", "bootstrap_rounds"),
+    ("biasvar", "n_queries"),
+    ("biasvar", "query_sigma"),
+    ("knn", "beta"),
+])
+def test_unknown_key_rejected_by_name(experiment, key):
+    with pytest.raises(ConfigError, match=repr(key)):
+        validate_params(experiment, {key: 1})
+
+
+def test_schema_defaults_are_the_library_defaults():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    for key in ("probe_sigma", "bootstrap_rounds", "stratified", "levels"):
+        assert SCHEMAS["biasvar"][key] == default(bias_variance_probes, key)
+    for key in ("probes", "probe_radius", "fd_step"):
+        assert SCHEMAS["smoothness"][key] == default(smoothness_report, key)
+    assert SCHEMAS["smoothness"]["jacobian_probes"] == default(jacobian_norm_probe, "probes")
 
 
 def test_type_checks():
@@ -59,6 +82,13 @@ def test_type_checks():
     ("census", "max_steps", 10.5),
     ("census", "class_counts", [9.5, 1]),
     ("odds", "scenarios", [[2, 1.5, 2]]),
+    # global keys from the config file
+    ("odds", "seed", "abc"),
+    ("odds", "seed", 1.7),
+    ("odds", "seed", True),
+    ("odds", "workers", None),
+    ("odds", "workers", 2.5),
+    ("odds", "out_dir", 5),
 ])
 def test_wrong_types_exit_2(tmp_path, capsys, experiment, key, value):
     cfg = write_cfg(tmp_path, "c.json", {key: value})
@@ -202,7 +232,7 @@ def test_smoothness_experiment(tmp_path):
 
 def test_knn_experiment(tmp_path):
     cfg = write_cfg(tmp_path, "k.json",
-                    {"dim": 1, "class_counts": [3, 3], "beta": 8.0,
+                    {"dim": 1, "class_counts": [3, 3],
                      "taus": [0.01, 10.0], "n_queries": 6})
     out = tmp_path / "out"
     assert main(["knn", "--config", cfg, "--seed", "3", "--out-dir", str(out)]) == 0
@@ -311,10 +341,10 @@ def test_numerical_failure_exit_code(tmp_path):
 def test_failure_names_memories_outside_decoder_range(tmp_path, capsys, experiment):
     # tanh factors smaller than the memories' extent: memories outside
     # (-c, c) have no level minimum, so flows toward them fail
+    own_keys = {"census": {"n_queries": 200}, "biasvar": {"bootstrap_rounds": 10}}
     cfg = write_cfg(tmp_path, "c.json", {
         "dim": 2, "class_counts": [6, 2], "blob_spread": 0.2, "center_scale": 1.0,
-        "beta": 10.0, "decoder": "tanh", "depth": 2, "n_queries": 200,
-        "bootstrap_rounds": 10, "max_steps": 500})
+        "beta": 10.0, "decoder": "tanh", "depth": 2, "max_steps": 500, **own_keys[experiment]})
     assert main([experiment, "--config", cfg,
                  "--out-dir", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
