@@ -23,6 +23,7 @@ fixed-size chunks, so reports are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -83,7 +84,10 @@ class CensusReport:
 def _resolve_levels(hierarchy: AbstractionHierarchy, levels) -> tuple:
     if levels is None:
         levels = range(hierarchy.levels + 1)
-    return tuple(hierarchy.check_level(a) for a in levels)
+    levels = tuple(hierarchy.check_level(a) for a in levels)
+    if not levels:
+        raise InputError("levels must name at least one level")
+    return levels
 
 
 def default_query_sigma(memories: MemorySet) -> float:
@@ -125,9 +129,9 @@ def _chunked_flow(target, starts: np.ndarray, config: FlowConfig,
     without failing. Chunk boundaries are constants, so the arithmetic is
     identical at any worker count; threads only change scheduling. Results
     are taken in chunk order. Once more than max_failures rows are not ok,
-    the chunks not yet started are cancelled and the arrays returned end
-    with the chunk that passed the budget, so where a run stops does not
-    depend on workers.
+    the chunks not yet started are cancelled, those still running are
+    told to stop, and the arrays returned end with the chunk that passed
+    the budget, so where a run stops does not depend on workers.
     """
     m = starts.shape[0]
     bounds = [(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
@@ -136,8 +140,9 @@ def _chunked_flow(target, starts: np.ndarray, config: FlowConfig,
 
     pool = None
     if workers > 1 and len(bounds) > 1:
+        stop = threading.Event()
         pool = ThreadPoolExecutor(max_workers=workers)
-        futures = [pool.submit(flow_batch, target, starts[lo:hi], config)
+        futures = [pool.submit(flow_batch, target, starts[lo:hi], config, stop=stop)
                    for lo, hi in bounds]
         results = (f.result() for f in futures)
     else:
@@ -153,6 +158,9 @@ def _chunked_flow(target, starts: np.ndarray, config: FlowConfig,
                 break
     finally:
         if pool is not None:
+            # every chunk up to the last one read has finished, so this
+            # cuts short only chunks whose rows are discarded
+            stop.set()
             pool.shutdown(cancel_futures=True)
     return terminals[:end], ok[:end]
 

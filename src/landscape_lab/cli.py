@@ -153,11 +153,13 @@ def validate_params(experiment: str, given: dict) -> dict:
 
 def _check_type(key: str, example, value) -> None:
     """Reject value unless it has the type of example, list elements too."""
-    if isinstance(example, bool) != isinstance(value, bool):
-        raise ConfigError(f"config key {key!r} expects a bool")
-    for kind, name in (((int, float), "number"), (str, "string"), (list, "list")):
-        if isinstance(example, kind) and not isinstance(value, kind):
-            raise ConfigError(f"config key {key!r} expects a {name}")
+    # bool is tested first: it is an int subclass, but not a number here
+    for kind, name in ((bool, "bool"), ((int, float), "number"), (str, "string"),
+                       (list, "list")):
+        if isinstance(example, kind):
+            if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+                raise ConfigError(f"config key {key!r} expects a {name}")
+            break
     # the builders apply int() to int keys, which would truncate a fraction
     if (isinstance(example, int) and not isinstance(example, bool)
             and isinstance(value, float) and not value.is_integer()):

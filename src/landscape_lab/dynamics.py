@@ -16,6 +16,7 @@ next step.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -76,7 +77,8 @@ class MergedMinimum:
 
 
 def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
-               record: bool = False) -> dict:
+               record: bool = False,
+               stop: threading.Event | None = None) -> dict:
     """Flow every row of starts to a stationary point.
 
     Returns arrays: terminals (m, d), steps (m,), converged (m,), failed
@@ -87,6 +89,8 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
     that moved it. flow's recorder sets record, which adds "trajectory": a
     snapshot of x per stepping iteration. In each one every active row
     either steps or leaves, so row r visited trajectory[:steps[r] + 1, r].
+    stop is checked once per iteration: once it is set the batch returns
+    as it stands, its active rows neither converged nor failed.
     """
     x = np.array(starts, dtype=np.float64)
     if x.ndim == 1:
@@ -107,6 +111,8 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
     snapshots = [x.copy()] if record else None
 
     while active.any():
+        if stop is not None and stop.is_set():
+            break
         idx = np.flatnonzero(active)
         gi = g[idx]
         gnorm = np.sqrt((gi * gi).sum(axis=1))

@@ -15,12 +15,12 @@ canonical choice here:
 
 All evaluators accept a single point of shape (d,) or a batch of shape
 (m, d). Every distance in the package comes from sqdist, whose docstring
-states the chunk-invariance contract the evaluators inherit. sqdist has two
-paths, chosen by the dimension: below 8 coordinates it accumulates one
-coordinate at a time, from 8 up it broadcasts and sums. 8 is where numpy's
-sum switches from left to right to pairwise blocks, so both paths give the
-bits of a plain broadcast-and-sum. Neither uses BLAS, so a row's distances
-never depend on the batch it is computed in.
+states the chunk-invariance contract the evaluators inherit. sqdist gives
+the bits of a plain broadcast-and-sum with no (..., n, d) temporary: below
+8 coordinates it accumulates one coordinate at a time, as numpy sums fewer
+than 8 terms; from 8 up it rebuilds numpy's pairwise sum with 8 (..., n)
+lane accumulators, over row blocks sized to stay in cache. No path uses
+BLAS, so a row's distances never depend on the batch it is computed in.
 """
 
 from __future__ import annotations
@@ -37,32 +37,42 @@ from landscape_lab.errors import InputError
 _NUMERIC_TYPES = (int, float, np.integer, np.floating)
 
 CHUNK = 1024            # rows per work item of every chunked batch routine
+_BLOCK_CELLS = 65536    # (row, memory) cells per sqdist block, d >= 8
+_PAIRWISE_BLOCK = 128   # numpy's pairwise_sum splits ranges longer than this
 
 
 def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances from a (d,) or (m, d) to each row of b (n, d).
 
     Takes float64 arrays as they are (no copy or check: this is the score
-    hot path). Two paths, chosen by d = b.shape[1]:
+    hot path). Gives the bits of the broadcast ((a - b)**2).sum(-1) without
+    its (..., n, d) temporary. Two paths, chosen by d = b.shape[1]:
 
     * d < 8: the squares are accumulated into the (..., n) result one
-      coordinate at a time, so no (..., n, d) temporary is built. numpy's
-      add.reduce sums fewer than 8 terms left to right, so this gives the
-      same bits as the broadcast-and-sum below.
-    * d >= 8: an explicit broadcast-and-sum over the last axis. From 8
-      terms up numpy sums pairwise in blocks, an order the per-coordinate
-      loop would not reproduce.
+      coordinate at a time. numpy's add.reduce sums fewer than 8 terms
+      left to right, so this is the broadcast's order.
+    * d >= 8: numpy sums pairwise from 8 terms up, and _pairwise_sqdist
+      adds the squares in that order with 8 (rows, n) lane accumulators.
+      The rows of a run in blocks of _BLOCK_CELLS // n, written into the
+      preallocated result, so a block's lanes stay in cache.
 
-    Chunk-invariance contract: neither path uses a BLAS expansion, so a
-    row's result is bit-identical however its batch is chunked or offset;
-    every result table is worker-count independent because all distances
-    come from here.
+    Chunk-invariance contract: no path uses a BLAS expansion, and a row's
+    terms are added in an order fixed by d alone, so a row's result is
+    bit-identical however its batch is chunked or offset; every result
+    table is worker-count independent because all distances come from here.
     """
     d = b.shape[1]
     if d >= 8:
-        diff = a[..., None, :] - b
-        diff *= diff            # squared in place: same bits, half the memory
-        return diff.sum(axis=-1)
+        n = b.shape[0]
+        rows = a.reshape(-1, d)
+        out = np.empty((rows.shape[0], n))
+        block = max(1, _BLOCK_CELLS // n)
+        scratch = np.empty((8, min(block, rows.shape[0]), n))
+        for lo in range(0, rows.shape[0], block):
+            res = out[lo:lo + block]
+            _pairwise_sqdist(rows[lo:lo + block], b, 0, d, res,
+                             scratch[:, :res.shape[0]])
+        return out.reshape(a.shape[:-1] + (n,))
     acc = a[..., None, 0] - b[:, 0]
     acc *= acc
     for k in range(1, d):
@@ -70,6 +80,52 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         t *= t
         acc += t
     return acc
+
+
+def _pairwise_sqdist(a: np.ndarray, b: np.ndarray, lo: int, hi: int,
+                     res: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Sum of the squares t_k = (a_k - b_k)**2 over lo <= k < hi (at least
+    8 terms) for a (rows, d) and b (n, d), into res (rows, n), in the order
+    of numpy's pairwise_sum (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 4.2).
+
+    Up to _PAIRWISE_BLOCK terms: lane j sums the t_k with k - lo = j mod 8
+    in order, the lanes combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
+    the remaining (hi - lo) mod 8 terms are added last. Above it the range
+    splits at a multiple of 8 near its middle and the halves are summed
+    the same way, then added. scratch holds 7 lanes and one term, each
+    shaped like res; res is lane 0.
+    """
+    m = hi - lo
+    if m > _PAIRWISE_BLOCK:
+        mid = lo + m // 2 - (m // 2) % 8
+        _pairwise_sqdist(a, b, lo, mid, res, scratch)
+        res += _pairwise_sqdist(a, b, mid, hi, np.empty_like(res), scratch)
+        return res
+    lanes = (res, *scratch[:7])
+    t = scratch[7]
+    for j, r in enumerate(lanes):
+        np.subtract(a[:, None, lo + j], b[:, lo + j], out=r)
+        r *= r
+    tail = hi - m % 8
+    for k in range(lo + 8, tail):
+        np.subtract(a[:, None, k], b[:, k], out=t)
+        t *= t
+        r = lanes[(k - lo) % 8]
+        r += t
+    r0, r1, r2, r3, r4, r5, r6, r7 = lanes
+    r0 += r1
+    r2 += r3
+    r0 += r2
+    r4 += r5
+    r6 += r7
+    r4 += r6
+    r0 += r4
+    for k in range(tail, hi):
+        np.subtract(a[:, None, k], b[:, k], out=t)
+        t *= t
+        res += t
+    return res
 
 
 def weighted_sum(w: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -97,6 +97,24 @@ def test_wrong_types_exit_2(tmp_path, capsys, experiment, key, value):
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, key", [("grid", "side"), ("odds", "seed")])
+def test_bool_for_a_number_names_a_number(tmp_path, capsys, experiment, key):
+    # a bool is an int to Python but not a number to the schema
+    cfg = write_cfg(tmp_path, "c.json", {key: True})
+    assert main([experiment, "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"config key {key!r} expects a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["census", "biasvar"])
+def test_empty_levels_exit_2(tmp_path, capsys, experiment):
+    cfg = write_cfg(tmp_path, "c.json", {"levels": []})
+    out = tmp_path / "out"
+    assert main([experiment, "--config", cfg, "--out-dir", str(out)]) == 2
+    assert "levels must name at least one level" in capsys.readouterr().err
+    assert not (out / "census.csv").exists()
+    assert not (out / f"{experiment}.csv").exists()
+
+
 def test_every_none_default_has_a_type():
     for experiment, schema in SCHEMAS.items():
         for key, default in schema.items():
@@ -352,6 +370,22 @@ def test_failure_names_memories_outside_decoder_range(tmp_path, capsys, experime
             "and have no minimum there") in err
     if experiment == "biasvar":
         assert "4 of 8 memories lie outside level 2's decoder range" in err
+
+
+def test_failing_census_reports_the_same_at_any_worker_count(tmp_path, capsys):
+    # level 1 passes the failure budget in its first chunk; at 2 workers
+    # the second chunk, already running, is stopped and its rows dropped
+    cfg = write_cfg(tmp_path, "c.json", {
+        "dim": 2, "class_counts": [6, 2], "blob_spread": 0.2, "center_scale": 1.0,
+        "beta": 10.0, "decoder": "tanh", "depth": 2, "max_steps": 500,
+        "n_queries": 2500})
+    errors = []
+    for workers in ("1", "2"):
+        assert main(["census", "--config", cfg, "--workers", workers,
+                     "--out-dir", str(tmp_path / "out")]) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "level 1: " in errors[0] and "flows failed (of 2500 planned)" in errors[0]
 
 
 def test_whole_float_accepted_for_int_key():

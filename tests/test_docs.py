@@ -24,8 +24,8 @@ def test_readme_python_blocks_run():
         exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("**/*.json")),
+                         ids=lambda path: path.relative_to(ROOT / "configs").as_posix())
 def test_demo_config_loads(path, monkeypatch):
     monkeypatch.delenv("LANDSCAPE_LAB_SEED", raising=False)
     monkeypatch.delenv("LANDSCAPE_LAB_OUT_DIR", raising=False)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,27 @@ def test_flow_batch_evaluates_each_trial_once():
     assert unfused.rows[0] == starts.shape[0]
     assert len(unfused.rows) - 1 == int(expected["steps"].max())
     assert sum(unfused.rows[1:]) == int(expected["steps"].sum())
+
+
+def test_flow_batch_returns_at_once_when_stop_is_set():
+    # the starts are evaluated, then the loop sees the event before any
+    # step: every row comes back where it started, neither converged nor
+    # failed; an unset event changes nothing
+    rng = np.random.default_rng(12)
+    ls = EnergyLandscape(MemorySet(rng.normal(size=(8, 2)), tuple(range(8))), 4.0)
+    starts = ls.memories.centroid + 2.0 * rng.normal(size=(30, 2))
+    unfused = UnfusedEvaluator(ls)
+    stop = threading.Event()
+    stop.set()
+    out = flow_batch(unfused, starts, CFG, stop=stop)
+    assert unfused.rows == [starts.shape[0]]
+    assert np.array_equal(out["terminals"], starts)
+    assert not out["steps"].any()
+    assert not out["converged"].any() and not out["failed"].any()
+    running = flow_batch(ls, starts, CFG, stop=threading.Event())
+    expected = flow_batch(ls, starts, CFG)
+    for key in expected:
+        assert np.array_equal(running[key], expected[key])
 
 
 def test_flow_step_size_rescales_time_only():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,9 +136,10 @@ def rechunking_case(dim=5):
     return EnergyLandscape(mem, 2.0), 3.0 * rng.standard_normal((2503, dim))
 
 
-@pytest.mark.parametrize("dim", range(1, 11))
+@pytest.mark.parametrize("dim", range(1, 301))
 def test_sqdist_equals_broadcast_reference(dim):
-    # both kernel paths (per-coordinate below 8, broadcast from 8 up)
+    # both kernel paths: per-coordinate below 8; from 8 up the lanes, with
+    # a tail from 9, and the split of numpy's pairwise sum from 129
     rng = np.random.default_rng(dim)
     b = rng.standard_normal((13, dim))
     single = 2.0 * rng.standard_normal(dim)
@@ -147,6 +149,21 @@ def test_sqdist_equals_broadcast_reference(dim):
         got = sqdist(a, b)
         assert got.shape == (m, 13)
         assert np.array_equal(got, broadcast_sqdist(a, b))
+
+
+def test_sqdist_memory_is_bounded_by_its_output():
+    # numpy reports its buffers to tracemalloc; the broadcast this kernel
+    # replaced peaked at 33x the output here, a (1024, 2000, 32) temporary
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((1024, 32))
+    b = rng.standard_normal((2000, 32))
+    tracemalloc.start()
+    try:
+        out = sqdist(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out.nbytes
 
 
 def test_sqdist_matches_per_row_sums():
@@ -163,8 +180,9 @@ def test_sqdist_matches_per_row_sums():
 @pytest.mark.parametrize("offset", [0, 3])
 def test_sqdist_and_nearest_memory_rows_do_not_depend_on_chunking(batch, offset):
     # also gates grad and energy_grad; dims 7 and 8 sit on either side of
-    # sqdist's switch between paths, dim 1 takes weighted_sum's own path
-    for dim in (1, 5, 7, 8):
+    # sqdist's switch between paths, 16 runs two rounds of lanes and 130
+    # the pairwise split; dim 1 takes weighted_sum's own path
+    for dim in (1, 5, 7, 8, 16, 130):
         ls, x = rechunking_case(dim)
         pts = ls.memories.points
         full_d2 = sqdist(x, pts)
