@@ -25,7 +25,7 @@ from scipy.ndimage import convolve1d
 
 from landscape_lab._seeds import derive_rng
 from landscape_lab.errors import InputError
-from landscape_lab.landscape import (EnergyLandscape, default_probe_radius,
+from landscape_lab.landscape import (CHUNK, EnergyLandscape, default_probe_radius,
                                      hessian_fd_batch, spectral_norm, sqdist)
 
 _ATANH_CLIP = 1.0 - 1e-12
@@ -250,16 +250,31 @@ def smoothness_report(hierarchy: AbstractionHierarchy,
         hess = hessian_fd_batch(lvl, z, h=fd_step)
         hess_norm = float(np.max(spectral_norm(hess)))
 
-        grads = np.asarray(lvl.grad(z))
-        dg = np.sqrt(sqdist(grads, grads))
-        dz = np.sqrt(sqdist(z, z))
-        iu = np.triu_indices(probes, k=1)
-        num, den = dg[iu], dz[iu]
-        ok = den > 1e-12
-        lips = float((num[ok] / den[ok]).max()) if ok.any() else 0.0
-
+        lips = _max_difference_quotient(np.asarray(lvl.grad(z)), z)
         reports.append(SmoothnessReport(a, hess_norm, lips))
     return reports
+
+
+def _max_difference_quotient(grads: np.ndarray, z: np.ndarray) -> float:
+    """Max of ||g_i - g_j|| / ||z_i - z_j|| over pairs i < j whose points
+    are more than 1e-12 apart, else 0.
+
+    Pairs are taken in CHUNK-row blocks (i's block before or at j's, i < j
+    within a diagonal block), so memory is bounded by the chunk; the max
+    does not depend on the order the pairs are visited in.
+    """
+    m = z.shape[0]
+    maxima = []
+    for lo in range(0, m, CHUNK):
+        for lo2 in range(lo, m, CHUNK):
+            dg = np.sqrt(sqdist(grads[lo:lo + CHUNK], grads[lo2:lo2 + CHUNK]))
+            dz = np.sqrt(sqdist(z[lo:lo + CHUNK], z[lo2:lo2 + CHUNK]))
+            ok = dz > 1e-12
+            if lo2 == lo:
+                ok &= np.arange(ok.shape[0])[:, None] < np.arange(ok.shape[1])
+            if ok.any():
+                maxima.append((dg[ok] / dz[ok]).max())
+    return float(np.max(maxima)) if maxima else 0.0
 
 
 def _fd_jacobian_norms(decoder, points: np.ndarray, h: float = 1e-6) -> np.ndarray:

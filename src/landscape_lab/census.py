@@ -32,7 +32,7 @@ import numpy as np
 
 from landscape_lab._seeds import derive_rng
 from landscape_lab.abstraction import AbstractionHierarchy
-from landscape_lab.dynamics import FlowConfig, flow_batch
+from landscape_lab.dynamics import Blocks, FlowConfig, flow_batch
 from landscape_lab.errors import CensusFailureError, InputError
 from landscape_lab.knn import argmax_class
 from landscape_lab.landscape import CHUNK, EnergyLandscape, MemorySet, sqdist
@@ -125,36 +125,38 @@ def _chunked_flow(target, starts: np.ndarray, config: FlowConfig,
                   workers: int, max_failures: float) -> tuple:
     """flow_batch over fixed-size chunks, optionally on a thread pool.
 
-    Returns (terminals, ok), where ok marks the rows that converged
-    without failing. Chunk boundaries are constants, so the arithmetic is
-    identical at any worker count; threads only change scheduling. Results
-    are taken in chunk order. Once more than max_failures rows are not ok,
-    the chunks not yet started are cancelled, those still running are
-    told to stop, and the arrays returned end with the chunk that passed
-    the budget, so where a run stops does not depend on workers.
+    target is an evaluator or Blocks with one block index per start; each
+    chunk gets the slice of it for its rows. Returns (out, ok): out holds
+    flow_batch's arrays for the rows flowed, and ok marks the rows that
+    converged without failing. Chunk boundaries are constants, so the
+    arithmetic is identical at any worker count; threads only change
+    scheduling. Results are taken in chunk order. Once more than
+    max_failures rows are not ok, the chunks not yet started are
+    cancelled, those still running are told to stop, and the arrays
+    returned end with the chunk that passed the budget, so where a run
+    stops does not depend on workers.
     """
     m = starts.shape[0]
-    bounds = [(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
-    terminals = np.empty_like(starts)
-    ok = np.empty(m, dtype=bool)
+    blocks = Blocks.of(target, m)
+    # an empty batch still flows one (empty) chunk, for its empty arrays
+    bounds = [(lo, min(lo + CHUNK, m)) for lo in range(0, max(m, 1), CHUNK)]
 
     pool = None
     if workers > 1 and len(bounds) > 1:
         stop = threading.Event()
         pool = ThreadPoolExecutor(max_workers=workers)
-        futures = [pool.submit(flow_batch, target, starts[lo:hi], config, stop=stop)
+        futures = [pool.submit(flow_batch, blocks[lo:hi], starts[lo:hi], config,
+                               stop=stop)
                    for lo, hi in bounds]
         results = (f.result() for f in futures)
     else:
-        results = (flow_batch(target, starts[lo:hi], config) for lo, hi in bounds)
-    end, failures = m, 0
+        results = (flow_batch(blocks[lo:hi], starts[lo:hi], config) for lo, hi in bounds)
+    parts, failures = [], 0
     try:
-        for (lo, hi), out in zip(bounds, results):
-            terminals[lo:hi] = out["terminals"]
-            ok[lo:hi] = out["converged"] & ~out["failed"]
-            failures += int((~ok[lo:hi]).sum())
+        for out in results:
+            parts.append(out)
+            failures += int((~out["converged"] | out["failed"]).sum())
             if failures > max_failures:
-                end = hi
                 break
     finally:
         if pool is not None:
@@ -162,7 +164,8 @@ def _chunked_flow(target, starts: np.ndarray, config: FlowConfig,
             # cuts short only chunks whose rows are discarded
             stop.set()
             pool.shutdown(cancel_futures=True)
-    return terminals[:end], ok[:end]
+    out = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+    return out, out["converged"] & ~out["failed"]
 
 
 def _mean_pairwise_distance(points: np.ndarray) -> float:
@@ -194,9 +197,13 @@ def _mean_pairwise_distance(points: np.ndarray) -> float:
 def _knn_mean_distances(points: np.ndarray, references: np.ndarray) -> dict:
     """Mean distance to the k nearest references, per k, averaged over points."""
     n_ref = references.shape[0]
+    kmax = max(_PRIVACY_KS)
     sums = {k: 0.0 for k in _PRIVACY_KS}
     for lo in range(0, points.shape[0], CHUNK):
         d = np.sqrt(sqdist(points[lo:lo + CHUNK], references))
+        if kmax < n_ref:
+            # the kmax smallest, sorted: the first kmax columns of a full sort
+            d = np.partition(d, kmax - 1, axis=1)[:, :kmax]
         d.sort(axis=1)
         for k in _PRIVACY_KS:
             kk = min(k, n_ref)
@@ -236,14 +243,14 @@ def run_census(landscape: EnergyLandscape,
         lvl = hierarchy.level_energy(landscape, a)
         center = np.asarray(lvl.encode(mem.centroid))
         starts = center + sigma * unit
-        terminals, ok = _chunked_flow(lvl, starts, flow_config, workers, budget)
+        out, ok = _chunked_flow(lvl, starts, flow_config, workers, budget)
         failures = int((~ok).sum())
         if failures > budget:
             raise CensusFailureError(
                 f"level {a}: {failures}/{ok.shape[0]} flows failed "
                 f"(of {config.n_queries} planned)"
                 + _decoder_range_hint(landscape, hierarchy, (a,)))
-        terminals = terminals[ok]
+        terminals = out["terminals"][ok]
 
         basin_class = labels[lvl.nearest_memory(terminals)]
         m_ok = terminals.shape[0]
@@ -312,7 +319,9 @@ def bias_variance_probes(landscape: EnergyLandscape,
     One probe per memory: x_i plus isotropic noise of scale probe_sigma.
     Each bootstrap round resamples the memory set with replacement
     (class-stratified by default, which keeps class proportions fixed),
-    rebuilds the landscape, and reflows the same probes; the bootstrap
+    rebuilds the landscape, and reflows the same probes; per level, every
+    round's probes flow as one batch, each round's rows evaluated by its
+    own landscape. The bootstrap
     expectation over rounds gives, per probe, the mean one-hot prediction
     p. Bias is the mean of (p - true one-hot) over probes, per class;
     variance is the mean of (1 - ||p||^2), the one-hot shortcut for the
@@ -336,28 +345,33 @@ def bias_variance_probes(landscape: EnergyLandscape,
     # counts[level][probe, class] accumulated over rounds
     counts = {a: np.zeros((mem.n, n_classes)) for a in levels}
     valid = {a: np.zeros(mem.n) for a in levels}
+    resampled = [_bootstrap_landscape(landscape, derive_rng(seed, "bootstrap", b), stratified)
+                 for b in range(bootstrap_rounds)]
+    sub_idx = [np.array([classes.index(y) for y in r.memories.labels]) for r in resampled]
+    # the rounds' probes are stacked round-major, each round one block
+    block = np.repeat(np.arange(bootstrap_rounds), mem.n)
     # failures only grow and every planned flow runs unless this raises,
     # so checking after each level gives the end-of-run outcome early
     planned = bootstrap_rounds * len(levels) * mem.n
     budget = _MAX_FAILURE_RATE * planned
     failures = 0
-    for b in range(bootstrap_rounds):
-        rng = derive_rng(seed, "bootstrap", b)
-        resampled = _bootstrap_landscape(landscape, rng, stratified)
-        sub_idx = np.array([classes.index(y) for y in resampled.memories.labels])
-        for a in levels:
-            lvl = hierarchy.level_energy(resampled, a)
-            terminals, ok = _chunked_flow(lvl, np.asarray(lvl.encode(probes)),
-                                          flow_config, workers, budget - failures)
-            failures += int((~ok).sum())
-            if failures > budget:
-                raise CensusFailureError(
-                    f"bias/variance probes: {failures} of {planned} planned "
-                    "flows failed" + _decoder_range_hint(landscape, hierarchy, levels))
-            pred = sub_idx[lvl.nearest_memory(terminals[ok])]
-            rows = np.flatnonzero(ok)
-            counts[a][rows, pred] += 1.0
-            valid[a][rows] += 1.0
+    for a in levels:
+        lvls = [hierarchy.level_energy(r, a) for r in resampled]
+        starts = np.tile(np.asarray(hierarchy.decoders[a].encode(probes)),
+                         (bootstrap_rounds, 1))
+        out, ok = _chunked_flow(Blocks(lvls, block), starts, flow_config, workers,
+                                budget - failures)
+        failures += int((~ok).sum())
+        if failures > budget:
+            raise CensusFailureError(
+                f"bias/variance probes: {failures} of {planned} planned "
+                "flows failed" + _decoder_range_hint(landscape, hierarchy, levels))
+        for b, lvl in enumerate(lvls):
+            rows = slice(b * mem.n, (b + 1) * mem.n)
+            hit = np.flatnonzero(ok[rows])
+            pred = sub_idx[b][lvl.nearest_memory(out["terminals"][rows][hit])]
+            counts[a][hit, pred] += 1.0
+            valid[a][hit] += 1.0
 
     results = []
     for a in levels:

@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import math
 import os
 import sys
 import time
@@ -40,12 +41,13 @@ from landscape_lab.abstraction import (
 )
 from landscape_lab.census import (
     CensusConfig,
+    _chunked_flow,
     bias_variance_probes,
     default_flow_config,
     default_query_sigma,
     run_census,
 )
-from landscape_lab.dynamics import FlowConfig, flow
+from landscape_lab.dynamics import FlowConfig
 from landscape_lab.errors import (
     CensusFailureError,
     ConfigError,
@@ -54,7 +56,8 @@ from landscape_lab.errors import (
 )
 from landscape_lab.gridsim import amplification_curve, init_grid, coarsen, write_pbm
 from landscape_lab.knn import SoftWeights, argmax_class, knn_predict, soft_knn_predict
-from landscape_lab.landscape import EnergyLandscape, MemorySet, gaussian_blobs, load_memory_csv
+from landscape_lab.landscape import (CHUNK, EnergyLandscape, MemorySet, gaussian_blobs,
+                                     load_memory_csv)
 from landscape_lab.oddsmodel import MergeScenario, initial_odds, simulate_merge, smoothed_odds
 from landscape_lab.tables import write_table
 
@@ -326,17 +329,32 @@ def _experiment_knn(cfg: RunConfig) -> dict:
     queries = mem.centroid + float(sigma) * derive_rng(
         cfg.seed, "knn-queries").standard_normal((int(cfg.params["n_queries"]), mem.dim))
     flow_cfg = _flow_config(cfg.params)
+    taus = [float(tau) for tau in cfg.params["taus"]]
+    flows = []
+    for tau in taus:
+        if not (tau > 0):
+            raise InputError(f"tau must be positive, got {tau}")
+        # every query flows in one chunked batch per tau; a row's bits are
+        # those of its own flow
+        tau_landscape = EnergyLandscape(mem, beta=2.0 / tau)
+        out, _ = _chunked_flow(tau_landscape, queries, flow_cfg, cfg.workers, math.inf)
+        flows.append((tau_landscape, out, tau_landscape.nearest_memory(out["terminals"])))
     rows = []
     for qid, q in enumerate(queries):
+        if qid % CHUNK == 0:
+            # attention at the terminals, one chunk of queries at a time
+            weights = [tau_landscape.weights(out["terminals"][qid:qid + CHUNK])
+                       for tau_landscape, out, _ in flows]
         hard_class = argmax_class(knn_predict(mem, q, k=1))
-        for tau in cfg.params["taus"]:
-            tau = float(tau)
+        for tau, (_, out, basin), w in zip(taus, flows, weights):
             pred, _ = soft_knn_predict(mem, q, tau)
             soft_class = argmax_class(pred)
-            tau_landscape = EnergyLandscape(mem, beta=2.0 / tau)
-            res = flow(tau_landscape, q, flow_cfg)
-            basin_class = mem.labels[res.basin_memory_index]
-            attend = SoftWeights(tau_landscape.weights(res.terminal), tau)
+            # a failed flow raises query-major, after its pair's soft
+            # prediction, as if each (query, tau) flowed alone
+            if out["failed"][qid]:
+                raise NumericalFlowError(step=int(out["fail_step"][qid]))
+            basin_class = mem.labels[basin[qid]]
+            attend = SoftWeights(w[qid % CHUNK], tau)
             rows.append({
                 "query_id": qid, "tau": tau,
                 "k_equivalent": attend.effective_count,

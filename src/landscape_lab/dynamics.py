@@ -9,8 +9,15 @@ flow_batch advances many starts at once. Every per-row decision (step
 halving, convergence, termination) uses only that row's state, so a row's
 result is bit-identical no matter how starts are grouped into batches;
 callers may chunk work across threads freely. Each trial is evaluated once,
-by the target's energy_grad, and an accepted trial's gradient drives the
+by its evaluator's energy_grad, and an accepted trial's gradient drives the
 next step.
+
+A batch may mix evaluators: given Blocks, row r is evaluated by
+evaluators[block[r]], and each run of rows sharing an evaluator is one
+energy_grad call on those rows alone. Since evaluators are row-wise, a
+row's result equals that of a flow_batch on its own evaluator, so many
+small flows (one per bootstrap round, say) run as one loop. A lone
+evaluator is the one-block case.
 """
 
 from __future__ import annotations
@@ -76,11 +83,56 @@ class MergedMinimum:
             raise InputError("a merged minimum needs at least 2 constituents")
 
 
+class Blocks:
+    """Per-row evaluators of one batch: row r is evaluated by
+    evaluators[block[r]]. Slicing selects rows, as a chunk of the batch
+    does, and keeps the evaluators."""
+
+    def __init__(self, evaluators: Sequence, block: np.ndarray):
+        self.evaluators = tuple(evaluators)
+        self.block = np.asarray(block, dtype=np.intp)
+        dims = {t.dim for t in self.evaluators}
+        if len(dims) != 1:
+            raise InputError(f"evaluators must share one dimension, got {sorted(dims)}")
+        self.dim = dims.pop()
+
+    @classmethod
+    def of(cls, target, m: int) -> "Blocks":
+        """target itself if it is Blocks, else the one block of m rows."""
+        if isinstance(target, cls):
+            return target
+        return cls((target,), np.zeros(m, dtype=np.intp))
+
+    def __getitem__(self, rows: slice) -> "Blocks":
+        return Blocks(self.evaluators, self.block[rows])
+
+
+def _energy_grad(blocks: Blocks, x: np.ndarray, rows: np.ndarray) -> tuple:
+    """Energies and gradients at x, whose i-th point is batch row rows[i]:
+    each run of consecutive points whose rows share a block index is one
+    energy_grad call, by that block's evaluator, on that slice of x alone.
+    A lone evaluator makes one run of all of x.
+    """
+    if len(blocks.evaluators) == 1:
+        e, g = blocks.evaluators[0].energy_grad(x)
+        return np.asarray(e, dtype=np.float64).reshape(-1), g
+    b = blocks.block[rows]
+    edges = np.flatnonzero(np.diff(b, prepend=-1, append=-1))
+    e = np.empty(x.shape[0])
+    g = np.empty_like(x)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        e[lo:hi], g[lo:hi] = blocks.evaluators[b[lo]].energy_grad(x[lo:hi])
+    return e, g
+
+
 def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
                record: bool = False,
                stop: threading.Event | None = None) -> dict:
     """Flow every row of starts to a stationary point.
 
+    target is an evaluator (an EnergyLandscape or a LevelEnergy, or any
+    object with dim and a batch energy_grad) or Blocks of them, one block
+    index per row of starts; a row's result is the same bits either way.
     Returns arrays: terminals (m, d), steps (m,), converged (m,), failed
     (m,) and fail_step (m,). Rows that hit non-finite values are marked
     failed and frozen rather than aborting the batch. A row stalled at
@@ -95,13 +147,15 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
     x = np.array(starts, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    if x.shape[1] != target.dim:
-        raise InputError(
-            f"start dimension {x.shape[1]} != energy dimension {target.dim}")
     m = x.shape[0]
+    blocks = Blocks.of(target, m)
+    if x.shape[1] != blocks.dim:
+        raise InputError(
+            f"start dimension {x.shape[1]} != energy dimension {blocks.dim}")
+    if blocks.block.shape != (m,):
+        raise InputError(f"{blocks.block.shape[0]} block indices for {m} starts")
 
-    e, g = target.energy_grad(x)
-    e = np.asarray(e, dtype=np.float64).reshape(m)
+    e, g = _energy_grad(blocks, x, np.arange(m))
     steps = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
     failed = ~np.isfinite(e)
@@ -141,8 +195,7 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
         for _ in range(_MAX_HALVINGS):
             todo = ~accepted
             trial = xa[todo] - scale[todo, None] * gm[todo]
-            etrial, gtrial = target.energy_grad(trial)
-            etrial = np.asarray(etrial, dtype=np.float64).reshape(-1)
+            etrial, gtrial = _energy_grad(blocks, trial, rows[todo])
             ok = np.isfinite(etrial) & (etrial <= ea[todo])
             sub = np.flatnonzero(todo)
             xt[sub[ok]] = trial[ok]
@@ -193,8 +246,7 @@ def flow(target, start, config: FlowConfig,
     start = np.asarray(start, dtype=np.float64)[None, :]
     out = flow_batch(target, start, config, record=record_trajectory)
     if out["failed"][0]:
-        raise NumericalFlowError("non-finite energy or gradient during flow",
-                                 step=int(out["fail_step"][0]))
+        raise NumericalFlowError(step=int(out["fail_step"][0]))
     terminal = out["terminals"][0]
     steps = int(out["steps"][0])
     result = FlowResult(terminal, steps, bool(out["converged"][0]),

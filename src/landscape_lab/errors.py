@@ -12,7 +12,8 @@ class ConfigError(InputError):
 class NumericalFlowError(RuntimeError):
     """Non-finite energy or gradient encountered during gradient flow."""
 
-    def __init__(self, message: str, step: int):
+    def __init__(self, message: str = "non-finite energy or gradient during flow", *,
+                 step: int):
         super().__init__(f"{message} (step {step})")
         self.step = step
 

@@ -8,6 +8,7 @@ from landscape_lab.abstraction import (
     AbstractionHierarchy,
     DiagonalDecoder,
     TanhDecoder,
+    _max_difference_quotient,
     diagonal_hierarchy,
     grid_smooth,
     jacobian_norm_probe,
@@ -16,7 +17,7 @@ from landscape_lab.abstraction import (
     total_curvature,
 )
 from landscape_lab.errors import InputError
-from landscape_lab.landscape import EnergyLandscape, MemorySet
+from landscape_lab.landscape import CHUNK, EnergyLandscape, MemorySet, sqdist
 
 
 def random_landscape(seed, n=10, dim=2, beta=4.0, scale=1.0):
@@ -164,6 +165,22 @@ def test_lipschitz_below_hessian_estimate():
             probes = 1024 if isinstance(hier.decoders[1], TanhDecoder) else 256
             for r in smoothness_report(hier, ls, probes=probes, seed=seed):
                 assert r.lipschitz_est <= r.hessian_norm_est + 1e-3
+
+
+@pytest.mark.parametrize("m", [2, CHUNK, CHUNK + 1, 2 * CHUNK + 50])
+def test_difference_quotient_blocks_match_full_matrix(m):
+    # CHUNK-row block pairs give the max of the full pairwise matrix's
+    # upper triangle exactly; a fifth of the points are duplicates, whose
+    # zero distances are skipped
+    rng = np.random.default_rng(m)
+    base = rng.standard_normal((m - m // 5, 2))
+    z = base[rng.permutation(np.arange(m) % base.shape[0])]
+    grads = np.tanh(z) * z[:, ::-1]
+    iu = np.triu_indices(m, k=1)
+    num, den = np.sqrt(sqdist(grads, grads))[iu], np.sqrt(sqdist(z, z))[iu]
+    ok = den > 1e-12
+    assert _max_difference_quotient(grads, z) == (num[ok] / den[ok]).max()
+    assert _max_difference_quotient(grads[:1].repeat(3, 0), z[:1].repeat(3, 0)) == 0.0
 
 
 def test_smoothness_determinism_and_validation():

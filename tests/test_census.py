@@ -10,13 +10,14 @@ from landscape_lab.abstraction import diagonal_hierarchy, tanh_hierarchy
 from landscape_lab.census import (
     CensusConfig,
     CensusReport,
+    _knn_mean_distances,
     _mean_pairwise_distance,
     bias_variance_probes,
     run_census,
 )
 from landscape_lab.dynamics import FlowConfig
 from landscape_lab.errors import CensusFailureError, InputError
-from landscape_lab.landscape import EnergyLandscape, MemorySet, gaussian_blobs
+from landscape_lab.landscape import EnergyLandscape, MemorySet, gaussian_blobs, sqdist
 
 
 def biased_1d_landscape(beta=40.0):
@@ -123,6 +124,20 @@ def test_mean_pairwise_distance_oracle():
     for dim in (1, 2):
         assert _mean_pairwise_distance(np.zeros((0, dim))) == 0.0
         assert _mean_pairwise_distance(np.ones((1, dim))) == 0.0
+
+
+@pytest.mark.parametrize("n_ref", [3, 10, 11, 250])
+def test_knn_mean_distances_match_a_full_sort(n_ref):
+    # with more references than the largest k only the nearest columns
+    # are sorted; the means are the same bits as from sorting every row
+    rng = np.random.default_rng(n_ref)
+    points = rng.standard_normal((census.CHUNK + 7, 3))
+    references = rng.standard_normal((n_ref, 3))
+    d = np.sort(np.sqrt(sqdist(points, references)), axis=1)
+    want = {k: sum(float(d[lo:lo + census.CHUNK, :min(k, n_ref)].mean(axis=1).sum())
+                   for lo in range(0, points.shape[0], census.CHUNK)) / points.shape[0]
+            for k in census._PRIVACY_KS}
+    assert _knn_mean_distances(points, references) == want
 
 
 @pytest.mark.parametrize("m", [2, 1023, 1025, 2049])
@@ -250,7 +265,9 @@ def test_biasvar_deterministic():
 def test_biasvar_fails_before_running_every_round(monkeypatch):
     # the CLI's tanh config whose memories partly lie outside the decoder
     # range: flows toward them cannot converge, so the run is rejected
-    # once failures pass 1 % of the planned flows, not after all rounds
+    # once failures pass 1 % of the planned flows. Each level flows all
+    # rounds as one batch, so level 1 passes the budget and level 2,
+    # the one after it, never flows
     ms = gaussian_blobs(dim=2, class_counts=[6, 2], spread=0.2,
                         seed=derive_seed(0, "landscape"), center_scale=1.0,
                         labels=["c0", "c1"])
@@ -258,17 +275,39 @@ def test_biasvar_fails_before_running_every_round(monkeypatch):
     hierarchy = tanh_hierarchy([0.9, 0.81], dim=2)
     rounds = 50
     flow_cfg = FlowConfig(step_size=1.0, grad_tol=1e-5, max_steps=500)
+    flowed = {}
+    real = census.flow_batch
+
+    def counting(target, starts, *args, **kwargs):
+        level = target.evaluators[0].level
+        flowed[level] = flowed.get(level, 0) + starts.shape[0]
+        return real(target, starts, *args, **kwargs)
+
+    monkeypatch.setattr(census, "flow_batch", counting)
+    with pytest.raises(CensusFailureError, match="decoder range"):
+        bias_variance_probes(ls, hierarchy, flow_cfg, seed=0, bootstrap_rounds=rounds)
+    assert set(flowed) == {0, 1}
+    assert sum(flowed.values()) < rounds * (hierarchy.levels + 1) * ms.n
+
+
+def test_biasvar_flows_each_level_in_chunks(monkeypatch):
+    # every round of a level flows in one chunked batch: the flow_batch
+    # calls are bounded by the chunks, not by rounds x levels
+    ls = biased_1d_landscape(12.0)
+    hierarchy = hierarchy_1d(1)
+    rounds = 120
     calls = []
-    real = census._chunked_flow
+    real = census.flow_batch
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(census, "_chunked_flow", counting)
-    with pytest.raises(CensusFailureError, match="decoder range"):
-        bias_variance_probes(ls, hierarchy, flow_cfg, seed=0, bootstrap_rounds=rounds)
-    assert len(calls) < rounds * (hierarchy.levels + 1)
+    monkeypatch.setattr(census, "flow_batch", counting)
+    bias_variance_probes(ls, hierarchy, seed=0, bootstrap_rounds=rounds)
+    levels = hierarchy.levels + 1
+    assert rounds * ls.memories.n > census.CHUNK
+    assert len(calls) <= levels * math.ceil(rounds * ls.memories.n / census.CHUNK)
 
 
 def test_census_fails_after_the_chunk_that_passes_the_budget(monkeypatch):

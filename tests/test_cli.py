@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from landscape_lab import census, dynamics
 from landscape_lab.abstraction import jacobian_norm_probe, smoothness_report
 from landscape_lab.census import bias_variance_probes
 from landscape_lab.cli import (
@@ -18,7 +19,7 @@ from landscape_lab.cli import (
     validate_params,
 )
 from landscape_lab.errors import ConfigError
-from landscape_lab.landscape import MemorySet, save_memory_csv
+from landscape_lab.landscape import CHUNK, EnergyLandscape, MemorySet, save_memory_csv
 
 
 def read_csv(path):
@@ -260,6 +261,55 @@ def test_knn_experiment(tmp_path):
     for r in rows:
         assert r["agreement_flag"] in ("0", "1")
         assert float(r["k_equivalent"]) >= 1.0
+
+
+def test_knn_flows_one_batch_per_tau(tmp_path, monkeypatch):
+    # work counters, not timings: the queries flow in chunks, one batch
+    # per tau, and never through the one-row flow
+    batches, single = [], []
+    real_batch, real_flow = census.flow_batch, dynamics.flow
+    monkeypatch.setattr(census, "flow_batch",
+                        lambda target, starts, *a, **k: batches.append(starts.shape[0])
+                        or real_batch(target, starts, *a, **k))
+    monkeypatch.setattr(dynamics, "flow",
+                        lambda *a, **k: single.append(1) or real_flow(*a, **k))
+    taus, n_queries = [0.1, 2.0], CHUNK + 100
+    cfg = write_cfg(tmp_path, "k.json", {"dim": 1, "class_counts": [3, 3],
+                                         "taus": taus, "n_queries": n_queries})
+    assert main(["knn", "--config", cfg, "--workers", "2",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(read_csv(tmp_path / "out" / "knn.csv")) == len(taus) * n_queries
+    assert len(batches) <= len(taus) * math.ceil(n_queries / CHUNK)
+    assert sum(batches) == len(taus) * n_queries
+    assert single == []
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0])
+def test_knn_nonpositive_tau_exits_2(tmp_path, capsys, tau):
+    cfg = write_cfg(tmp_path, "k.json", {"taus": [0.5, tau], "n_queries": 3})
+    assert main(["knn", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: tau must be positive, got {tau}\n"
+
+
+def test_knn_flow_failure_names_the_first_failing_query(tmp_path, capsys, monkeypatch):
+    # gradients are poisoned in two narrow bands: the flow of query 0 at
+    # tau 2 enters one at step 2, that of query 3 at tau 0.05 the other at
+    # step 1. The error names the first failing (query, tau) in
+    # query-major order, so step 2
+    real = EnergyLandscape.energy_grad
+
+    def poisoned(self, x):
+        e, g = real(self, x)
+        bad = ((x > 1.104) & (x < 1.1055)) | ((x > 1.382) & (x < 1.383))
+        return e, np.where(bad, np.nan, g)
+
+    monkeypatch.setattr(EnergyLandscape, "energy_grad", poisoned)
+    cfg = write_cfg(tmp_path, "k.json", {"dim": 1, "class_counts": [3, 3],
+                                         "taus": [0.05, 2.0], "n_queries": 8})
+    assert main(["knn", "--config", cfg, "--seed", "3",
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == ("numerical failure: non-finite energy or "
+                                       "gradient during flow (step 2)\n")
 
 
 def test_biasvar_experiment(tmp_path):

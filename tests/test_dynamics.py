@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -6,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from landscape_lab._seeds import derive_rng
 from landscape_lab.abstraction import diagonal_hierarchy, tanh_hierarchy
+from landscape_lab.census import _bootstrap_landscape, _chunked_flow
 from landscape_lab.dynamics import (
+    Blocks,
     FlowConfig,
     MergedMinimum,
     _project_to_simplex,
@@ -18,7 +22,7 @@ from landscape_lab.dynamics import (
     merged_minimum_locate,
 )
 from landscape_lab.errors import InputError, NumericalFlowError
-from landscape_lab.landscape import EnergyLandscape, MemorySet
+from landscape_lab.landscape import CHUNK, EnergyLandscape, MemorySet, gaussian_blobs
 
 
 def two_memory_1d(beta):
@@ -191,6 +195,74 @@ def test_flow_batch_evaluates_each_trial_once():
     assert unfused.rows[0] == starts.shape[0]
     assert len(unfused.rows) - 1 == int(expected["steps"].max())
     assert sum(unfused.rows[1:]) == int(expected["steps"].sum())
+
+
+class LoggedEvaluator:
+    """Passes energy_grad through to target, keeping a copy of each x."""
+
+    def __init__(self, target):
+        self.target = target
+        self.dim = target.dim
+        self.seen = []
+
+    def energy_grad(self, x):
+        self.seen.append(x.copy())
+        return self.target.energy_grad(x)
+
+
+def resampled_levels(rounds):
+    """Level 1 of a tanh hierarchy over bootstrap resamples of one set."""
+    ms = gaussian_blobs(dim=2, class_counts=[5, 3], spread=0.3, seed=4, center_scale=1.5)
+    ls = EnergyLandscape(ms, 12.0)
+    hierarchy = tanh_hierarchy([0.9], dim=2)
+    return [hierarchy.level_energy(
+                _bootstrap_landscape(ls, derive_rng(0, "bootstrap", b), True), 1)
+            for b in range(rounds)]
+
+
+def test_blocks_give_each_row_its_own_evaluators_bits():
+    # three resampled landscapes; the middle block straddles the CHUNK
+    # boundary, and each block holds a start that fails at once
+    levels = resampled_levels(3)
+    sizes = (CHUNK - 300, 500, 200)
+    rng = np.random.default_rng(5)
+    starts = 1.5 * rng.standard_normal((sum(sizes), 2))
+    starts[[0, CHUNK, sum(sizes) - 1]] = np.nan
+    cfg = FlowConfig(step_size=1.0, grad_tol=1e-5, max_steps=300)
+    edges = np.cumsum((0,) + sizes)
+    own = [flow_batch(lvl, starts[lo:hi], cfg)
+           for lvl, lo, hi in zip(levels, edges[:-1], edges[1:])]
+    assert all(o["failed"].sum() == 1 for o in own)
+    blocks = Blocks(levels, np.repeat(np.arange(3), sizes))
+    for workers in (1, 2):
+        out, _ = _chunked_flow(blocks, starts, cfg, workers, math.inf)
+        for o, lo, hi in zip(own, edges[:-1], edges[1:]):
+            for key in ("terminals", "steps", "converged", "failed", "fail_step"):
+                assert np.array_equal(out[key][lo:hi], o[key], equal_nan=True), key
+
+
+def test_each_block_evaluator_sees_only_its_own_rows():
+    # a block's evaluator is called with exactly the points it is called
+    # with when its rows flow alone: the same calls, in the same order
+    cfg = FlowConfig(step_size=1.0, grad_tol=1e-5, max_steps=300)
+    levels = resampled_levels(4)
+    starts = 1.5 * np.random.default_rng(6).standard_normal((4 * 15, 2))
+    shared = [LoggedEvaluator(lvl) for lvl in levels]
+    flow_batch(Blocks(shared, np.repeat(np.arange(4), 15)), starts, cfg)
+    for b, lvl in enumerate(levels):
+        alone = LoggedEvaluator(lvl)
+        flow_batch(alone, starts[15 * b:15 * (b + 1)], cfg)
+        assert len(shared[b].seen) == len(alone.seen) > 1
+        for x, y in zip(shared[b].seen, alone.seen):
+            assert np.array_equal(x, y)
+
+
+def test_blocks_validation():
+    levels = resampled_levels(2)
+    with pytest.raises(InputError, match="dimension"):
+        Blocks((levels[0], two_memory_1d(1.0)), np.array([0, 1]))
+    with pytest.raises(InputError, match="block indices"):
+        flow_batch(Blocks(levels, np.array([0, 1, 1])), np.zeros((2, 2)), CFG)
 
 
 def test_flow_batch_returns_at_once_when_stop_is_set():
