@@ -23,16 +23,14 @@ fixed-size chunks, so reports are bit-identical for any worker count.
 
 from __future__ import annotations
 
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from landscape_lab._seeds import derive_rng
 from landscape_lab.abstraction import AbstractionHierarchy
-from landscape_lab.dynamics import Blocks, FlowConfig, flow_batch
+from landscape_lab.dynamics import Blocks, FlowConfig, flow_chunked
 from landscape_lab.errors import CensusFailureError, InputError
 from landscape_lab.knn import argmax_class
 from landscape_lab.landscape import CHUNK, EnergyLandscape, MemorySet, sqdist
@@ -121,53 +119,6 @@ def _decoder_range_hint(landscape: EnergyLandscape,
     return "".join(notes)
 
 
-def _chunked_flow(target, starts: np.ndarray, config: FlowConfig,
-                  workers: int, max_failures: float) -> tuple:
-    """flow_batch over fixed-size chunks, optionally on a thread pool.
-
-    target is an evaluator or Blocks with one block index per start; each
-    chunk gets the slice of it for its rows. Returns (out, ok): out holds
-    flow_batch's arrays for the rows flowed, and ok marks the rows that
-    converged without failing. Chunk boundaries are constants, so the
-    arithmetic is identical at any worker count; threads only change
-    scheduling. Results are taken in chunk order. Once more than
-    max_failures rows are not ok, the chunks not yet started are
-    cancelled, those still running are told to stop, and the arrays
-    returned end with the chunk that passed the budget, so where a run
-    stops does not depend on workers.
-    """
-    m = starts.shape[0]
-    blocks = Blocks.of(target, m)
-    # an empty batch still flows one (empty) chunk, for its empty arrays
-    bounds = [(lo, min(lo + CHUNK, m)) for lo in range(0, max(m, 1), CHUNK)]
-
-    pool = None
-    if workers > 1 and len(bounds) > 1:
-        stop = threading.Event()
-        pool = ThreadPoolExecutor(max_workers=workers)
-        futures = [pool.submit(flow_batch, blocks[lo:hi], starts[lo:hi], config,
-                               stop=stop)
-                   for lo, hi in bounds]
-        results = (f.result() for f in futures)
-    else:
-        results = (flow_batch(blocks[lo:hi], starts[lo:hi], config) for lo, hi in bounds)
-    parts, failures = [], 0
-    try:
-        for out in results:
-            parts.append(out)
-            failures += int((~out["converged"] | out["failed"]).sum())
-            if failures > max_failures:
-                break
-    finally:
-        if pool is not None:
-            # every chunk up to the last one read has finished, so this
-            # cuts short only chunks whose rows are discarded
-            stop.set()
-            pool.shutdown(cancel_futures=True)
-    out = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-    return out, out["converged"] & ~out["failed"]
-
-
 def _mean_pairwise_distance(points: np.ndarray) -> float:
     """Mean distance over the m(m-1)/2 unordered pairs of rows.
 
@@ -197,13 +148,9 @@ def _mean_pairwise_distance(points: np.ndarray) -> float:
 def _knn_mean_distances(points: np.ndarray, references: np.ndarray) -> dict:
     """Mean distance to the k nearest references, per k, averaged over points."""
     n_ref = references.shape[0]
-    kmax = max(_PRIVACY_KS)
     sums = {k: 0.0 for k in _PRIVACY_KS}
     for lo in range(0, points.shape[0], CHUNK):
         d = np.sqrt(sqdist(points[lo:lo + CHUNK], references))
-        if kmax < n_ref:
-            # the kmax smallest, sorted: the first kmax columns of a full sort
-            d = np.partition(d, kmax - 1, axis=1)[:, :kmax]
         d.sort(axis=1)
         for k in _PRIVACY_KS:
             kk = min(k, n_ref)
@@ -243,7 +190,7 @@ def run_census(landscape: EnergyLandscape,
         lvl = hierarchy.level_energy(landscape, a)
         center = np.asarray(lvl.encode(mem.centroid))
         starts = center + sigma * unit
-        out, ok = _chunked_flow(lvl, starts, flow_config, workers, budget)
+        out, ok = flow_chunked(lvl, starts, flow_config, workers, budget)
         failures = int((~ok).sum())
         if failures > budget:
             raise CensusFailureError(
@@ -359,7 +306,7 @@ def bias_variance_probes(landscape: EnergyLandscape,
         lvls = [hierarchy.level_energy(r, a) for r in resampled]
         starts = np.tile(np.asarray(hierarchy.decoders[a].encode(probes)),
                          (bootstrap_rounds, 1))
-        out, ok = _chunked_flow(Blocks(lvls, block), starts, flow_config, workers,
+        out, ok = flow_chunked(Blocks(lvls, block), starts, flow_config, workers,
                                 budget - failures)
         failures += int((~ok).sum())
         if failures > budget:

@@ -23,7 +23,6 @@ import argparse
 import dataclasses
 import inspect
 import json
-import math
 import os
 import sys
 import time
@@ -41,13 +40,12 @@ from landscape_lab.abstraction import (
 )
 from landscape_lab.census import (
     CensusConfig,
-    _chunked_flow,
     bias_variance_probes,
     default_flow_config,
     default_query_sigma,
     run_census,
 )
-from landscape_lab.dynamics import FlowConfig
+from landscape_lab.dynamics import FlowConfig, flow_chunked
 from landscape_lab.errors import (
     CensusFailureError,
     ConfigError,
@@ -330,38 +328,40 @@ def _experiment_knn(cfg: RunConfig) -> dict:
         cfg.seed, "knn-queries").standard_normal((int(cfg.params["n_queries"]), mem.dim))
     flow_cfg = _flow_config(cfg.params)
     taus = [float(tau) for tau in cfg.params["taus"]]
-    flows = []
     for tau in taus:
         if not (tau > 0):
             raise InputError(f"tau must be positive, got {tau}")
-        # every query flows in one chunked batch per tau; a row's bits are
-        # those of its own flow
-        tau_landscape = EnergyLandscape(mem, beta=2.0 / tau)
-        out, _ = _chunked_flow(tau_landscape, queries, flow_cfg, cfg.workers, math.inf)
-        flows.append((tau_landscape, out, tau_landscape.nearest_memory(out["terminals"])))
+    landscapes = [EnergyLandscape(mem, beta=2.0 / tau) for tau in taus]
     rows = []
-    for qid, q in enumerate(queries):
-        if qid % CHUNK == 0:
-            # attention at the terminals, one chunk of queries at a time
-            weights = [tau_landscape.weights(out["terminals"][qid:qid + CHUNK])
-                       for tau_landscape, out, _ in flows]
-        hard_class = argmax_class(knn_predict(mem, q, k=1))
-        for tau, (_, out, basin), w in zip(taus, flows, weights):
-            pred, _ = soft_knn_predict(mem, q, tau)
-            soft_class = argmax_class(pred)
-            # a failed flow raises query-major, after its pair's soft
-            # prediction, as if each (query, tau) flowed alone
-            if out["failed"][qid]:
-                raise NumericalFlowError(step=int(out["fail_step"][qid]))
-            basin_class = mem.labels[basin[qid]]
-            attend = SoftWeights(w[qid % CHUNK], tau)
-            rows.append({
-                "query_id": qid, "tau": tau,
-                "k_equivalent": attend.effective_count,
-                "soft_argmax_class": soft_class, "hard_1nn_class": hard_class,
-                "basin_class": basin_class,
-                "agreement_flag": int(soft_class == basin_class),
-            })
+    # the queries flow a window at a time, one chunk per worker and one
+    # batch per tau; a row's bits are those of its own flow. A failed flow
+    # raises query-major, after its pair's soft prediction, as if each
+    # (query, tau) flowed alone, so a failing run stops within a window
+    window = CHUNK * cfg.workers
+    for lo in range(0, queries.shape[0], window):
+        flows = []
+        for tau_landscape in landscapes:
+            out, _ = flow_chunked(tau_landscape, queries[lo:lo + window], flow_cfg,
+                                  cfg.workers)
+            flows.append((out, tau_landscape.nearest_memory(out["terminals"]),
+                          tau_landscape.weights(out["terminals"])))
+        for i, q in enumerate(queries[lo:lo + window]):
+            qid = lo + i
+            hard_class = argmax_class(knn_predict(mem, q, k=1))
+            for tau, (out, basin, w) in zip(taus, flows):
+                pred, _ = soft_knn_predict(mem, q, tau)
+                soft_class = argmax_class(pred)
+                if out["failed"][i]:
+                    raise NumericalFlowError(step=int(out["fail_step"][i]))
+                basin_class = mem.labels[basin[i]]
+                attend = SoftWeights(w[i], tau)
+                rows.append({
+                    "query_id": qid, "tau": tau,
+                    "k_equivalent": attend.effective_count,
+                    "soft_argmax_class": soft_class, "hard_1nn_class": hard_class,
+                    "basin_class": basin_class,
+                    "agreement_flag": int(soft_class == basin_class),
+                })
     return {"knn": (["query_id", "tau", "k_equivalent", "soft_argmax_class",
                      "hard_1nn_class", "basin_class", "agreement_flag"], rows)}
 

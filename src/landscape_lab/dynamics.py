@@ -7,10 +7,11 @@ non-increasing in energy by construction.
 
 flow_batch advances many starts at once. Every per-row decision (step
 halving, convergence, termination) uses only that row's state, so a row's
-result is bit-identical no matter how starts are grouped into batches;
-callers may chunk work across threads freely. Each trial is evaluated once,
-by its evaluator's energy_grad, and an accepted trial's gradient drives the
-next step.
+result is bit-identical no matter how starts are grouped into batches.
+flow_chunked uses that to cut a batch into fixed CHUNK-row chunks, flowed
+on a thread pool when asked, and stops once a failure budget is passed.
+Each trial is evaluated once, by its evaluator's energy_grad, and an
+accepted trial's gradient drives the next step.
 
 A batch may mix evaluators: given Blocks, row r is evaluated by
 evaluators[block[r]], and each run of rows sharing an evaluator is one
@@ -23,7 +24,9 @@ evaluator is the one-block case.
 from __future__ import annotations
 
 import logging
+import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,7 +34,7 @@ import numpy as np
 
 from landscape_lab._seeds import derive_rng
 from landscape_lab.errors import InputError, NumericalFlowError
-from landscape_lab.landscape import sqdist
+from landscape_lab.landscape import CHUNK, sqdist
 
 logger = logging.getLogger(__name__)
 
@@ -231,6 +234,53 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
     if record:
         out["trajectory"] = np.array(snapshots)
     return out
+
+
+def flow_chunked(target, starts: np.ndarray, config: FlowConfig,
+                 workers: int = 1, max_failures: float = math.inf) -> tuple:
+    """flow_batch over fixed-size chunks, optionally on a thread pool.
+
+    target is an evaluator or Blocks with one block index per start; each
+    chunk gets the slice of it for its rows. Returns (out, ok): out holds
+    flow_batch's arrays for the rows flowed, and ok marks the rows that
+    converged without failing. Chunk boundaries are constants, so the
+    arithmetic is identical at any worker count; threads only change
+    scheduling. Results are taken in chunk order. Once more than
+    max_failures rows are not ok, the chunks not yet started are
+    cancelled, those still running are told to stop, and the arrays
+    returned end with the chunk that passed the budget, so where a run
+    stops does not depend on workers.
+    """
+    m = starts.shape[0]
+    blocks = Blocks.of(target, m)
+    # an empty batch still flows one (empty) chunk, for its empty arrays
+    bounds = [(lo, min(lo + CHUNK, m)) for lo in range(0, max(m, 1), CHUNK)]
+
+    pool = None
+    if workers > 1 and len(bounds) > 1:
+        stop = threading.Event()
+        pool = ThreadPoolExecutor(max_workers=workers)
+        futures = [pool.submit(flow_batch, blocks[lo:hi], starts[lo:hi], config,
+                               stop=stop)
+                   for lo, hi in bounds]
+        results = (f.result() for f in futures)
+    else:
+        results = (flow_batch(blocks[lo:hi], starts[lo:hi], config) for lo, hi in bounds)
+    parts, failures = [], 0
+    try:
+        for out in results:
+            parts.append(out)
+            failures += int((~out["converged"] | out["failed"]).sum())
+            if failures > max_failures:
+                break
+    finally:
+        if pool is not None:
+            # every chunk up to the last one read has finished, so this
+            # cuts short only chunks whose rows are discarded
+            stop.set()
+            pool.shutdown(cancel_futures=True)
+    out = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+    return out, out["converged"] & ~out["failed"]
 
 
 def flow(target, start, config: FlowConfig,

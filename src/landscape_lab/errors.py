@@ -12,9 +12,8 @@ class ConfigError(InputError):
 class NumericalFlowError(RuntimeError):
     """Non-finite energy or gradient encountered during gradient flow."""
 
-    def __init__(self, message: str = "non-finite energy or gradient during flow", *,
-                 step: int):
-        super().__init__(f"{message} (step {step})")
+    def __init__(self, step: int):
+        super().__init__(f"non-finite energy or gradient during flow (step {step})")
         self.step = step
 
 

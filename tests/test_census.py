@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 import oracles
-from landscape_lab import census
+from landscape_lab import census, dynamics
 from landscape_lab._seeds import derive_seed
 from landscape_lab.abstraction import diagonal_hierarchy, tanh_hierarchy
 from landscape_lab.census import (
     CensusConfig,
     CensusReport,
-    _knn_mean_distances,
     _mean_pairwise_distance,
     bias_variance_probes,
     run_census,
 )
 from landscape_lab.dynamics import FlowConfig
 from landscape_lab.errors import CensusFailureError, InputError
-from landscape_lab.landscape import EnergyLandscape, MemorySet, gaussian_blobs, sqdist
+from landscape_lab.landscape import EnergyLandscape, MemorySet, gaussian_blobs
 
 
 def biased_1d_landscape(beta=40.0):
@@ -124,20 +123,6 @@ def test_mean_pairwise_distance_oracle():
     for dim in (1, 2):
         assert _mean_pairwise_distance(np.zeros((0, dim))) == 0.0
         assert _mean_pairwise_distance(np.ones((1, dim))) == 0.0
-
-
-@pytest.mark.parametrize("n_ref", [3, 10, 11, 250])
-def test_knn_mean_distances_match_a_full_sort(n_ref):
-    # with more references than the largest k only the nearest columns
-    # are sorted; the means are the same bits as from sorting every row
-    rng = np.random.default_rng(n_ref)
-    points = rng.standard_normal((census.CHUNK + 7, 3))
-    references = rng.standard_normal((n_ref, 3))
-    d = np.sort(np.sqrt(sqdist(points, references)), axis=1)
-    want = {k: sum(float(d[lo:lo + census.CHUNK, :min(k, n_ref)].mean(axis=1).sum())
-                   for lo in range(0, points.shape[0], census.CHUNK)) / points.shape[0]
-            for k in census._PRIVACY_KS}
-    assert _knn_mean_distances(points, references) == want
 
 
 @pytest.mark.parametrize("m", [2, 1023, 1025, 2049])
@@ -276,14 +261,14 @@ def test_biasvar_fails_before_running_every_round(monkeypatch):
     rounds = 50
     flow_cfg = FlowConfig(step_size=1.0, grad_tol=1e-5, max_steps=500)
     flowed = {}
-    real = census.flow_batch
+    real = dynamics.flow_batch
 
     def counting(target, starts, *args, **kwargs):
         level = target.evaluators[0].level
         flowed[level] = flowed.get(level, 0) + starts.shape[0]
         return real(target, starts, *args, **kwargs)
 
-    monkeypatch.setattr(census, "flow_batch", counting)
+    monkeypatch.setattr(dynamics, "flow_batch", counting)
     with pytest.raises(CensusFailureError, match="decoder range"):
         bias_variance_probes(ls, hierarchy, flow_cfg, seed=0, bootstrap_rounds=rounds)
     assert set(flowed) == {0, 1}
@@ -297,13 +282,13 @@ def test_biasvar_flows_each_level_in_chunks(monkeypatch):
     hierarchy = hierarchy_1d(1)
     rounds = 120
     calls = []
-    real = census.flow_batch
+    real = dynamics.flow_batch
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(census, "flow_batch", counting)
+    monkeypatch.setattr(dynamics, "flow_batch", counting)
     bias_variance_probes(ls, hierarchy, seed=0, bootstrap_rounds=rounds)
     levels = hierarchy.levels + 1
     assert rounds * ls.memories.n > census.CHUNK
@@ -324,13 +309,13 @@ def test_census_fails_after_the_chunk_that_passes_the_budget(monkeypatch):
     flow_cfg = FlowConfig(step_size=1.0, grad_tol=1e-5, max_steps=500)
     chunks = -(-cfg.n_queries // census.CHUNK)
     calls = []
-    real = census.flow_batch
+    real = dynamics.flow_batch
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(census, "flow_batch", counting)
+    monkeypatch.setattr(dynamics, "flow_batch", counting)
     messages = []
     for workers in (1, 2):
         with pytest.raises(CensusFailureError, match="decoder range") as err:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landscape_lab import census, dynamics
+from landscape_lab import dynamics
 from landscape_lab.abstraction import jacobian_norm_probe, smoothness_report
 from landscape_lab.census import bias_variance_probes
 from landscape_lab.cli import (
@@ -264,15 +264,14 @@ def test_knn_experiment(tmp_path):
 
 
 def test_knn_flows_one_batch_per_tau(tmp_path, monkeypatch):
-    # work counters, not timings: the queries flow in chunks, one batch
-    # per tau, and never through the one-row flow
-    batches, single = [], []
-    real_batch, real_flow = census.flow_batch, dynamics.flow
-    monkeypatch.setattr(census, "flow_batch",
+    # work counters, not timings: every flow, the one-row flow included,
+    # goes through dynamics.flow_batch, and the queries flow in chunks,
+    # one batch per tau
+    batches = []
+    real = dynamics.flow_batch
+    monkeypatch.setattr(dynamics, "flow_batch",
                         lambda target, starts, *a, **k: batches.append(starts.shape[0])
-                        or real_batch(target, starts, *a, **k))
-    monkeypatch.setattr(dynamics, "flow",
-                        lambda *a, **k: single.append(1) or real_flow(*a, **k))
+                        or real(target, starts, *a, **k))
     taus, n_queries = [0.1, 2.0], CHUNK + 100
     cfg = write_cfg(tmp_path, "k.json", {"dim": 1, "class_counts": [3, 3],
                                          "taus": taus, "n_queries": n_queries})
@@ -281,7 +280,6 @@ def test_knn_flows_one_batch_per_tau(tmp_path, monkeypatch):
     assert len(read_csv(tmp_path / "out" / "knn.csv")) == len(taus) * n_queries
     assert len(batches) <= len(taus) * math.ceil(n_queries / CHUNK)
     assert sum(batches) == len(taus) * n_queries
-    assert single == []
 
 
 @pytest.mark.parametrize("tau", [0.0, -1.0])
@@ -304,12 +302,20 @@ def test_knn_flow_failure_names_the_first_failing_query(tmp_path, capsys, monkey
         return e, np.where(bad, np.nan, g)
 
     monkeypatch.setattr(EnergyLandscape, "energy_grad", poisoned)
+    flowed = []
+    real_batch = dynamics.flow_batch
+    monkeypatch.setattr(dynamics, "flow_batch",
+                        lambda target, starts, *a, **k: flowed.append(starts.shape[0])
+                        or real_batch(target, starts, *a, **k))
+    # the first 8 queries are those of an 8-query run; the window after
+    # the failing one never flows
     cfg = write_cfg(tmp_path, "k.json", {"dim": 1, "class_counts": [3, 3],
-                                         "taus": [0.05, 2.0], "n_queries": 8})
+                                         "taus": [0.05, 2.0], "n_queries": CHUNK + 8})
     assert main(["knn", "--config", cfg, "--seed", "3",
                  "--out-dir", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == ("numerical failure: non-finite energy or "
                                        "gradient during flow (step 2)\n")
+    assert flowed == [CHUNK, CHUNK]
 
 
 def test_biasvar_experiment(tmp_path):

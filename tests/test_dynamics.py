@@ -1,4 +1,3 @@
-import math
 import threading
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from landscape_lab._seeds import derive_rng
 from landscape_lab.abstraction import diagonal_hierarchy, tanh_hierarchy
-from landscape_lab.census import _bootstrap_landscape, _chunked_flow
+from landscape_lab.census import _bootstrap_landscape
 from landscape_lab.dynamics import (
     Blocks,
     FlowConfig,
@@ -19,6 +18,7 @@ from landscape_lab.dynamics import (
     find_minima,
     flow,
     flow_batch,
+    flow_chunked,
     merged_minimum_locate,
 )
 from landscape_lab.errors import InputError, NumericalFlowError
@@ -235,7 +235,7 @@ def test_blocks_give_each_row_its_own_evaluators_bits():
     assert all(o["failed"].sum() == 1 for o in own)
     blocks = Blocks(levels, np.repeat(np.arange(3), sizes))
     for workers in (1, 2):
-        out, _ = _chunked_flow(blocks, starts, cfg, workers, math.inf)
+        out, _ = flow_chunked(blocks, starts, cfg, workers)
         for o, lo, hi in zip(own, edges[:-1], edges[1:]):
             for key in ("terminals", "steps", "converged", "failed", "fail_step"):
                 assert np.array_equal(out[key][lo:hi], o[key], equal_nan=True), key
