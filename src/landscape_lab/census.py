@@ -268,12 +268,12 @@ def bias_variance_probes(landscape: EnergyLandscape,
     (class-stratified by default, which keeps class proportions fixed),
     rebuilds the landscape, and reflows the same probes; per level, every
     round's probes flow as one batch, each round's rows evaluated by its
-    own landscape. The bootstrap
-    expectation over rounds gives, per probe, the mean one-hot prediction
-    p. Bias is the mean of (p - true one-hot) over probes, per class;
-    variance is the mean of (1 - ||p||^2), the one-hot shortcut for the
-    expected squared deviation from the mean prediction. seed draws the
-    probe noise and the resamples; levels defaults to every hierarchy level.
+    own landscape. The bootstrap expectation over rounds gives, per probe,
+    the mean one-hot prediction p. Bias is the mean of (p - true one-hot)
+    over probes, per class; variance is the mean of (1 - ||p||^2), the
+    one-hot shortcut for the expected squared deviation from the mean
+    prediction. seed draws the probe noise and the resamples; levels
+    defaults to every hierarchy level.
     """
     if not (probe_sigma > 0):
         raise InputError(f"probe_sigma must be positive, got {probe_sigma}")
@@ -307,7 +307,7 @@ def bias_variance_probes(landscape: EnergyLandscape,
         starts = np.tile(np.asarray(hierarchy.decoders[a].encode(probes)),
                          (bootstrap_rounds, 1))
         out, ok = flow_chunked(Blocks(lvls, block), starts, flow_config, workers,
-                                budget - failures)
+                               budget - failures)
         failures += int((~ok).sum())
         if failures > budget:
             raise CensusFailureError(
