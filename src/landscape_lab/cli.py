@@ -52,7 +52,7 @@ from landscape_lab.errors import (
     InputError,
     NumericalFlowError,
 )
-from landscape_lab.gridsim import amplification_curve, init_grid, coarsen, write_pbm
+from landscape_lab.gridsim import coarsening_levels, write_pbm
 from landscape_lab.knn import SoftWeights, argmax_class, knn_predict, soft_knn_predict
 from landscape_lab.landscape import (CHUNK, EnergyLandscape, MemorySet, gaussian_blobs,
                                      load_memory_csv)
@@ -393,15 +393,12 @@ def _experiment_grid(cfg: RunConfig) -> dict:
     levels = int(cfg.params["levels"])
     for i, p in enumerate(cfg.params["p_red"]):
         sub_seed = derive_seed(cfg.seed, "grid", i)
-        for level, share in amplification_curve(side, float(p), levels, seed=sub_seed):
+        for level, grid in coarsening_levels(side, float(p), levels, seed=sub_seed):
+            share = grid.red_share
             rows.append({"p_red_init": float(p), "level": level, "red_share": share})
             plot_rows.append({"series": f"p_red={float(p)}", "x": level, "y": share,
                               "stderr": None})
-        if cfg.params["dump_bitmaps"]:
-            grid = init_grid(side, float(p), seed=derive_seed(sub_seed, "init"))
-            write_pbm(grid, cfg.out_dir / f"grid_p{p}_level0.pbm")
-            for level in range(1, levels + 1):
-                grid = coarsen(grid, seed=derive_seed(sub_seed, "coarsen", level))
+            if cfg.params["dump_bitmaps"]:
                 write_pbm(grid, cfg.out_dir / f"grid_p{p}_level{level}.pbm")
     return {"grid": (["p_red_init", "level", "red_share"], rows),
             "plotdata_grid": (_PLOTDATA_COLUMNS, plot_rows)}

@@ -38,13 +38,18 @@ class ClassGrid:
     cells: np.ndarray
 
     def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=np.uint8)
+        cells = np.asarray(self.cells)
         if cells.ndim != 2 or cells.shape[0] != cells.shape[1]:
             raise InputError(f"cells must be square, got shape {cells.shape}")
         if not _is_power_of_two(cells.shape[0]):
             raise InputError(f"side must be a power of two, got {cells.shape[0]}")
-        if not np.isin(cells, (0, 1)).all():
+        if cells.dtype == np.uint8:
+            valid = cells.max() <= 1    # no temporary as large as the grid
+        else:
+            valid = cells.dtype == np.bool_ or ((cells == 0) | (cells == 1)).all()
+        if not valid:
             raise InputError("cells must contain only class ids 0 and 1")
+        cells = cells.astype(np.uint8, copy=False)
         cells.setflags(write=False)
         self.cells = cells
 
@@ -54,7 +59,17 @@ class ClassGrid:
 
     @property
     def red_share(self) -> float:
-        return float(self.cells.mean())
+        return int(np.count_nonzero(self.cells)) / self.cells.size
+
+
+def _draws_below(rng: np.random.Generator, side: int, p: float) -> np.ndarray:
+    """rng.random((side, side)) < p as uint8, drawn a block of rows at a
+    time into one reused buffer (the blocks do not change the stream)."""
+    out = np.empty((side, side), dtype=np.uint8)
+    buf = np.empty((max(1, min(side, (1 << 16) // side)), side))
+    for lo in range(0, side, buf.shape[0]):
+        np.less(rng.random(out=buf[:side - lo]), p, out=out[lo:lo + buf.shape[0]])
+    return out
 
 
 def init_grid(side: int, p_red: float, seed: int = 0) -> ClassGrid:
@@ -63,28 +78,25 @@ def init_grid(side: int, p_red: float, seed: int = 0) -> ClassGrid:
         raise InputError(f"side must be a power of two >= 2, got {side}")
     if not (0.0 <= p_red <= 1.0):
         raise InputError(f"p_red must be in [0, 1], got {p_red}")
-    rng = derive_rng(seed, "grid-init")
-    cells = (rng.random((side, side)) < p_red).astype(np.uint8)
-    return ClassGrid(cells)
+    return ClassGrid(_draws_below(derive_rng(seed, "grid-init"), side, p_red))
 
 
 def coarsen(grid: ClassGrid, seed: int = 0) -> ClassGrid:
     """One 2x2 majority step; ties flip a per-block seeded coin.
 
-    Tie bits come from a counter-based stream indexed by block position,
-    so block outcomes are reproducible and independent of evaluation
-    order (parallel and serial coarsenings agree).
+    Block counts are the uint8 sum of four strided views (at most 4, no
+    overflow). Tie bits come from a counter-based stream indexed by block
+    position, so block outcomes are reproducible and independent of
+    evaluation order (parallel and serial coarsenings agree).
     """
-    side = grid.side
-    if side < 2:
+    if grid.side < 2:
         raise InputError("cannot coarsen a side-1 grid")
-    half = side // 2
-    blocks = grid.cells.reshape(half, 2, half, 2).sum(axis=(1, 3))
-    out = (blocks > 2).astype(np.uint8)
+    c = grid.cells
+    blocks = c[0::2, 0::2] + c[0::2, 1::2] + c[1::2, 0::2] + c[1::2, 1::2]
+    out = (blocks > 2).view(np.uint8)
     ties = blocks == 2
     if ties.any():
-        bits = (derive_rng(seed, "tie-break").random((half, half)) < 0.5)
-        out[ties] = bits[ties].astype(np.uint8)
+        out = np.where(ties, _draws_below(derive_rng(seed, "tie-break"), len(out), 0.5), out)
     return ClassGrid(out)
 
 
@@ -98,26 +110,33 @@ def expected_coarse_share(p: float) -> float:
     return p ** 4 + 4.0 * p ** 3 * q + 3.0 * p ** 2 * q ** 2
 
 
-def amplification_curve(side: int, p_red: float, levels: int,
-                        seed: int = 0) -> list[tuple[int, float]]:
-    """Red share per coarsening level, including level 0."""
+def coarsening_levels(side: int, p_red: float, levels: int, seed: int = 0):
+    """Yield (level, grid) from the initial grid (level 0) to `levels`."""
     max_levels = int(math.log2(side))
     if levels > max_levels:
         raise InputError(f"levels {levels} exceeds log2(side) = {max_levels}")
     if levels < 0:
         raise InputError(f"levels must be >= 0, got {levels}")
     grid = init_grid(side, p_red, seed=derive_seed(seed, "init"))
-    curve = [(0, grid.red_share)]
+    yield 0, grid
     for level in range(1, levels + 1):
         grid = coarsen(grid, seed=derive_seed(seed, "coarsen", level))
-        curve.append((level, grid.red_share))
-    return curve
+        yield level, grid
+
+
+def amplification_curve(side: int, p_red: float, levels: int,
+                        seed: int = 0) -> list[tuple[int, float]]:
+    """Red share per coarsening level, including level 0."""
+    return [(level, grid.red_share)
+            for level, grid in coarsening_levels(side, p_red, levels, seed)]
 
 
 def write_pbm(grid: ClassGrid, path) -> None:
     """Plain portable-bitmap dump (P1); red cells are 1."""
+    text = np.full((grid.side, 2 * grid.side), ord(" "), dtype=np.uint8)
+    text[:, 0::2] = grid.cells + ord("0")
+    text[:, -1] = ord("\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("P1\n")
         fh.write(f"{grid.side} {grid.side}\n")
-        for row in grid.cells:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        fh.write(text.tobytes().decode("ascii"))

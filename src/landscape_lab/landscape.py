@@ -297,43 +297,40 @@ def default_probe_radius(memories: MemorySet) -> float:
     return 2.0 * memories.radius if memories.radius > 0 else 1.0
 
 
-def _hessian_stencil(x: np.ndarray, h: float) -> np.ndarray:
-    """Evaluation points for one central-difference Hessian, shape (k, d).
+def _hessian_stencil(points: np.ndarray, h: float) -> np.ndarray:
+    """Evaluation points of central-difference Hessians, shape (m, k, d).
 
-    Layout: [x, x +- h e_i (2d points), then for each unordered pair i<j the
-    four corners x +- h e_i +- h e_j in the order (++, +-, -+, --)].
+    Layout per point x: [x, x +- h e_i (2d points), then for each unordered
+    pair i<j the four corners x +- h e_i +- h e_j in the order (++, +-, -+,
+    --)]. Each row is (x + first) + second with signed offsets, where a
+    missing offset is -0.0, so every coordinate (signed zeros included)
+    equals x + h e_i + h e_j computed in that operand order.
     """
-    d = x.shape[0]
-    pts = [x]
+    d = points.shape[1]
     eye = h * np.eye(d)
-    for i in range(d):
-        pts.append(x + eye[i])
-        pts.append(x - eye[i])
-    for i in range(d):
-        for j in range(i + 1, d):
-            pts.append(x + eye[i] + eye[j])
-            pts.append(x + eye[i] - eye[j])
-            pts.append(x - eye[i] + eye[j])
-            pts.append(x - eye[i] - eye[j])
-    return np.array(pts)
+    i, j = np.triu_indices(d, 1)
+    first = np.concatenate([np.full((1, d), -0.0), np.stack([eye, -eye], 1).reshape(-1, d),
+                            np.stack([eye[i], eye[i], -eye[i], -eye[i]], 1).reshape(-1, d)])
+    second = np.concatenate([np.full((1 + 2 * d, d), -0.0),
+                             np.stack([eye[j], -eye[j], eye[j], -eye[j]], 1).reshape(-1, d)])
+    stencil = points[:, None] + first
+    stencil += second
+    return stencil
 
 
 def _assemble_hessian(values: np.ndarray, d: int, h: float) -> np.ndarray:
-    """Raw (unsymmetrized) Hessian from stencil energies of one point."""
-    f0 = values[0]
-    hess = np.empty((d, d))
-    for i in range(d):
-        fp, fm = values[1 + 2 * i], values[2 + 2 * i]
-        hess[i, i] = (fp - 2.0 * f0 + fm) / (h * h)
-    k = 1 + 2 * d
-    for i in range(d):
-        for j in range(i + 1, d):
-            fpp, fpm, fmp, fmm = values[k:k + 4]
-            k += 4
-            # both orders assembled from the same evaluations; any asymmetry
-            # is summation-order roundoff, which the symmetry check bounds
-            hess[i, j] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-            hess[j, i] = (fpp - fmp - fpm + fmm) / (4.0 * h * h)
+    """Raw (unsymmetrized) Hessians from stencil energies, (m, k) -> (m, d, d)."""
+    f0 = values[:, :1]
+    hess = np.empty((values.shape[0], d, d))
+    idx = np.arange(d)
+    hess[:, idx, idx] = (values[:, 1:1 + 2 * d:2] - 2.0 * f0 + values[:, 2:2 + 2 * d:2]) / (h * h)
+    i, j = np.triu_indices(d, 1)
+    corners = values[:, 1 + 2 * d:].reshape(values.shape[0], len(i), 4)
+    fpp, fpm, fmp, fmm = (corners[..., c] for c in range(4))
+    # both orders assembled from the same evaluations; any asymmetry is
+    # summation-order roundoff, which the symmetry check bounds
+    hess[:, i, j] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+    hess[:, j, i] = (fpp - fmp - fpm + fmm) / (4.0 * h * h)
     return hess
 
 
@@ -350,18 +347,22 @@ def hessian_fd(target, x, h: float = 1e-4) -> np.ndarray:
 
 
 def hessian_fd_batch(target, points: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Hessians at many points with a single batched energy call, (m, d, d)."""
+    """Symmetrized central-difference Hessians at many points, (m, d, d).
+
+    Every point's stencil is built in one broadcast and the stencil rows
+    are evaluated CHUNK at a time, so the energy's memory is bounded by the
+    chunk; energies are row-wise, so the chunking does not move a bit.
+    """
     if not (h > 0):
         raise InputError(f"finite-difference step must be positive, got {h}")
     points = np.asarray(points, dtype=np.float64)
     m, d = points.shape
-    stencils = np.concatenate([_hessian_stencil(p, h) for p in points], axis=0)
-    values = np.asarray(target.energy(stencils)).reshape(m, -1)
-    hessians = np.empty((m, d, d))
-    for r in range(m):
-        raw = _assemble_hessian(values[r], d, h)
-        hessians[r] = 0.5 * (raw + raw.T)
-    return hessians
+    stencils = _hessian_stencil(points, h).reshape(-1, d)
+    values = np.empty(stencils.shape[0])
+    for lo in range(0, stencils.shape[0], CHUNK):
+        values[lo:lo + CHUNK] = target.energy(stencils[lo:lo + CHUNK])
+    raw = _assemble_hessian(values.reshape(m, -1), d, h)
+    return 0.5 * (raw + raw.transpose(0, 2, 1))
 
 
 def spectral_norm(h: np.ndarray) -> np.ndarray | float:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
 
 from landscape_lab._seeds import derive_rng
 from landscape_lab.errors import InputError
@@ -69,23 +70,28 @@ def smoothed_odds(scenario: MergeScenario) -> float:
 def simulate_merge(scenario: MergeScenario, trials: int, seed: int = 0) -> MergeCounts:
     """Monte Carlo draw of S independent feature sources per trial.
 
-    A trial is pure-majority when every feature came from the majority
-    class, pure-minority when none did, otherwise mixed. Trials use a
-    single seeded stream; counts are order-independent sums.
+    A feature comes from the majority class when its draw is below p, so a
+    trial is pure-majority when the largest of its S draws is below p,
+    pure-minority when the smallest is not, otherwise mixed. Trials use a
+    single seeded stream, drawn 2^14 at a time into one reused buffer that
+    stays in cache (the chunk does not change the stream); counts are
+    order-independent sums.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     rng = derive_rng(seed, "merge-trials")
     p = scenario.majority_prob
     s = scenario.feature_count
+    buf = np.empty((min(1 << 14, trials), s))
     pure_a = 0
     pure_b = 0
-    done = 0
-    chunk = 1 << 18
-    while done < trials:
-        m = min(chunk, trials - done)
-        draws = rng.random((m, s)) < p
-        pure_a += int(draws.all(axis=1).sum())
-        pure_b += int((~draws).all(axis=1).sum())
-        done += m
+    for done in range(0, trials, buf.shape[0]):
+        draws = rng.random(out=buf[:trials - done])
+        lo = draws[:, 0].copy()
+        hi = lo.copy()
+        for k in range(1, s):
+            np.minimum(lo, draws[:, k], out=lo)
+            np.maximum(hi, draws[:, k], out=hi)
+        pure_a += int(np.count_nonzero(hi < p))
+        pure_b += int(np.count_nonzero(lo >= p))
     return MergeCounts(pure_a, pure_b, trials - pure_a - pure_b)

@@ -8,6 +8,7 @@ from landscape_lab.abstraction import (
     AbstractionHierarchy,
     DiagonalDecoder,
     TanhDecoder,
+    _fd_jacobian_norms,
     _max_difference_quotient,
     diagonal_hierarchy,
     grid_smooth,
@@ -223,6 +224,24 @@ def test_jacobian_probe_strictly_decreasing_both_families():
             vals = [jacobian_norm_probe(hier, a, probes=32, seed=seed)
                     for a in range(hier.levels + 1)]
             assert all(b < a for a, b in zip(vals, vals[1:])), vals
+
+
+def per_point_jacobian_norms(decoder, points, h=1e-6):
+    # reference: one column_stack and one 2-norm per point
+    eye = h * np.eye(points.shape[1])
+    return np.array([np.linalg.norm(np.column_stack(
+        [(decoder.decode(x + e) - decoder.decode(x - e)) / (2.0 * h) for e in eye]), 2)
+        for x in points])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+def test_fd_jacobian_norms_match_per_point_norms(d):
+    rng = np.random.default_rng(d)
+    points = np.concatenate([np.zeros((1, d)), 2.0 * rng.standard_normal((256, d))])
+    for hier in (diagonal_hierarchy([0.9, 0.6], d), tanh_hierarchy([0.9, 0.6], d)):
+        for decoder in hier.decoders:
+            assert np.array_equal(_fd_jacobian_norms(decoder, points),
+                                  per_point_jacobian_norms(decoder, points))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landscape_lab import dynamics
+from landscape_lab import cli, dynamics, gridsim
 from landscape_lab.abstraction import jacobian_norm_probe, smoothness_report
 from landscape_lab.census import bias_variance_probes
 from landscape_lab.cli import (
@@ -475,3 +475,20 @@ def test_pbm_dump(tmp_path):
     assert main(["grid", "--config", cfg, "--out-dir", str(out)]) == 0
     assert (out / "grid_p0.8_level0.pbm").exists()
     assert (out / "grid_p0.8_level2.pbm").exists()
+
+
+def test_pbm_dump_builds_each_level_once(tmp_path, monkeypatch):
+    # the table and the bitmaps share one walk down the levels
+    sides = []
+    real = gridsim.coarsen
+
+    def counting(grid, seed=0):
+        sides.append(grid.side)
+        return real(grid, seed)
+
+    monkeypatch.setattr(gridsim, "coarsen", counting)
+    monkeypatch.setattr(cli, "coarsen", counting, raising=False)  # a second walk in the CLI
+    cfg = write_cfg(tmp_path, "g.json",
+                    {"side": 16, "p_red": [0.8], "levels": 2, "dump_bitmaps": True})
+    assert main(["grid", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+    assert sides == [16, 8]

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from landscape_lab._seeds import derive_rng
 from landscape_lab.errors import InputError
 from landscape_lab.gridsim import (
     ClassGrid,
     amplification_curve,
     coarsen,
+    coarsening_levels,
     expected_coarse_share,
     init_grid,
     write_pbm,
@@ -26,6 +28,15 @@ def test_grid_validation():
         ClassGrid(np.zeros((4, 8), dtype=np.uint8))
     with pytest.raises(InputError):
         ClassGrid(np.full((4, 4), 2, dtype=np.uint8))
+    # out-of-range and fractional ids are rejected, not wrapped or truncated
+    for bad in ([[256, 1], [0, 0]], [[-255, 1], [0, 0]], [[0.5, 1], [0, 0]],
+                [[1.9, 1], [0, 0]]):
+        with pytest.raises(InputError):
+            ClassGrid(np.array(bad))
+    cells = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+    for ok in (cells, cells.astype(bool), cells.astype(np.int64), cells.astype(float)):
+        grid = ClassGrid(ok)
+        assert grid.cells.dtype == np.uint8 and np.array_equal(grid.cells, cells)
 
 
 def test_init_extremes_and_lln():
@@ -132,3 +143,50 @@ def test_write_pbm(tmp_path):
     assert text[0] == "P1"
     assert text[1] == "4 4"
     assert len(text) == 6
+
+
+def blockwise_coarsen(cells, seed):
+    # reference: the reshape-and-sum coarsening with masked tie assignment
+    half = cells.shape[0] // 2
+    blocks = cells.reshape(half, 2, half, 2).sum(axis=(1, 3))
+    out = (blocks > 2).astype(np.uint8)
+    ties = blocks == 2
+    if ties.any():
+        bits = derive_rng(seed, "tie-break").random((half, half)) < 0.5
+        out[ties] = bits[ties].astype(np.uint8)
+    return out
+
+
+def per_cell_pbm(cells):
+    # reference: one str(int(v)) per cell
+    text = f"P1\n{cells.shape[0]} {cells.shape[0]}\n"
+    return text + "".join(" ".join(str(int(v)) for v in row) + "\n" for row in cells)
+
+
+@pytest.mark.parametrize("side", [2 ** k for k in range(1, 11)])
+def test_init_and_coarsen_match_whole_grid_draws(side, tmp_path):
+    rng = np.random.default_rng(side)
+    tie_free = np.kron(rng.random((side // 2, side // 2)) < 0.6, np.ones((2, 2)))
+    cases = {"random": rng.random((side, side)) < 0.5,
+             "all-tie": np.tile([[1, 0], [0, 1]], (side // 2, side // 2)),
+             "tie-free": tie_free}
+    for p in (0.0, 0.3, 0.5, 1.0):
+        expected = derive_rng(side, "grid-init").random((side, side)) < p
+        assert np.array_equal(init_grid(side, p, seed=side).cells, expected)
+    for name, cells in cases.items():
+        cells = cells.astype(np.uint8)
+        for seed in (0, 3, 7):
+            out = coarsen(ClassGrid(cells), seed=seed)
+            expected = blockwise_coarsen(cells, seed)
+            assert out.cells.dtype == np.uint8
+            assert np.array_equal(out.cells, expected), name
+            assert out.red_share == float(expected.mean()), name
+            write_pbm(out, tmp_path / "g.pbm")
+            assert (tmp_path / "g.pbm").read_bytes() == per_cell_pbm(expected).encode()
+
+
+def test_coarsening_levels_is_the_curve():
+    grids = list(coarsening_levels(64, 0.7, 3, seed=5))
+    assert [level for level, _ in grids] == [0, 1, 2, 3]
+    assert [g.side for _, g in grids] == [64, 32, 16, 8]
+    assert amplification_curve(64, 0.7, 3, seed=5) == [(a, g.red_share) for a, g in grids]

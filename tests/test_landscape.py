@@ -21,6 +21,7 @@ from landscape_lab.landscape import (
     sqdist,
     weighted_sum,
 )
+from landscape_lab.abstraction import diagonal_hierarchy, tanh_hierarchy
 from landscape_lab.census import _ResampledLandscape
 
 
@@ -347,9 +348,79 @@ def test_hessian_asymmetry_tiny():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(6, 4))
     ls = EnergyLandscape(MemorySet(pts, tuple(range(6))), 2.0)
-    stencil = _hessian_stencil(rng.normal(size=4), 1e-4)
-    raw = _assemble_hessian(np.asarray(ls.energy(stencil)), 4, 1e-4)
+    stencil = _hessian_stencil(rng.normal(size=(1, 4)), 1e-4)
+    raw = _assemble_hessian(np.asarray(ls.energy(stencil[0]))[None], 4, 1e-4)[0]
     assert np.abs(raw - raw.T).max() < 1e-6
+
+
+def per_point_stencils(points, h):
+    # reference: x, x +- h e_i, then x +- h e_i +- h e_j for i < j, per point
+    d = points.shape[1]
+    eye = h * np.eye(d)
+    rows = []
+    for x in points:
+        rows.append(x)
+        for i in range(d):
+            rows += [x + eye[i], x - eye[i]]
+        for i in range(d):
+            for j in range(i + 1, d):
+                rows += [x + eye[i] + eye[j], x + eye[i] - eye[j],
+                         x - eye[i] + eye[j], x - eye[i] - eye[j]]
+    return np.array(rows)
+
+
+def per_point_hessians(values, d, h):
+    # reference: one loop assembly per point over its stencil energies (as
+    # Python floats, whose arithmetic rounds as numpy's float64 does)
+    out = []
+    for v in values.tolist():
+        raw = [[0.0] * d for _ in range(d)]
+        for i in range(d):
+            raw[i][i] = (v[1 + 2 * i] - 2.0 * v[0] + v[2 + 2 * i]) / (h * h)
+        k = 1 + 2 * d
+        for i in range(d):
+            for j in range(i + 1, d):
+                fpp, fpm, fmp, fmm = v[k:k + 4]
+                k += 4
+                raw[i][j] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+                raw[j][i] = (fpp - fmp - fpm + fmm) / (4.0 * h * h)
+        raw = np.array(raw)
+        out.append(0.5 * (raw + raw.T))
+    return np.array(out).reshape(len(values), d, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+@pytest.mark.parametrize("m", [1, 1025])
+def test_hessian_fd_batch_matches_per_point_assembly(d, m):
+    # base landscape and a diagonal and a tanh level; 1025 points, or a
+    # single 16-D point's 513 stencil rows, cross the CHUNK boundary
+    rng = np.random.default_rng(d)
+    base = EnergyLandscape(MemorySet(rng.normal(size=(9, d)), tuple(range(9))), 3.0)
+    points = 0.5 * rng.normal(size=(m, d))
+    points[0, 0] = -0.0
+    stencils = per_point_stencils(points, 1e-4)
+    # bytes, so signed zeros must agree too
+    assert _hessian_stencil(points, 1e-4).reshape(-1, d).tobytes() == stencils.tobytes()
+    targets = [base] + [hier([0.7], d).level_energy(base, 1)
+                        for hier in (diagonal_hierarchy, tanh_hierarchy)]
+    for target in targets:
+        values = np.asarray(target.energy(stencils)).reshape(m, -1)
+        assert np.array_equal(hessian_fd_batch(target, points),
+                              per_point_hessians(values, d, 1e-4))
+
+
+def test_hessian_fd_batch_memory_is_bounded_by_the_chunk():
+    # one energy call over every stencil row peaked at 403 MB here
+    rng = np.random.default_rng(8)
+    ls = EnergyLandscape(MemorySet(rng.normal(size=(250, 16)), tuple(range(250))), 2.0)
+    points = rng.normal(size=(128, 16))
+    tracemalloc.start()
+    try:
+        hessian_fd_batch(ls, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_hessian_fd_is_the_batch_row():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
+from landscape_lab._seeds import derive_rng
 from landscape_lab.errors import InputError
 from landscape_lab.oddsmodel import (
+    MergeCounts,
     MergeScenario,
     initial_odds,
     simulate_merge,
@@ -94,3 +96,28 @@ def test_simulate_determinism_and_validation():
     assert a == b
     with pytest.raises(InputError):
         simulate_merge(MergeScenario(2, 1, 2), 0, seed=3)
+
+
+def per_trial_merge(scenario, trials, seed):
+    # reference: the per-trial all() reductions simulate_merge replaced,
+    # drawn in chunks of 2^18 trials
+    rng = derive_rng(seed, "merge-trials")
+    pure_a = pure_b = done = 0
+    while done < trials:
+        m = min(1 << 18, trials - done)
+        draws = rng.random((m, scenario.feature_count)) < scenario.majority_prob
+        pure_a += int(draws.all(axis=1).sum())
+        pure_b += int((~draws).all(axis=1).sum())
+        done += m
+    return MergeCounts(pure_a, pure_b, trials - pure_a - pure_b)
+
+
+@pytest.mark.parametrize("s", range(1, 8))
+def test_simulate_merge_matches_per_trial_reductions(s):
+    # trial counts on both sides of either chunk size
+    scenario = MergeScenario(3, 2, s)
+    for trials in (1, (1 << 14) + 1, (1 << 18) - 1, 1 << 18, (1 << 18) + 1, 1_000_000):
+        for seed in (0, 3, 7):
+            counts = simulate_merge(scenario, trials, seed=seed)
+            assert counts == per_trial_merge(scenario, trials, seed)
+            assert all(type(v) is int for v in counts)
