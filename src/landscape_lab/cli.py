@@ -53,7 +53,7 @@ from landscape_lab.errors import (
     NumericalFlowError,
 )
 from landscape_lab.gridsim import coarsening_levels, write_pbm
-from landscape_lab.knn import SoftWeights, argmax_class, knn_predict, soft_knn_predict
+from landscape_lab.knn import SoftWeights, argmax_class, soft_knn_predict
 from landscape_lab.landscape import (CHUNK, EnergyLandscape, MemorySet, gaussian_blobs,
                                      load_memory_csv)
 from landscape_lab.oddsmodel import MergeScenario, initial_odds, simulate_merge, smoothed_odds
@@ -332,6 +332,9 @@ def _experiment_knn(cfg: RunConfig) -> dict:
         if not (tau > 0):
             raise InputError(f"tau must be positive, got {tau}")
     landscapes = [EnergyLandscape(mem, beta=2.0 / tau) for tau in taus]
+    # the hard 1-NN: the nearest memory, ties to the lower index, as a
+    # stable sort of the distances gives it; beta plays no part
+    nearest_memory = EnergyLandscape(mem, beta=1.0).nearest_memory
     rows = []
     # the queries flow a window at a time, one chunk per worker and one
     # batch per tau; a row's bits are those of its own flow. A failed flow
@@ -339,6 +342,7 @@ def _experiment_knn(cfg: RunConfig) -> dict:
     # (query, tau) flowed alone, so a failing run stops within a window
     window = CHUNK * cfg.workers
     for lo in range(0, queries.shape[0], window):
+        nearest = nearest_memory(queries[lo:lo + window])
         flows = []
         for tau_landscape in landscapes:
             out, _ = flow_chunked(tau_landscape, queries[lo:lo + window], flow_cfg,
@@ -347,7 +351,7 @@ def _experiment_knn(cfg: RunConfig) -> dict:
                           tau_landscape.weights(out["terminals"])))
         for i, q in enumerate(queries[lo:lo + window]):
             qid = lo + i
-            hard_class = argmax_class(knn_predict(mem, q, k=1))
+            hard_class = mem.labels[nearest[i]]
             for tau, (out, basin, w) in zip(taus, flows):
                 pred, _ = soft_knn_predict(mem, q, tau)
                 soft_class = argmax_class(pred)

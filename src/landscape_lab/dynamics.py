@@ -5,9 +5,11 @@ step_size and energy backtracking: a step that would raise the energy has
 its length halved until it does not, so accepted trajectories are
 non-increasing in energy by construction.
 
-flow_batch advances many starts at once. Every per-row decision (step
-halving, convergence, termination) uses only that row's state, so a row's
-result is bit-identical no matter how starts are grouped into batches.
+flow_batch advances many starts at once, in one loop over a compacted
+active set: the active rows' state sits in contiguous arrays, and a row
+is written back to the outputs when it leaves. Every per-row decision
+(step halving, convergence, termination) uses only that row's state, so a
+row's result is bit-identical no matter how starts are grouped.
 flow_chunked uses that to cut a batch into fixed CHUNK-row chunks, flowed
 on a thread pool when asked, and stops once a failure budget is passed.
 Each trial is evaluated once, by its evaluator's energy_grad, and an
@@ -146,6 +148,12 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
     either steps or leaves, so row r visited trajectory[:steps[r] + 1, r].
     stop is checked once per iteration: once it is set the batch returns
     as it stands, its active rows neither converged nor failed.
+
+    The active rows' x, e and g live in compacted arrays, in batch-row
+    order, beside act, their sorted batch rows; every active row has taken
+    the same n steps. A row is written back to the outputs when it leaves
+    (non-finite, converged or stalled), every iteration under record, and
+    at the end if still active (max_steps or stop).
     """
     x = np.array(starts, dtype=np.float64)
     if x.ndim == 1:
@@ -162,75 +170,61 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
     steps = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
     failed = ~np.isfinite(e)
-    fail_step = np.where(failed, 0, -1).astype(np.int64)
-    active = ~failed
+    act = np.flatnonzero(~failed)
+    xa, ea, ga = x[act], e[act], g[act]
+    n = 0
 
     snapshots = [x.copy()] if record else None
 
-    while active.any():
+    while act.size and n < config.max_steps:
         if stop is not None and stop.is_set():
             break
-        idx = np.flatnonzero(active)
-        gi = g[idx]
-        gnorm = np.sqrt((gi * gi).sum(axis=1))
-
+        gnorm = np.sqrt((ga * ga).sum(axis=1))
         bad = ~np.isfinite(gnorm)
-        if bad.any():
-            failed[idx[bad]] = True
-            fail_step[idx[bad]] = steps[idx[bad]]
-            active[idx[bad]] = False
-        done = ~bad & (gnorm < config.grad_tol)
-        if done.any():
-            converged[idx[done]] = True
-            active[idx[done]] = False
-        moving = ~bad & ~done
-        if not moving.any():
-            continue
-
-        rows = idx[moving]
-        gm = gi[moving]
-        scale = np.full(rows.shape[0], config.step_size)
-        accepted = np.zeros(rows.shape[0], dtype=bool)
-        xa, ea = x[rows], e[rows]
-        xt = np.empty_like(xa)
-        et = np.empty_like(ea)
-        gt = np.empty_like(xa)
-        for _ in range(_MAX_HALVINGS):
-            todo = ~accepted
-            trial = xa[todo] - scale[todo, None] * gm[todo]
-            etrial, gtrial = _energy_grad(blocks, trial, rows[todo])
-            ok = np.isfinite(etrial) & (etrial <= ea[todo])
-            sub = np.flatnonzero(todo)
-            xt[sub[ok]] = trial[ok]
-            et[sub[ok]] = etrial[ok]
-            gt[sub[ok]] = gtrial[ok]
-            accepted[sub[ok]] = True
-            scale[sub[~ok]] *= 0.5
-            if accepted.all():
+        done = gnorm < config.grad_tol
+        left = bad | done
+        if left.any():
+            failed[act[bad]] = True
+            converged[act[done]] = True
+            x[act[left]], steps[act[left]] = xa[left], n
+            act, xa, ea, ga = act[~left], xa[~left], ea[~left], ga[~left]
+            if not act.size:
                 break
 
+        h = config.step_size
+        trial = xa - h * ga
+        et, gt = _energy_grad(blocks, trial, act)
+        todo = np.flatnonzero(~(np.isfinite(et) & (et <= ea)))
+        for _ in range(_MAX_HALVINGS - 1):
+            if not todo.size:
+                break
+            h *= 0.5
+            xh = xa[todo] - h * ga[todo]
+            eh, gh = _energy_grad(blocks, xh, act[todo])
+            hit = np.isfinite(eh) & (eh <= ea[todo])
+            rows = todo[hit]
+            trial[rows], et[rows], gt[rows] = xh[hit], eh[hit], gh[hit]
+            todo = todo[~hit]
+
         # rows at float resolution end here, not converged: those that
-        # cannot descend at any step length, and those whose accepted
-        # trial leaves x bitwise unchanged (from there every iteration
-        # would repeat exactly until max_steps)
-        moved = accepted & (xt != xa).any(axis=1)
-        stalled = ~moved
-        if stalled.any():
-            active[rows[stalled]] = False
-        good = rows[moved]
-        x[good] = xt[moved]
-        e[good] = et[moved]
-        g[good] = gt[moved]
-        steps[good] += 1
+        # cannot descend at any step length (still in todo), and those
+        # whose accepted trial leaves x bitwise unchanged (from there every
+        # iteration would repeat exactly until max_steps)
+        moved = (trial != xa).any(axis=1)
+        moved[todo] = False
+        if moved.all():
+            xa, ea, ga = trial, et, gt
+        else:
+            x[act[~moved]], steps[act[~moved]] = xa[~moved], n
+            act, xa, ea, ga = act[moved], trial[moved], et[moved], gt[moved]
+        n += 1
         if record:
+            x[act] = xa
             snapshots.append(x.copy())
 
-        hit = moved & (steps[rows] >= config.max_steps)
-        if hit.any():
-            active[rows[hit]] = False
-
+    x[act], steps[act] = xa, n
     out = {"terminals": x, "steps": steps, "converged": converged,
-           "failed": failed, "fail_step": fail_step}
+           "failed": failed, "fail_step": np.where(failed, steps, -1)}
     if record:
         out["trajectory"] = np.array(snapshots)
     return out
@@ -310,7 +304,8 @@ def flow(target, start, config: FlowConfig,
 
 def find_minima(target, starts: Sequence[np.ndarray], config: FlowConfig,
                 dedup_radius: float) -> list[np.ndarray]:
-    """Distinct stationary points reached from a multistart flow.
+    """Distinct stationary points reached from a multistart flow, run a
+    chunk at a time so memory is bounded by the chunk.
 
     Converged terminals are ordered by energy (coordinates break ties) and
     greedily merged when within dedup_radius of an already accepted point.
@@ -323,8 +318,7 @@ def find_minima(target, starts: Sequence[np.ndarray], config: FlowConfig,
         raise InputError("starts must be non-empty")
     if not (dedup_radius > 0):
         raise InputError(f"dedup_radius must be positive, got {dedup_radius}")
-    out = flow_batch(target, starts, config)
-    ok = out["converged"] & ~out["failed"]
+    out, ok = flow_chunked(target, starts, config)
     skipped = int((~ok).sum())
     if skipped:
         logger.warning("find_minima: skipped %d of %d starts (failed or not converged)",

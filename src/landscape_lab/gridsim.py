@@ -49,7 +49,7 @@ class ClassGrid:
             valid = cells.dtype == np.bool_ or ((cells == 0) | (cells == 1)).all()
         if not valid:
             raise InputError("cells must contain only class ids 0 and 1")
-        cells = cells.astype(np.uint8, copy=False)
+        cells = np.array(cells, dtype=np.uint8)    # the caller's array stays theirs
         cells.setflags(write=False)
         self.cells = cells
 

@@ -2,7 +2,10 @@
 
 Everything here is implemented directly from first principles (plain
 formulas, brute force, enumeration, quadrature) and never calls back into
-the code paths it is used to check.
+the code paths it is used to check. The one exception is
+flow_batch_reference, an earlier form of the flow loop kept to check the
+current one: it evaluates through dynamics._energy_grad, so that both
+loops' evaluations can be logged and compared call by call.
 """
 
 import itertools
@@ -10,6 +13,9 @@ import math
 
 import numpy as np
 from scipy.stats import norm
+
+from landscape_lab import dynamics
+from landscape_lab.errors import InputError
 
 
 def lse_energy_1d(points, beta, x):
@@ -174,3 +180,93 @@ def strict_minima_count(grid):
     c = p[1:-1, 1:-1]
     return int(((c < p[:-2, 1:-1]) & (c < p[2:, 1:-1])
                 & (c < p[1:-1, :-2]) & (c < p[1:-1, 2:])).sum())
+
+
+def flow_batch_reference(target, starts, config, *, record=False, stop=None):
+    """The flow loop over full-batch state that flow_batch replaced: each
+    iteration finds the active rows again (idx, rows, sub[ok], good) and
+    fills an xt/et/gt scratch trio for the accepted trials. Same arguments
+    and outputs as dynamics.flow_batch."""
+    x = np.array(starts, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[None, :]
+    m = x.shape[0]
+    blocks = dynamics.Blocks.of(target, m)
+    if x.shape[1] != blocks.dim:
+        raise InputError(
+            f"start dimension {x.shape[1]} != energy dimension {blocks.dim}")
+    if blocks.block.shape != (m,):
+        raise InputError(f"{blocks.block.shape[0]} block indices for {m} starts")
+
+    e, g = dynamics._energy_grad(blocks, x, np.arange(m))
+    steps = np.zeros(m, dtype=np.int64)
+    converged = np.zeros(m, dtype=bool)
+    failed = ~np.isfinite(e)
+    fail_step = np.where(failed, 0, -1).astype(np.int64)
+    active = ~failed
+
+    snapshots = [x.copy()] if record else None
+
+    while active.any():
+        if stop is not None and stop.is_set():
+            break
+        idx = np.flatnonzero(active)
+        gi = g[idx]
+        gnorm = np.sqrt((gi * gi).sum(axis=1))
+
+        bad = ~np.isfinite(gnorm)
+        if bad.any():
+            failed[idx[bad]] = True
+            fail_step[idx[bad]] = steps[idx[bad]]
+            active[idx[bad]] = False
+        done = ~bad & (gnorm < config.grad_tol)
+        if done.any():
+            converged[idx[done]] = True
+            active[idx[done]] = False
+        moving = ~bad & ~done
+        if not moving.any():
+            continue
+
+        rows = idx[moving]
+        gm = gi[moving]
+        scale = np.full(rows.shape[0], config.step_size)
+        accepted = np.zeros(rows.shape[0], dtype=bool)
+        xa, ea = x[rows], e[rows]
+        xt = np.empty_like(xa)
+        et = np.empty_like(ea)
+        gt = np.empty_like(xa)
+        for _ in range(60):
+            todo = ~accepted
+            trial = xa[todo] - scale[todo, None] * gm[todo]
+            etrial, gtrial = dynamics._energy_grad(blocks, trial, rows[todo])
+            ok = np.isfinite(etrial) & (etrial <= ea[todo])
+            sub = np.flatnonzero(todo)
+            xt[sub[ok]] = trial[ok]
+            et[sub[ok]] = etrial[ok]
+            gt[sub[ok]] = gtrial[ok]
+            accepted[sub[ok]] = True
+            scale[sub[~ok]] *= 0.5
+            if accepted.all():
+                break
+
+        moved = accepted & (xt != xa).any(axis=1)
+        stalled = ~moved
+        if stalled.any():
+            active[rows[stalled]] = False
+        good = rows[moved]
+        x[good] = xt[moved]
+        e[good] = et[moved]
+        g[good] = gt[moved]
+        steps[good] += 1
+        if record:
+            snapshots.append(x.copy())
+
+        hit = moved & (steps[rows] >= config.max_steps)
+        if hit.any():
+            active[rows[hit]] = False
+
+    out = {"terminals": x, "steps": steps, "converged": converged,
+           "failed": failed, "fail_step": fail_step}
+    if record:
+        out["trajectory"] = np.array(snapshots)
+    return out

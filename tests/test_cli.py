@@ -19,7 +19,9 @@ from landscape_lab.cli import (
     validate_params,
 )
 from landscape_lab.errors import ConfigError
-from landscape_lab.landscape import CHUNK, EnergyLandscape, MemorySet, save_memory_csv
+from landscape_lab.knn import knn_predict
+from landscape_lab.landscape import (CHUNK, EnergyLandscape, MemorySet, load_memory_csv,
+                                     save_memory_csv)
 
 
 def read_csv(path):
@@ -280,6 +282,22 @@ def test_knn_flows_one_batch_per_tau(tmp_path, monkeypatch):
     assert len(read_csv(tmp_path / "out" / "knn.csv")) == len(taus) * n_queries
     assert len(batches) <= len(taus) * math.ceil(n_queries / CHUNK)
     assert sum(batches) == len(taus) * n_queries
+
+
+def test_knn_hard_class_tie_goes_to_the_lower_index(tmp_path):
+    # with query_sigma 0 every query is the centroid, exactly halfway
+    # between two memories of different classes: the hard 1-NN class is
+    # that of memory 0, as knn_predict's stable sort gives it, although
+    # its label sorts last
+    memories = tmp_path / "m.csv"
+    save_memory_csv(MemorySet(np.array([[1.0], [-1.0]]), ("zeta", "alpha")), memories)
+    cfg = write_cfg(tmp_path, "k.json", {"memories_csv": str(memories), "query_sigma": 0.0,
+                                         "taus": [0.5, 2.0], "n_queries": 3})
+    assert main(["knn", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+    rows = read_csv(tmp_path / "out" / "knn.csv")
+    ms = load_memory_csv(memories)
+    assert knn_predict(ms, ms.centroid, k=1) == {"zeta": 1.0, "alpha": 0.0}
+    assert len(rows) == 6 and {r["hard_1nn_class"] for r in rows} == {"zeta"}
 
 
 @pytest.mark.parametrize("tau", [0.0, -1.0])

@@ -1,4 +1,5 @@
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from landscape_lab import dynamics
 from landscape_lab._seeds import derive_rng
 from landscape_lab.abstraction import diagonal_hierarchy, tanh_hierarchy
 from landscape_lab.census import _bootstrap_landscape
@@ -286,6 +288,170 @@ def test_flow_batch_returns_at_once_when_stop_is_set():
         assert np.array_equal(running[key], expected[key])
 
 
+class StopAfter:
+    """Passes energy_grad through to target and sets stop after its
+    calls-th call, as another chunk's failure does mid-run."""
+
+    def __init__(self, target, stop, calls):
+        self.target, self.stop, self.calls = target, stop, calls
+        self.dim = target.dim
+
+    def energy_grad(self, x):
+        out = self.target.energy_grad(x)
+        self.calls -= 1
+        if self.calls == 0:
+            self.stop.set()
+        return out
+
+
+def census_level(dim, level, decoder=diagonal_hierarchy, n=10, seed=0):
+    """A census-sized landscape (n memories, beta 40) at one level."""
+    ms = gaussian_blobs(dim=dim, class_counts=[n - 1, 1], spread=0.08, seed=seed,
+                        center_scale=1.0)
+    hierarchy = decoder([0.9 ** a for a in range(1, 5)], dim=dim)
+    return hierarchy.level_energy(EnergyLandscape(ms, 40.0), level)
+
+
+def census_starts(target, rows, seed=0):
+    ms = target.memories
+    rng = np.random.default_rng(seed)
+    return ms.centroid + 0.5 * rng.standard_normal((rows, ms.dim))
+
+
+def stall_case(record=False):
+    ms = MemorySet(np.random.default_rng(100).normal(size=(8, 2)), tuple(range(8)))
+    gx = np.linspace(-2.5, 2.5, 9)
+    starts = np.array([[a, b] for a in gx for b in gx]) + ms.centroid
+    return (EnergyLandscape(ms, 1.0), starts, FlowConfig(1.0, 1e-8, 4000),
+            {"record": record})
+
+
+def nonfinite_case():
+    target = census_level(2, 2)
+    starts = census_starts(target, 40, seed=3)
+    starts[[0, 7, 39]] = [[np.nan, 0.0], [np.inf, 1.0], [0.0, -np.inf]]
+    return target, starts, CFG, {}
+
+
+def blocks_case(record=False):
+    levels = resampled_levels(3)
+    starts = 1.5 * np.random.default_rng(5).standard_normal((90, 2))
+    starts[[0, 45, 89]] = np.nan
+    return (Blocks(levels, np.repeat(np.arange(3), 30)), starts,
+            FlowConfig(1.0, 1e-5, 300), {"record": record})
+
+
+def blocks_of_levels_case():
+    # rows of three diagonal levels, which converge (the resampled tanh
+    # levels above mostly end at max_steps)
+    levels = [census_level(2, a) for a in (0, 2, 4)]
+    starts = census_starts(levels[0], 300, seed=6)
+    return Blocks(levels, np.repeat(np.arange(3), 100)), starts, CFG, {}
+
+
+def stop_case(calls):
+    stop = threading.Event()
+    target = StopAfter(census_level(2, 3), stop, calls)
+    if calls == 0:
+        stop.set()
+    return target, census_starts(target.target, 200, seed=4), CFG, {"stop": stop}
+
+
+def blocks_stop_case():
+    stop = threading.Event()
+    levels = [StopAfter(lvl, stop, 25) for lvl in resampled_levels(3)]
+    starts = 1.5 * np.random.default_rng(7).standard_normal((60, 2))
+    return (Blocks(levels, np.repeat(np.arange(3), 20)), starts,
+            FlowConfig(1.0, 1e-5, 300), {"stop": stop})
+
+
+def census_case(dim, rows, level, decoder=diagonal_hierarchy, n=10, max_steps=10000,
+                step_size=1.0, record=False, seed=0):
+    target = census_level(dim, level, decoder, n, seed)
+    cfg = FlowConfig(step_size=step_size, grad_tol=1e-8, max_steps=max_steps)
+    return target, census_starts(target, rows, seed), cfg, {"record": record}
+
+
+REFERENCE_CASES = {
+    f"d{d}-level{a}-{decoder.__name__[:4]}": partial(census_case, d, 300, a, decoder)
+    for d in (1, 2) for a in range(5) for decoder in (diagonal_hierarchy, tanh_hierarchy)}
+REFERENCE_CASES.update({
+    "rows1": partial(census_case, 2, 1, 4),
+    "rows1-record": partial(census_case, 2, 1, 2, tanh_hierarchy, record=True),
+    "rows1024": partial(census_case, 2, CHUNK, 1),
+    "rows1025": partial(census_case, 2, CHUNK + 1, 3, seed=2),
+    "d16-250mem": partial(census_case, 16, 200, 2, n=250),
+    "d16-250mem-tanh-max-steps": partial(census_case, 16, 64, 1, tanh_hierarchy, n=250,
+                                         max_steps=40),
+    "max-steps7": partial(census_case, 2, 200, 4, max_steps=7),
+    "max-steps7-record": partial(census_case, 1, 50, 3, max_steps=7, record=True),
+    "step50": partial(census_case, 2, 200, 2, step_size=50.0),
+    "stall": stall_case,
+    "stall-record": partial(stall_case, record=True),
+    "nonfinite": nonfinite_case,
+    "blocks": blocks_case,
+    "blocks-record": partial(blocks_case, record=True),
+    "blocks-of-levels": blocks_of_levels_case,
+    "stop-before-first-iteration": partial(stop_case, 0),
+    "stop-mid-run": partial(stop_case, 40),
+    "blocks-stop-mid-run": blocks_stop_case,
+})
+
+
+def logged_flow(monkeypatch, loop, case):
+    """loop's outputs on a fresh instance of case, and the row count of
+    each dynamics._energy_grad call it made."""
+    target, starts, cfg, kwargs = case()
+    sizes = []
+    evaluate = dynamics._energy_grad
+
+    def logged(blocks, x, rows):
+        sizes.append(x.shape[0])
+        return evaluate(blocks, x, rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_energy_grad", logged)
+        return loop(target, starts, cfg, **kwargs), sizes
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_flow_batch_equals_reference_loop(name, monkeypatch):
+    # the compacted loop against the full-batch loop it replaced: every
+    # output array bit for bit, and the same evaluations, call by call
+    case = REFERENCE_CASES[name]
+    out, sizes = logged_flow(monkeypatch, flow_batch, case)
+    expected, expected_sizes = logged_flow(monkeypatch, oracles.flow_batch_reference, case)
+    assert out.keys() == expected.keys()
+    for key in expected:
+        assert out[key].dtype == expected[key].dtype, key
+        assert np.array_equal(out[key], expected[key], equal_nan=True), key
+    assert sizes == expected_sizes
+
+
+def test_reference_cases_reach_every_ending(monkeypatch):
+    # between them the cases end rows converged, failed, stalled, at
+    # max_steps and stopped, and halve steps
+    def run(name):
+        out, sizes = logged_flow(monkeypatch, flow_batch, REFERENCE_CASES[name])
+        still = ~out["converged"] & ~out["failed"]
+        return out, sizes, still
+
+    out, _, _ = run("nonfinite")
+    assert out["converged"].any() and out["failed"].any()
+    out, _, _ = run("blocks-of-levels")
+    assert out["converged"].all()
+    out, _, still = run("stall")
+    assert (still & (out["steps"] < 4000)).any()
+    out, _, still = run("max-steps7")
+    assert (still & (out["steps"] == 7)).any()
+    out, _, still = run("stop-mid-run")
+    assert still.any() and out["converged"].any()
+    # every row converges, so each stepping iteration moves some row and
+    # any call beyond one per iteration is a halving
+    out, sizes, _ = run("step50")
+    assert out["converged"].all() and len(sizes) - 1 > out["steps"].max()
+
+
 def test_flow_step_size_rescales_time_only():
     ls = two_memory_1d(4.0)
     slow = FlowConfig(step_size=0.5, grad_tol=1e-8, max_steps=10000)
@@ -327,6 +493,34 @@ def test_find_minima_sharp_and_merged_counts():
     merged = find_minima(two_memory_1d(0.5), starts, CFG, dedup_radius=0.2)
     assert len(merged) == 1
     assert abs(merged[0][0] - oracles.minima_1d([-1.0, 1.0], 0.5)[0]) < 0.05
+
+
+def test_find_minima_flows_a_chunk_at_a_time(monkeypatch):
+    # 2 CHUNK + 1 starts flow in chunks of at most CHUNK rows, and give the
+    # minima of one unchunked flow_batch over all of them
+    rng = np.random.default_rng(8)
+    ls = EnergyLandscape(MemorySet(rng.normal(size=(6, 2)), tuple(range(6))), 6.0)
+    starts = ls.memories.centroid + 1.5 * rng.standard_normal((2 * CHUNK + 1, 2))
+    real = dynamics.flow_batch
+    calls = []
+
+    def counting(target, rows, *args, **kwargs):
+        calls.append(rows.shape[0])
+        return real(target, rows, *args, **kwargs)
+
+    def unchunked(target, rows, config):
+        out = real(target, rows, config)
+        return out, out["converged"] & ~out["failed"]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "flow_chunked", unchunked)
+        expected = find_minima(ls, starts, CFG, dedup_radius=0.05)
+    monkeypatch.setattr(dynamics, "flow_batch", counting)
+    found = find_minima(ls, starts, CFG, dedup_radius=0.05)
+    assert calls == [CHUNK, CHUNK, 1]
+    assert len(found) == len(expected) > 1
+    for a, b in zip(found, expected):
+        assert np.array_equal(a, b)
 
 
 def test_find_minima_validation():

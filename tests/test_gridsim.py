@@ -37,6 +37,13 @@ def test_grid_validation():
     for ok in (cells, cells.astype(bool), cells.astype(np.int64), cells.astype(float)):
         grid = ClassGrid(ok)
         assert grid.cells.dtype == np.uint8 and np.array_equal(grid.cells, cells)
+    # the grid keeps a read-only copy: the caller's array stays writable,
+    # and a later write to it does not reach the grid
+    a = np.zeros((4, 4), np.uint8)
+    grid = ClassGrid(a)
+    assert grid.cells is not a and a.flags.writeable
+    a[0, 0] = 1
+    assert grid.cells[0, 0] == 0 and not grid.cells.flags.writeable
 
 
 def test_init_extremes_and_lln():
