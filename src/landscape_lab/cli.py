@@ -53,7 +53,7 @@ from landscape_lab.errors import (
     NumericalFlowError,
 )
 from landscape_lab.gridsim import coarsening_levels, write_pbm
-from landscape_lab.knn import SoftWeights, argmax_class, soft_knn_predict
+from landscape_lab.knn import SoftWeights, _aggregate, argmax_class, tau_landscape
 from landscape_lab.landscape import (CHUNK, EnergyLandscape, MemorySet, gaussian_blobs,
                                      load_memory_csv)
 from landscape_lab.oddsmodel import MergeScenario, initial_odds, simulate_merge, smoothed_odds
@@ -324,44 +324,45 @@ def _experiment_knn(cfg: RunConfig) -> dict:
     sigma = cfg.params.get("query_sigma")
     if sigma is None:
         sigma = default_query_sigma(mem)
+    n_queries = int(cfg.params["n_queries"])
+    if n_queries < 1:
+        raise InputError(f"n_queries must be >= 1, got {n_queries}")
+    if sigma < 0:
+        raise InputError(f"query_sigma must be >= 0, got {sigma}")
+    if not cfg.params["taus"]:
+        raise InputError("taus must name at least one tau")
     queries = mem.centroid + float(sigma) * derive_rng(
-        cfg.seed, "knn-queries").standard_normal((int(cfg.params["n_queries"]), mem.dim))
+        cfg.seed, "knn-queries").standard_normal((n_queries, mem.dim))
     flow_cfg = _flow_config(cfg.params)
     taus = [float(tau) for tau in cfg.params["taus"]]
-    for tau in taus:
-        if not (tau > 0):
-            raise InputError(f"tau must be positive, got {tau}")
-    landscapes = [EnergyLandscape(mem, beta=2.0 / tau) for tau in taus]
-    # the hard 1-NN: the nearest memory, ties to the lower index, as a
-    # stable sort of the distances gives it; beta plays no part
-    nearest_memory = EnergyLandscape(mem, beta=1.0).nearest_memory
+    landscapes = [tau_landscape(mem, tau) for tau in taus]
     rows = []
     # the queries flow a window at a time, one chunk per worker and one
-    # batch per tau; a row's bits are those of its own flow. A failed flow
-    # raises query-major, after its pair's soft prediction, as if each
-    # (query, tau) flowed alone, so a failing run stops within a window
+    # batch per tau; a row's bits are those of its own flow and weights
+    # call. A failed flow raises query-major, as if each (query, tau)
+    # flowed alone, so a failing run stops within a window
     window = CHUNK * cfg.workers
-    for lo in range(0, queries.shape[0], window):
-        nearest = nearest_memory(queries[lo:lo + window])
-        flows = []
-        for tau_landscape in landscapes:
-            out, _ = flow_chunked(tau_landscape, queries[lo:lo + window], flow_cfg,
-                                  cfg.workers)
-            flows.append((out, tau_landscape.nearest_memory(out["terminals"]),
-                          tau_landscape.weights(out["terminals"])))
-        for i, q in enumerate(queries[lo:lo + window]):
-            qid = lo + i
+    for lo in range(0, n_queries, window):
+        batch = queries[lo:lo + window]
+        # the hard 1-NN is the nearest memory, ties to the lower index, as
+        # a stable sort of the distances gives it; beta plays no part
+        nearest = landscapes[0].nearest_memory(batch)
+        per_tau = []
+        for tau, landscape in zip(taus, landscapes):
+            out, _ = flow_chunked(landscape, batch, flow_cfg, cfg.workers)
+            per_tau.append((tau, out, landscape.weights(batch),
+                            landscape.nearest_memory(out["terminals"]),
+                            landscape.weights(out["terminals"])))
+        for i in range(batch.shape[0]):
             hard_class = mem.labels[nearest[i]]
-            for tau, (out, basin, w) in zip(taus, flows):
-                pred, _ = soft_knn_predict(mem, q, tau)
-                soft_class = argmax_class(pred)
+            for tau, out, soft, basin, attend in per_tau:
                 if out["failed"][i]:
                     raise NumericalFlowError(step=int(out["fail_step"][i]))
+                soft_class = argmax_class(_aggregate(mem, soft[i]))
                 basin_class = mem.labels[basin[i]]
-                attend = SoftWeights(w[i], tau)
                 rows.append({
-                    "query_id": qid, "tau": tau,
-                    "k_equivalent": attend.effective_count,
+                    "query_id": lo + i, "tau": tau,
+                    "k_equivalent": SoftWeights(attend[i], tau).effective_count,
                     "soft_argmax_class": soft_class, "hard_1nn_class": hard_class,
                     "basin_class": basin_class,
                     "agreement_flag": int(soft_class == basin_class),
@@ -371,8 +372,11 @@ def _experiment_knn(cfg: RunConfig) -> dict:
 
 
 def _experiment_odds(cfg: RunConfig) -> dict:
+    scenarios = cfg.params["scenarios"]
+    if not scenarios or any(len(scenario) != 3 for scenario in scenarios):
+        raise InputError("scenarios must be a non-empty list of [p, q, S] triples")
     rows = []
-    for i, (p, q, s) in enumerate(cfg.params["scenarios"]):
+    for i, (p, q, s) in enumerate(scenarios):
         scenario = MergeScenario(int(p), int(q), int(s))
         counts = simulate_merge(scenario, int(cfg.params["trials"]),
                                 seed=derive_seed(cfg.seed, "odds", i))
@@ -392,6 +396,8 @@ def _experiment_odds(cfg: RunConfig) -> dict:
 
 
 def _experiment_grid(cfg: RunConfig) -> dict:
+    if not cfg.params["p_red"]:
+        raise InputError("p_red must name at least one initial share")
     rows, plot_rows = [], []
     side = int(cfg.params["side"])
     levels = int(cfg.params["levels"])

@@ -1,10 +1,11 @@
 """Hard and soft k-nearest-neighbor predictors and attendance diagnostics.
 
 The soft predictor weights memories by exp(-||Q - x_i||^2 / tau),
-normalized; these are exactly the softmax weights of the canonical energy
-landscape with beta = 2 / tau, which is what makes the correspondence
-between temperature-weighted attention and basin attendance an identity
-here rather than an analogy.
+normalized. These weights are EnergyLandscape(memories, 2 / tau).weights,
+the softmax weights of the canonical energy landscape at beta = 2 / tau,
+read from that landscape itself: tau_landscape builds it, so the
+correspondence between temperature-weighted attention and basin attendance
+is an identity here, to the bit, rather than an analogy.
 
 Numeric labels give numeric predictions (weighted means); categorical
 labels are one-hot encoded and predictions are class distributions.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from landscape_lab.errors import InputError
-from landscape_lab.landscape import EnergyLandscape, MemorySet, _softmax, sqdist
+from landscape_lab.landscape import EnergyLandscape, MemorySet, sqdist
 
 from landscape_lab import dynamics
 
@@ -52,20 +53,11 @@ class SoftWeights:
         return math.exp(self.entropy)
 
 
-def soft_weights_from_sqdist(sqdist: np.ndarray, tau: float) -> np.ndarray:
-    """Softmax of -sqdist / tau with max subtraction."""
+def tau_landscape(memories: MemorySet, tau: float) -> EnergyLandscape:
+    """The landscape whose softmax weights are the soft k-NN weights at tau."""
     if not (tau > 0):
         raise InputError(f"tau must be positive, got {tau}")
-    _, ex, z = _softmax(-np.asarray(sqdist, dtype=np.float64) / tau)
-    return ex / z[..., None]
-
-
-def _sqdist_to_memories(memories: MemorySet, q) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape[-1] != memories.dim:
-        raise InputError(
-            f"query dimension {q.shape[-1]} != memory dimension {memories.dim}")
-    return sqdist(q, memories.points)
+    return EnergyLandscape(memories, beta=2.0 / tau)
 
 
 def _aggregate(memories: MemorySet, weights: np.ndarray):
@@ -93,8 +85,11 @@ def knn_predict(memories: MemorySet, q, k: int):
     """
     if not (1 <= k <= memories.n):
         raise InputError(f"k must be in 1..{memories.n}, got {k}")
-    sqd = _sqdist_to_memories(memories, q)
-    nearest = np.argsort(sqd, kind="stable")[:k]
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape[-1] != memories.dim:
+        raise InputError(
+            f"query dimension {q.shape[-1]} != memory dimension {memories.dim}")
+    nearest = np.argsort(sqdist(q, memories.points), kind="stable")[:k]
     w = np.zeros(memories.n)
     w[nearest] = 1.0 / k
     return _aggregate(memories, w)
@@ -102,8 +97,7 @@ def knn_predict(memories: MemorySet, q, k: int):
 
 def soft_knn_predict(memories: MemorySet, q, tau: float):
     """Temperature-weighted prediction and its attention weights."""
-    sqd = _sqdist_to_memories(memories, q)
-    w = soft_weights_from_sqdist(sqd, tau)
+    w = tau_landscape(memories, tau).weights(q)
     return _aggregate(memories, w), SoftWeights(w, tau)
 
 

@@ -7,8 +7,9 @@ The energy of a point x against memories {x_i} at inverse temperature beta is
 a soft minimum of half squared distances. Two identities make this the
 canonical choice here:
 
-* its softmax weights w_i(x) are exactly the temperature-weighted attention
-  of the soft k-NN predictor with tau = 2/beta, and
+* its softmax weights w_i(x) are the temperature-weighted attention of the
+  soft k-NN predictor with tau = 2/beta: knn reads those weights from
+  EnergyLandscape(memories, 2/tau).weights, so they agree to the bit, and
 * its gradient is the convex-combination residual
   grad E(x) = x - sum_i w_i(x) x_i,
   so every critical point lies in the convex hull of the memories.
@@ -149,7 +150,8 @@ def _softmax(s: np.ndarray) -> tuple:
 
     m is the row max, ex = exp(s - m) and z the row sum of ex, so the
     weights are ex / z and the log-sum-exp is m + log(z). The energy, its
-    weights and gradient, and the soft k-NN weights all come from here.
+    weights and gradient all come from here, and so do the soft k-NN
+    weights, which are the weights at beta = 2 / tau.
     """
     m = s.max(axis=-1)
     ex = np.exp(s - m[..., None])
@@ -433,6 +435,8 @@ def gaussian_blobs(dim: int,
 
     if dim < 1 or any(c < 1 for c in class_counts):
         raise InputError("dim and every class count must be >= 1")
+    if not class_counts:
+        raise InputError("class_counts must name at least one class")
     if labels is None:
         labels = list(range(len(class_counts)))
     if len(labels) != len(class_counts):

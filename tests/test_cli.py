@@ -1,5 +1,6 @@
 import csv
 import inspect
+import itertools
 import json
 import math
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 from landscape_lab import cli, dynamics, gridsim
 from landscape_lab.abstraction import jacobian_norm_probe, smoothness_report
-from landscape_lab.census import bias_variance_probes
+from landscape_lab._seeds import derive_rng
+from landscape_lab.census import bias_variance_probes, default_flow_config, default_query_sigma
 from landscape_lab.cli import (
     SCHEMAS,
     RunConfig,
@@ -19,7 +21,7 @@ from landscape_lab.cli import (
     validate_params,
 )
 from landscape_lab.errors import ConfigError
-from landscape_lab.knn import knn_predict
+from landscape_lab.knn import argmax_class, attendance_profile, knn_predict, soft_knn_predict
 from landscape_lab.landscape import (CHUNK, EnergyLandscape, MemorySet, load_memory_csv,
                                      save_memory_csv)
 
@@ -116,6 +118,31 @@ def test_empty_levels_exit_2(tmp_path, capsys, experiment):
     assert "levels must name at least one level" in capsys.readouterr().err
     assert not (out / "census.csv").exists()
     assert not (out / f"{experiment}.csv").exists()
+
+
+_TRIPLES = "scenarios must be a non-empty list of [p, q, S] triples"
+
+
+@pytest.mark.parametrize("experiment, key, value, message", [
+    ("knn", "n_queries", -1, "n_queries must be >= 1, got -1"),
+    ("knn", "n_queries", 0, "n_queries must be >= 1, got 0"),
+    ("knn", "taus", [], "taus must name at least one tau"),
+    ("knn", "query_sigma", -0.5, "query_sigma must be >= 0, got -0.5"),
+    ("grid", "p_red", [], "p_red must name at least one initial share"),
+    ("odds", "scenarios", [], _TRIPLES),
+    ("odds", "scenarios", [[2, 1]], _TRIPLES),
+    ("odds", "scenarios", [[]], _TRIPLES),
+    *[(experiment, "class_counts", [], "class_counts must name at least one class")
+      for experiment in ("census", "biasvar", "smoothness", "knn")],
+])
+def test_empty_lists_and_bad_counts_exit_2(tmp_path, capsys, experiment, key, value,
+                                          message):
+    # rejected with its reason, neither a traceback nor a header-only table
+    cfg = write_cfg(tmp_path, "c.json", {key: value})
+    out = tmp_path / "out"
+    assert main([experiment, "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(out.glob("*.csv"))
 
 
 def test_every_none_default_has_a_type():
@@ -298,6 +325,36 @@ def test_knn_hard_class_tie_goes_to_the_lower_index(tmp_path):
     ms = load_memory_csv(memories)
     assert knn_predict(ms, ms.centroid, k=1) == {"zeta": 1.0, "alpha": 0.0}
     assert len(rows) == 6 and {r["hard_1nn_class"] for r in rows} == {"zeta"}
+
+
+def test_knn_table_matches_per_row_predictions(tmp_path):
+    # each (query, tau) row recomputed alone through the public per-row
+    # forms: the soft class from soft_knn_predict, k_equivalent from the
+    # SoftWeights at the query's own flow terminal, the hard class from
+    # knn_predict. CHUNK + 8 queries cross a window boundary at 1 worker,
+    # and the numeric labels act as class identifiers
+    rng = np.random.default_rng(9)
+    memories = tmp_path / "m.csv"
+    save_memory_csv(MemorySet(rng.normal(size=(6, 1)), (0, 1, 1, 0, 2, 1)), memories)
+    taus, n_queries = [0.05, 2.0], CHUNK + 8
+    cfg = write_cfg(tmp_path, "k.json", {"memories_csv": str(memories), "taus": taus,
+                                         "n_queries": n_queries})
+    loaded = load_memory_csv(memories)
+    ms = MemorySet(loaded.points, tuple(str(y) for y in loaded.labels))
+    queries = ms.centroid + default_query_sigma(ms) * derive_rng(
+        4, "knn-queries").standard_normal((n_queries, ms.dim))
+    expected = []
+    for q, tau in itertools.product(queries, taus):
+        attend = attendance_profile(EnergyLandscape(ms, 2.0 / tau), q, default_flow_config())
+        expected.append((argmax_class(soft_knn_predict(ms, q, tau)[0]),
+                         attend.effective_count, argmax_class(knn_predict(ms, q, 1))))
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        assert main(["knn", "--config", cfg, "--seed", "4", "--workers", str(workers),
+                     "--out-dir", str(out)]) == 0
+        rows = read_csv(out / "knn.csv")
+        assert [(r["soft_argmax_class"], float(r["k_equivalent"]), r["hard_1nn_class"])
+                for r in rows] == expected
 
 
 @pytest.mark.parametrize("tau", [0.0, -1.0])

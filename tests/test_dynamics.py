@@ -213,8 +213,13 @@ class LoggedEvaluator:
 
 
 def resampled_levels(rounds):
-    """Level 1 of a tanh hierarchy over bootstrap resamples of one set."""
-    ms = gaussian_blobs(dim=2, class_counts=[5, 3], spread=0.3, seed=4, center_scale=1.5)
+    """Level 1 of a tanh hierarchy over bootstrap resamples of one set.
+
+    The memories lie inside the decoder's range (-0.9, 0.9), up to |x|
+    0.76, so each has a level minimum and most flows converge.
+    """
+    ms = gaussian_blobs(dim=2, class_counts=[5, 3], spread=0.3, seed=4, center_scale=0.4)
+    assert np.abs(ms.points).max() < 0.9
     ls = EnergyLandscape(ms, 12.0)
     hierarchy = tanh_hierarchy([0.9], dim=2)
     return [hierarchy.level_energy(
@@ -235,6 +240,9 @@ def test_blocks_give_each_row_its_own_evaluators_bits():
     own = [flow_batch(lvl, starts[lo:hi], cfg)
            for lvl, lo, hi in zip(levels, edges[:-1], edges[1:])]
     assert all(o["failed"].sum() == 1 for o in own)
+    # over 90 % of the rows converge (1356 of 1424), so the bits compared
+    # are mostly those of converged endings, not of max_steps ones
+    assert sum(o["converged"].sum() for o in own) > 0.9 * starts.shape[0]
     blocks = Blocks(levels, np.repeat(np.arange(3), sizes))
     for workers in (1, 2):
         out, _ = flow_chunked(blocks, starts, cfg, workers)
@@ -250,7 +258,8 @@ def test_each_block_evaluator_sees_only_its_own_rows():
     levels = resampled_levels(4)
     starts = 1.5 * np.random.default_rng(6).standard_normal((4 * 15, 2))
     shared = [LoggedEvaluator(lvl) for lvl in levels]
-    flow_batch(Blocks(shared, np.repeat(np.arange(4), 15)), starts, cfg)
+    out = flow_batch(Blocks(shared, np.repeat(np.arange(4), 15)), starts, cfg)
+    assert out["converged"].sum() > 0.9 * starts.shape[0]    # 57 of 60
     for b, lvl in enumerate(levels):
         alone = LoggedEvaluator(lvl)
         flow_batch(alone, starts[15 * b:15 * (b + 1)], cfg)
@@ -342,8 +351,7 @@ def blocks_case(record=False):
 
 
 def blocks_of_levels_case():
-    # rows of three diagonal levels, which converge (the resampled tanh
-    # levels above mostly end at max_steps)
+    # rows of three diagonal levels, which all converge
     levels = [census_level(2, a) for a in (0, 2, 4)]
     starts = census_starts(levels[0], 300, seed=6)
     return Blocks(levels, np.repeat(np.arange(3), 100)), starts, CFG, {}

@@ -12,9 +12,8 @@ from landscape_lab.knn import (
     attendance_profile,
     knn_predict,
     soft_knn_predict,
-    soft_weights_from_sqdist,
 )
-from landscape_lab.landscape import EnergyLandscape, MemorySet
+from landscape_lab.landscape import EnergyLandscape, MemorySet, _softmax
 
 CFG = FlowConfig(step_size=1.0, grad_tol=1e-8, max_steps=10000)
 
@@ -119,12 +118,30 @@ def test_soft_weights_validation():
         soft_knn_predict(unit_pair(), np.array([0.0]), tau=0.0)
 
 
+def test_soft_weights_are_the_landscape_weights_at_beta_two_over_tau():
+    # the identity holds to the bit: the soft k-NN weights of a query, alone
+    # or in a batch, are those of the landscape at beta = 2 / tau
+    rng = np.random.default_rng(8)
+    ms = MemorySet(rng.normal(size=(10, 2)), tuple(range(10)))
+    queries = rng.normal(size=(5, 2))
+    for tau in (0.02, 0.1, 0.5, 2.0, 10.0):
+        batch = EnergyLandscape(ms, 2.0 / tau).weights(queries)
+        for q, w in zip(queries, batch):
+            assert np.array_equal(soft_knn_predict(ms, q, tau)[1].weights, w)
+
+
 def test_soft_argmax_shift_invariance():
+    # the landscape's scores -beta * sqd / 2 at beta = 2 / tau: shifting
+    # every squared distance by one constant leaves the weights unchanged
+    def weights(sqd, tau):
+        _, ex, z = _softmax(-0.5 * (2.0 / tau) * sqd)
+        return ex / z
+
     rng = np.random.default_rng(4)
     for _ in range(20):
         sqd = rng.uniform(0.0, 5.0, size=9)
-        w = soft_weights_from_sqdist(sqd, tau=0.7)
-        w_shift = soft_weights_from_sqdist(sqd + 3.21, tau=0.7)
+        w = weights(sqd, tau=0.7)
+        w_shift = weights(sqd + 3.21, tau=0.7)
         assert int(np.argmax(w)) == int(np.argmax(w_shift))
         assert np.abs(w - w_shift).max() < 1e-12
 

@@ -39,6 +39,13 @@ def _is_np_exp(node: ast.AST) -> bool:
             and isinstance(node.value, ast.Name) and node.value.id == "np")
 
 
+def _is_softmax_reference(node: ast.AST) -> bool:
+    """True for a name, attribute or import of _softmax."""
+    return ((isinstance(node, ast.Name) and node.id == "_softmax")
+            or (isinstance(node, ast.Attribute) and node.attr == "_softmax")
+            or (isinstance(node, ast.alias) and node.name == "_softmax"))
+
+
 def _sites(tree: ast.AST, matches=_is_pairwise_broadcast) -> list[tuple[str, int]]:
     """(enclosing function, line) of every node that matches."""
     sites = []
@@ -89,9 +96,23 @@ def test_no_weighted_sum_builds_a_product_array():
     assert _package_sites(_is_product_broadcast) == []
 
 
+def test_scan_detects_softmax_references():
+    tree = ast.parse("from landscape_lab.landscape import _softmax\n"
+                     "def f(s):\n    return landscape._softmax(s), _softmax(s)\n")
+    assert [line for _, line in _sites(tree, _is_softmax_reference)] == [1, 3, 3]
+
+
+def test_only_landscape_references_the_softmax_helper():
+    # every softmax weight outside landscape.py, the soft k-NN weights
+    # included, is read from an EnergyLandscape, not from the helper
+    assert {name for name, _, _ in _package_sites(_is_softmax_reference)} == {
+        "landscape.py"}
+
+
 def test_only_the_softmax_helper_calls_exp():
-    # energy, weights, energy_grad and the soft k-NN weights share one
-    # max-shifted softmax; the Gaussian smoothing kernel is not a softmax
+    # energy, weights and energy_grad share one max-shifted softmax, and
+    # the soft k-NN weights are EnergyLandscape.weights at beta = 2 / tau;
+    # the Gaussian smoothing kernel is not a softmax
     allowed = {("landscape.py", "_softmax"), ("abstraction.py", "_gaussian_kernel")}
     offenders = [f"{name}:{line} in {func}"
                  for name, func, line in _package_sites(_is_np_exp)
