@@ -23,6 +23,7 @@ fixed-size chunks, so reports are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -52,8 +53,10 @@ class CensusConfig:
         if self.n_queries < 100:
             warnings.warn("n_queries < 100: reported statistics will be noisy",
                           stacklevel=2)
-        if self.query_sigma is not None and not (self.query_sigma > 0):
-            raise InputError(f"query_sigma must be positive, got {self.query_sigma}")
+        if self.query_sigma is not None and not (self.query_sigma > 0
+                                                 and math.isfinite(self.query_sigma)):
+            raise InputError(
+                f"query_sigma must be a positive finite real, got {self.query_sigma}")
         if self.levels is not None:
             self.levels = tuple(int(a) for a in self.levels)
 
@@ -85,6 +88,8 @@ def _resolve_levels(hierarchy: AbstractionHierarchy, levels) -> tuple:
     levels = tuple(hierarchy.check_level(a) for a in levels)
     if not levels:
         raise InputError("levels must name at least one level")
+    if len(set(levels)) != len(levels):
+        raise InputError(f"levels must not repeat a level, got {list(levels)}")
     return levels
 
 
@@ -226,9 +231,12 @@ def run_census(landscape: EnergyLandscape,
 class _ResampledLandscape(EnergyLandscape):
     """Energy of a bootstrap multiset: duplicate draws become log-count
     offsets on the scores, which is exactly the multiset log-sum-exp.
-    nearest_memory is inherited: a basin's class ignores the draw counts."""
+    drawn holds the distinct memories' indices in the set drawn from, in
+    ascending order, the order of memories. nearest_memory is inherited:
+    a basin's class ignores the draw counts."""
 
     log_counts: np.ndarray = field(default=None)
+    drawn: np.ndarray = field(default=None)
 
     def _scores(self, x):
         return super()._scores(x) + self.log_counts
@@ -248,7 +256,32 @@ def _bootstrap_landscape(landscape: EnergyLandscape, rng: np.random.Generator,
         chosen = rng.integers(0, mem.n, size=mem.n)
     uniq, counts = np.unique(chosen, return_counts=True)
     sub = MemorySet(mem.points[uniq], tuple(mem.labels[i] for i in uniq))
-    return _ResampledLandscape(sub, landscape.beta, log_counts=np.log(counts))
+    return _ResampledLandscape(sub, landscape.beta, log_counts=np.log(counts), drawn=uniq)
+
+
+class _RoundBlocks(Blocks):
+    """The bootstrap rounds of one level as Blocks, evaluated in one pass.
+
+    Each evaluator is a LevelEnergy at one level over a _ResampledLandscape
+    of landscape. An energy_grad call decodes its rows once and hands them
+    to landscape.multiset_energy_grad with each row's round's log-counts,
+    so every row gets the bits of its round's own LevelEnergy.energy_grad
+    from one score pass, with one softmax per distinct subset size.
+    """
+
+    def __init__(self, evaluators, block: np.ndarray, landscape: EnergyLandscape):
+        super().__init__(evaluators, block)
+        self.landscape = landscape
+        self.decoder = self.evaluators[0].decoder
+        # row b: round b's log-counts on its drawn memories, -inf elsewhere
+        self.log_counts = np.full((len(self.evaluators), landscape.memories.n), -np.inf)
+        for b, t in enumerate(self.evaluators):
+            self.log_counts[b, t.base.drawn] = t.base.log_counts
+
+    def energy_grad(self, z: np.ndarray, rows: np.ndarray) -> tuple:
+        e, g = self.landscape.multiset_energy_grad(self.decoder.decode(z),
+                                                   self.log_counts[self.block[rows]])
+        return e, self.decoder.jacobian_diag(z) * g
 
 
 def bias_variance_probes(landscape: EnergyLandscape,
@@ -266,17 +299,19 @@ def bias_variance_probes(landscape: EnergyLandscape,
     One probe per memory: x_i plus isotropic noise of scale probe_sigma.
     Each bootstrap round resamples the memory set with replacement
     (class-stratified by default, which keeps class proportions fixed),
-    rebuilds the landscape, and reflows the same probes; per level, every
-    round's probes flow as one batch, each round's rows evaluated by its
-    own landscape. The bootstrap expectation over rounds gives, per probe,
-    the mean one-hot prediction p. Bias is the mean of (p - true one-hot)
-    over probes, per class; variance is the mean of (1 - ||p||^2), the
-    one-hot shortcut for the expected squared deviation from the mean
-    prediction. seed draws the probe noise and the resamples; levels
-    defaults to every hierarchy level.
+    rebuilds the landscape, and reflows the same probes. Per level, every
+    round's probes flow as one batch, and each evaluation of its rows is
+    one score pass against the full memory set, with one softmax per
+    distinct subset size, which gives each row the bits of its own
+    round's landscape (see _RoundBlocks). The bootstrap expectation over
+    rounds gives, per probe, the mean one-hot prediction p. Bias is the
+    mean of (p - true one-hot) over probes, per class; variance is the
+    mean of (1 - ||p||^2), the one-hot shortcut for the expected squared
+    deviation from the mean prediction. seed draws the probe noise and the
+    resamples; levels defaults to every hierarchy level.
     """
-    if not (probe_sigma > 0):
-        raise InputError(f"probe_sigma must be positive, got {probe_sigma}")
+    if not (probe_sigma > 0 and math.isfinite(probe_sigma)):
+        raise InputError(f"probe_sigma must be a positive finite real, got {probe_sigma}")
     if bootstrap_rounds < 10:
         raise InputError(f"bootstrap_rounds must be >= 10, got {bootstrap_rounds}")
     levels = _resolve_levels(hierarchy, levels)
@@ -306,8 +341,8 @@ def bias_variance_probes(landscape: EnergyLandscape,
         lvls = [hierarchy.level_energy(r, a) for r in resampled]
         starts = np.tile(np.asarray(hierarchy.decoders[a].encode(probes)),
                          (bootstrap_rounds, 1))
-        out, ok = flow_chunked(Blocks(lvls, block), starts, flow_config, workers,
-                               budget - failures)
+        out, ok = flow_chunked(_RoundBlocks(lvls, block, landscape), starts,
+                               flow_config, workers, budget - failures)
         failures += int((~ok).sum())
         if failures > budget:
             raise CensusFailureError(

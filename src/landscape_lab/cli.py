@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import math
 import os
 import sys
 import time
@@ -329,6 +330,8 @@ def _experiment_knn(cfg: RunConfig) -> dict:
         raise InputError(f"n_queries must be >= 1, got {n_queries}")
     if sigma < 0:
         raise InputError(f"query_sigma must be >= 0, got {sigma}")
+    if not math.isfinite(sigma):
+        raise InputError(f"query_sigma must be a finite real, got {sigma}")
     if not cfg.params["taus"]:
         raise InputError("taus must name at least one tau")
     queries = mem.centroid + float(sigma) * derive_rng(

@@ -16,15 +16,18 @@ Each trial is evaluated once, by its evaluator's energy_grad, and an
 accepted trial's gradient drives the next step.
 
 A batch may mix evaluators: given Blocks, row r is evaluated by
-evaluators[block[r]], and each run of rows sharing an evaluator is one
-energy_grad call on those rows alone. Since evaluators are row-wise, a
-row's result equals that of a flow_batch on its own evaluator, so many
-small flows (one per bootstrap round, say) run as one loop. A lone
-evaluator is the one-block case.
+evaluators[block[r]], and Blocks.energy_grad evaluates a batch of rows.
+By default each run of rows sharing an evaluator is one energy_grad call
+on those rows alone; a subclass may evaluate all rows in one pass, as the
+bootstrap rounds of census do, if each row gets its own evaluator's bits.
+Since evaluators are row-wise, a row's result equals that of a flow_batch
+on its own evaluator, so many small flows (one per bootstrap round, say)
+run as one loop. A lone evaluator is the one-block case.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import threading
@@ -91,7 +94,8 @@ class MergedMinimum:
 class Blocks:
     """Per-row evaluators of one batch: row r is evaluated by
     evaluators[block[r]]. Slicing selects rows, as a chunk of the batch
-    does, and keeps the evaluators."""
+    does, and keeps the evaluators and the class: a subclass that
+    evaluates its rows another way keeps doing so chunk by chunk."""
 
     def __init__(self, evaluators: Sequence, block: np.ndarray):
         self.evaluators = tuple(evaluators)
@@ -109,25 +113,26 @@ class Blocks:
         return cls((target,), np.zeros(m, dtype=np.intp))
 
     def __getitem__(self, rows: slice) -> "Blocks":
-        return Blocks(self.evaluators, self.block[rows])
+        part = copy.copy(self)
+        part.block = self.block[rows]
+        return part
 
-
-def _energy_grad(blocks: Blocks, x: np.ndarray, rows: np.ndarray) -> tuple:
-    """Energies and gradients at x, whose i-th point is batch row rows[i]:
-    each run of consecutive points whose rows share a block index is one
-    energy_grad call, by that block's evaluator, on that slice of x alone.
-    A lone evaluator makes one run of all of x.
-    """
-    if len(blocks.evaluators) == 1:
-        e, g = blocks.evaluators[0].energy_grad(x)
-        return np.asarray(e, dtype=np.float64).reshape(-1), g
-    b = blocks.block[rows]
-    edges = np.flatnonzero(np.diff(b, prepend=-1, append=-1))
-    e = np.empty(x.shape[0])
-    g = np.empty_like(x)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        e[lo:hi], g[lo:hi] = blocks.evaluators[b[lo]].energy_grad(x[lo:hi])
-    return e, g
+    def energy_grad(self, x: np.ndarray, rows: np.ndarray) -> tuple:
+        """Energies and gradients at x, whose i-th point is batch row
+        rows[i]: each run of consecutive points whose rows share a block
+        index is one energy_grad call, by that block's evaluator, on that
+        slice of x alone. A lone evaluator makes one run of all of x.
+        """
+        if len(self.evaluators) == 1:
+            e, g = self.evaluators[0].energy_grad(x)
+            return np.asarray(e, dtype=np.float64).reshape(-1), g
+        b = self.block[rows]
+        edges = np.flatnonzero(np.diff(b, prepend=-1, append=-1))
+        e = np.empty(x.shape[0])
+        g = np.empty_like(x)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            e[lo:hi], g[lo:hi] = self.evaluators[b[lo]].energy_grad(x[lo:hi])
+        return e, g
 
 
 def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
@@ -138,6 +143,8 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
     target is an evaluator (an EnergyLandscape or a LevelEnergy, or any
     object with dim and a batch energy_grad) or Blocks of them, one block
     index per row of starts; a row's result is the same bits either way.
+    Each evaluation of a set of rows (the starts, each iteration's trials,
+    each halving's retries) is one Blocks.energy_grad call on those rows.
     Returns arrays: terminals (m, d), steps (m,), converged (m,), failed
     (m,) and fail_step (m,). Rows that hit non-finite values are marked
     failed and frozen rather than aborting the batch. A row stalled at
@@ -166,7 +173,7 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
     if blocks.block.shape != (m,):
         raise InputError(f"{blocks.block.shape[0]} block indices for {m} starts")
 
-    e, g = _energy_grad(blocks, x, np.arange(m))
+    e, g = blocks.energy_grad(x, np.arange(m))
     steps = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
     failed = ~np.isfinite(e)
@@ -193,14 +200,14 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
 
         h = config.step_size
         trial = xa - h * ga
-        et, gt = _energy_grad(blocks, trial, act)
+        et, gt = blocks.energy_grad(trial, act)
         todo = np.flatnonzero(~(np.isfinite(et) & (et <= ea)))
         for _ in range(_MAX_HALVINGS - 1):
             if not todo.size:
                 break
             h *= 0.5
             xh = xa[todo] - h * ga[todo]
-            eh, gh = _energy_grad(blocks, xh, act[todo])
+            eh, gh = blocks.energy_grad(xh, act[todo])
             hit = np.isfinite(eh) & (eh <= ea[todo])
             rows = todo[hit]
             trial[rows], et[rows], gt[rows] = xh[hit], eh[hit], gh[hit]

@@ -277,6 +277,59 @@ class EnergyLandscape:
         g = x - weighted_sum(ex / z[..., None], self.memories.points)
         return (float(e) if e.ndim == 0 else e), g
 
+    def multiset_energy_grad(self, x: np.ndarray, log_counts: np.ndarray) -> tuple:
+        """Energies and gradients of rows x (m, d), each on its own multiset
+        of the memories: log_counts (m, n) adds log(count) to row r's score
+        of each memory drawn for it, at least one, and is -inf for the
+        others. Row r gets the bits of energy_grad on a landscape of only
+        its drawn memories, in memory order, with those offsets added to
+        their scores.
+
+        One score pass covers every row, as cell (r, i) depends only on x_r
+        and memory i. The rows are ordered by their multiset's size k, and
+        each size's rows take their drawn (rows, k) scores through one
+        _softmax, so each row reduces the same k values in the same order
+        as on its own landscape. The weighted sum is weighted_sum's at
+        d = 1, the row sum of the (rows, k) product with the drawn
+        memories; at d >= 2 the weights are put in zeroed (m, n) rows for
+        one weighted_sum, whose einsum adds the memories' terms in order,
+        and the exact zeros it adds leave each sum as it was.
+        """
+        x = self._check_dim(x)
+        points = self.memories.points
+        drawn = np.isfinite(log_counts)
+        size = drawn.sum(axis=1)
+        order = np.argsort(size, kind="stable")
+        drawn = drawn[order]
+        # each row's drawn scores in memory order, rows in order of size
+        scores = (self._scores(x[order]) + log_counts[order])[drawn]
+        one_d = x.shape[1] == 1
+        if one_d:
+            coords = np.broadcast_to(points[:, 0], drawn.shape)[drawn]
+        else:
+            weights = np.empty_like(scores)
+        e = np.empty(x.shape[0])
+        mean = np.empty_like(x)
+        groups = np.bincount(size)
+        r0 = lo = 0
+        for k in np.flatnonzero(groups):
+            rows = groups[k]
+            hi = lo + k * rows
+            sel = order[r0:r0 + rows]
+            m, ex, z = _softmax(scores[lo:hi].reshape(rows, k))
+            e[sel] = -(m + np.log(z)) / self.beta
+            w = ex / z[:, None]
+            if one_d:
+                mean[sel, 0] = (w * coords[lo:hi].reshape(rows, k)).sum(axis=-1)
+            else:
+                weights[lo:hi] = w.ravel()
+            r0, lo = r0 + rows, hi
+        if not one_d:
+            spread = np.zeros(drawn.shape)
+            spread[drawn] = weights
+            mean[order] = weighted_sum(spread, points)
+        return e, x - mean
+
     def grad(self, x) -> np.ndarray:
         """Analytic gradient: x minus the weight-averaged memory."""
         return self.energy_grad(x)[1]

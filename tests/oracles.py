@@ -4,8 +4,8 @@ Everything here is implemented directly from first principles (plain
 formulas, brute force, enumeration, quadrature) and never calls back into
 the code paths it is used to check. The one exception is
 flow_batch_reference, an earlier form of the flow loop kept to check the
-current one: it evaluates through dynamics._energy_grad, so that both
-loops' evaluations can be logged and compared call by call.
+current one: it evaluates through dynamics.Blocks.energy_grad, so that
+both loops' evaluations can be logged and compared call by call.
 """
 
 import itertools
@@ -198,7 +198,7 @@ def flow_batch_reference(target, starts, config, *, record=False, stop=None):
     if blocks.block.shape != (m,):
         raise InputError(f"{blocks.block.shape[0]} block indices for {m} starts")
 
-    e, g = dynamics._energy_grad(blocks, x, np.arange(m))
+    e, g = blocks.energy_grad(x, np.arange(m))
     steps = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
     failed = ~np.isfinite(e)
@@ -238,7 +238,7 @@ def flow_batch_reference(target, starts, config, *, record=False, stop=None):
         for _ in range(60):
             todo = ~accepted
             trial = xa[todo] - scale[todo, None] * gm[todo]
-            etrial, gtrial = dynamics._energy_grad(blocks, trial, rows[todo])
+            etrial, gtrial = blocks.energy_grad(trial, rows[todo])
             ok = np.isfinite(etrial) & (etrial <= ea[todo])
             sub = np.flatnonzero(todo)
             xt[sub[ok]] = trial[ok]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from landscape_lab import census, dynamics
-from landscape_lab._seeds import derive_seed
-from landscape_lab.abstraction import diagonal_hierarchy, tanh_hierarchy
+from landscape_lab import census, dynamics, landscape
+from landscape_lab._seeds import derive_rng, derive_seed
+from landscape_lab.abstraction import LevelEnergy, diagonal_hierarchy, tanh_hierarchy
 from landscape_lab.census import (
     CensusConfig,
     CensusReport,
@@ -326,3 +326,118 @@ def test_census_fails_after_the_chunk_that_passes_the_budget(monkeypatch):
             assert len(calls) == chunks + 1
     assert messages[0] == messages[1]
     assert messages[0].startswith("level 1: ") and f"/{census.CHUNK} flows" in messages[0]
+
+
+# ---------------------------------------------------------------------------
+# The bootstrap rounds' one-pass evaluator
+# ---------------------------------------------------------------------------
+
+def round_blocks(dim, class_counts, decoder, level, rounds, seed=0):
+    """A level's bootstrap rounds, as bias_variance_probes flows them: the
+    one-pass _RoundBlocks and the generic Blocks of the same per-round
+    LevelEnergy evaluators, plus the stacked probes with three NaN rows."""
+    ms = gaussian_blobs(dim=dim, class_counts=class_counts, spread=0.3, seed=seed,
+                        center_scale=0.5)
+    ls = EnergyLandscape(ms, 12.0)
+    hierarchy = decoder([0.9, 0.81], dim=dim)
+    lvls = [hierarchy.level_energy(census._bootstrap_landscape(
+                ls, derive_rng(seed, "bootstrap", b), True), level)
+            for b in range(rounds)]
+    block = np.repeat(np.arange(rounds), ms.n)
+    probes = ms.points + 0.4 * np.random.default_rng(seed).standard_normal(ms.points.shape)
+    starts = np.tile(np.asarray(hierarchy.decoders[level].encode(probes)), (rounds, 1))
+    starts[[0, starts.shape[0] // 2, -1]] = np.nan
+    sizes = {lvl.base.drawn.size for lvl in lvls}
+    return census._RoundBlocks(lvls, block, ls), dynamics.Blocks(lvls, block), starts, sizes
+
+
+ROUND_CASES = {
+    # (dim, class_counts, decoder, level, rounds)
+    "d1-diag-small": (1, [4, 2], diagonal_hierarchy, 1, 12),
+    "d1-tanh-large": (1, [12, 8], tanh_hierarchy, 1, 6),
+    "d2-tanh-small": (2, [5, 3], tanh_hierarchy, 2, 10),
+    "d2-diag-straddles-chunk": (2, [6, 4], diagonal_hierarchy, 1, 105),
+    "d8-diag-large": (8, [10, 6], diagonal_hierarchy, 0, 8),
+    "d16-tanh-large": (16, [12, 8], tanh_hierarchy, 1, 4),
+}
+
+
+@pytest.mark.parametrize("name", ROUND_CASES)
+def test_round_blocks_give_each_row_its_rounds_bits(name):
+    # every flow output of the one-pass evaluator equals, bit for bit, that
+    # of the generic Blocks, which calls each row's own round's evaluator
+    dim, class_counts, decoder, level, rounds = ROUND_CASES[name]
+    one_pass, per_round, starts, sizes = round_blocks(dim, class_counts, decoder, level,
+                                                      rounds)
+    if "small" in name:
+        assert max(sizes) < 8
+    if "large" in name:
+        assert min(sizes) >= 8
+    if "straddles" in name:
+        # the first chunk ends inside a round
+        assert starts.shape[0] > census.CHUNK and census.CHUNK % sum(class_counts)
+    cfg = FlowConfig(step_size=1.0, grad_tol=1e-5, max_steps=150)
+    for workers in (1, 2):
+        out, ok = dynamics.flow_chunked(one_pass, starts, cfg, workers)
+        expected, expected_ok = dynamics.flow_chunked(per_round, starts, cfg, workers)
+        assert ok.any() and out["failed"].sum() == 3
+        assert np.array_equal(ok, expected_ok)
+        for key in expected:
+            assert np.array_equal(out[key], expected[key], equal_nan=True), key
+
+
+def test_multiset_energy_grad_equals_each_rows_own_landscape():
+    # rows of mixed multiset sizes, one evaluation: each row's energy and
+    # gradient are those of its own resampled landscape
+    ms = gaussian_blobs(dim=3, class_counts=[7, 5], spread=0.3, seed=2, center_scale=0.5)
+    ls = EnergyLandscape(ms, 12.0)
+    rounds = [census._bootstrap_landscape(ls, derive_rng(2, "bootstrap", b), False)
+              for b in range(6)]
+    assert len({r.drawn.size for r in rounds}) > 1
+    x = ms.centroid + np.random.default_rng(3).standard_normal((30, 3))
+    which = np.arange(30) % 6
+    log_counts = np.full((30, ms.n), -np.inf)
+    for row, b in enumerate(which):
+        log_counts[row, rounds[b].drawn] = rounds[b].log_counts
+    e, g = ls.multiset_energy_grad(x, log_counts)
+    for b, r in enumerate(rounds):
+        own_e, own_g = r.energy_grad(x[which == b])
+        assert np.array_equal(e[which == b], own_e)
+        assert np.array_equal(g[which == b], own_g)
+
+
+def test_bootstrap_flows_take_one_score_pass_per_evaluation(monkeypatch):
+    # each evaluation of a level's rows is one sqdist and one softmax per
+    # distinct subset size among them, never a per-round evaluator call
+    ls = EnergyLandscape(gaussian_blobs(dim=2, class_counts=[6, 4], spread=0.3, seed=1,
+                                        center_scale=0.5), 12.0)
+    calls = {"sqdist": 0, "_softmax": 0}
+    for name in calls:
+        real = getattr(landscape, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(landscape, name, counted)
+    per_call = []
+    real_energy_grad = census._RoundBlocks.energy_grad
+
+    def logged(blocks, z, rows):
+        before = dict(calls)
+        out = real_energy_grad(blocks, z, rows)
+        sizes = {blocks.evaluators[b].base.drawn.size for b in blocks.block[rows]}
+        per_call.append((calls["sqdist"] - before["sqdist"],
+                         calls["_softmax"] - before["_softmax"], len(sizes)))
+        return out
+
+    def per_round(*args):
+        raise AssertionError("a per-round evaluator was called")
+
+    monkeypatch.setattr(census._RoundBlocks, "energy_grad", logged)
+    monkeypatch.setattr(LevelEnergy, "energy_grad", per_round)
+    bias_variance_probes(ls, diagonal_hierarchy([0.9], dim=2), seed=0, bootstrap_rounds=20)
+    assert len(per_call) > 20
+    assert any(distinct > 1 for _, _, distinct in per_call)
+    for sqdist_calls, softmax_calls, distinct in per_call:
+        assert sqdist_calls == 1 and softmax_calls == distinct

@@ -120,6 +120,25 @@ def test_empty_levels_exit_2(tmp_path, capsys, experiment):
     assert not (out / f"{experiment}.csv").exists()
 
 
+@pytest.mark.parametrize("experiment, text, message", [
+    # 1e400 parses as inf, which passes a "> 0" check and then fails in flow
+    ("biasvar", '{"probe_sigma": 1e400}', "probe_sigma must be a positive finite real, got inf"),
+    ("census", '{"query_sigma": 1e400}', "query_sigma must be a positive finite real, got inf"),
+    ("knn", '{"query_sigma": 1e400}', "query_sigma must be a finite real, got inf"),
+    # a repeated level would be flowed twice and its rows written twice
+    ("biasvar", '{"levels": [0, 0]}', "levels must not repeat a level, got [0, 0]"),
+    ("census", '{"levels": [1, 1]}', "levels must not repeat a level, got [1, 1]"),
+])
+def test_infinite_sigmas_and_repeated_levels_exit_2(tmp_path, capsys, experiment, text,
+                                                    message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(out.glob("*.csv"))
+
+
 _TRIPLES = "scenarios must be a non-empty list of [p, q, S] triples"
 
 

@@ -408,17 +408,17 @@ REFERENCE_CASES.update({
 
 def logged_flow(monkeypatch, loop, case):
     """loop's outputs on a fresh instance of case, and the row count of
-    each dynamics._energy_grad call it made."""
+    each Blocks.energy_grad call it made."""
     target, starts, cfg, kwargs = case()
     sizes = []
-    evaluate = dynamics._energy_grad
+    evaluate = dynamics.Blocks.energy_grad
 
     def logged(blocks, x, rows):
         sizes.append(x.shape[0])
         return evaluate(blocks, x, rows)
 
     with monkeypatch.context() as patch:
-        patch.setattr(dynamics, "_energy_grad", logged)
+        patch.setattr(dynamics.Blocks, "energy_grad", logged)
         return loop(target, starts, cfg, **kwargs), sizes
 
 
