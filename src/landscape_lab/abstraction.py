@@ -25,8 +25,9 @@ from scipy.ndimage import convolve1d
 
 from landscape_lab._seeds import derive_rng
 from landscape_lab.errors import InputError
-from landscape_lab.landscape import (CHUNK, EnergyLandscape, default_probe_radius,
-                                     hessian_fd_batch, spectral_norm, sqdist)
+from landscape_lab.landscape import (EnergyLandscape, default_probe_radius,
+                                     hessian_fd_batch, pair_tiles, spectral_norm,
+                                     sqdist)
 
 _ATANH_CLIP = 1.0 - 1e-12
 
@@ -259,21 +260,20 @@ def _max_difference_quotient(grads: np.ndarray, z: np.ndarray) -> float:
     """Max of ||g_i - g_j|| / ||z_i - z_j|| over pairs i < j whose points
     are more than 1e-12 apart, else 0.
 
-    Pairs are taken in CHUNK-row blocks (i's block before or at j's, i < j
-    within a diagonal block), so memory is bounded by the chunk; the max
-    does not depend on the order the pairs are visited in.
+    Pairs are taken over the upper-triangle tiles of pair_tiles: tile
+    [lo, hi) against rows lo on, keeping j > i, so memory is bounded by
+    TILE x m; each pair's quotient has the same bits wherever it is
+    computed, and the max does not depend on the order of the pairs.
     """
     m = z.shape[0]
     maxima = []
-    for lo in range(0, m, CHUNK):
-        for lo2 in range(lo, m, CHUNK):
-            dg = np.sqrt(sqdist(grads[lo:lo + CHUNK], grads[lo2:lo2 + CHUNK]))
-            dz = np.sqrt(sqdist(z[lo:lo + CHUNK], z[lo2:lo2 + CHUNK]))
-            ok = dz > 1e-12
-            if lo2 == lo:
-                ok &= np.arange(ok.shape[0])[:, None] < np.arange(ok.shape[1])
-            if ok.any():
-                maxima.append((dg[ok] / dz[ok]).max())
+    for lo, hi in pair_tiles(m):
+        dg = np.sqrt(sqdist(grads[lo:hi], grads[lo:]))
+        dz = np.sqrt(sqdist(z[lo:hi], z[lo:]))
+        # j > i: above the square's diagonal, and the whole strip
+        ok = (dz > 1e-12) & (np.arange(hi - lo)[:, None] < np.arange(m - lo))
+        if ok.any():
+            maxima.append((dg[ok] / dz[ok]).max())
     return float(np.max(maxima)) if maxima else 0.0
 
 

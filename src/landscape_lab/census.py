@@ -17,24 +17,29 @@ Diversity and proximity are measured in the level's own coordinates
 minima are compared; class assignment always happens in base space.
 
 Determinism: all draws derive from (seed, purpose, index) streams, query
-noise is shared across levels (common random numbers), and flows run in
-fixed-size chunks, so reports are bit-identical for any worker count.
+noise is shared across levels (common random numbers), flows run in
+fixed-size chunks, and diversity sums fixed TILE-row pair tiles, added in
+tile order, so reports are bit-identical for any worker count. The
+worker threads run both the flow chunks and the diversity tiles.
 """
 
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from landscape_lab._seeds import derive_rng
 from landscape_lab.abstraction import AbstractionHierarchy
-from landscape_lab.dynamics import Blocks, FlowConfig, flow_chunked
+from landscape_lab.dynamics import Blocks, FlowConfig, flow_chunked, ordered_map
 from landscape_lab.errors import CensusFailureError, InputError
 from landscape_lab.knn import argmax_class
-from landscape_lab.landscape import CHUNK, EnergyLandscape, MemorySet, sqdist
+from landscape_lab.landscape import (CHUNK, EnergyLandscape, MemorySet, pair_tiles,
+                                     sqdist)
 
 _PRIVACY_KS = (1, 2, 5, 10)
 _MAX_FAILURE_RATE = 0.01
@@ -71,6 +76,9 @@ class CensusReport:
     privacy_knn_distance: dict
     n_queries: int
     failures: int
+    # perf_counter seconds per phase (flow, classification, diversity,
+    # privacy): a record of the run, never a result, so not compared
+    phases: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         for name in ("p_data", "p_gen"):
@@ -124,14 +132,30 @@ def _decoder_range_hint(landscape: EnergyLandscape,
     return "".join(notes)
 
 
-def _mean_pairwise_distance(points: np.ndarray) -> float:
+def _tile_distance_sum(points: np.ndarray, bounds: tuple) -> float:
+    """Pair tile [lo, hi)'s share of the pairwise distance sum: half the
+    sum over its square (sqdist(a, a) is bitwise symmetric with a zero
+    diagonal) plus the sum over its strip, points[hi:]."""
+    lo, hi = bounds
+    a = points[lo:hi]
+    d = sqdist(a, a)
+    total = 0.5 * float(np.sqrt(d, out=d).sum())
+    if hi < points.shape[0]:
+        d = sqdist(a, points[hi:])
+        total += float(np.sqrt(d, out=d).sum())
+    return total
+
+
+def _mean_pairwise_distance(points: np.ndarray, workers: int = 1) -> float:
     """Mean distance over the m(m-1)/2 unordered pairs of rows.
 
     In 1-D, the sorted-gap closed form: the gap between the k-th and the
     (k+1)-th smallest point lies between k(m-k) pairs, and every term is
-    non-negative, so nothing cancels. Otherwise CHUNK-row blocks: a
-    diagonal block is summed in full and halved (sqdist(a, a) is bitwise
-    symmetric with a zero diagonal), an off-diagonal block once.
+    non-negative, so nothing cancels. Otherwise the upper-triangle walk of
+    pair_tiles: each TILE-row tile sums its own pairs once (see
+    _tile_distance_sum), so no array exceeds TILE x m. The tiles run on
+    ordered_map's workers threads, and the calling thread adds their sums in
+    tile order, so the bits do not depend on workers.
     """
     m = points.shape[0]
     if m < 2:
@@ -142,11 +166,9 @@ def _mean_pairwise_distance(points: np.ndarray) -> float:
         total = float((gaps * (k * (m - k))).sum())
     else:
         total = 0.0
-        for lo in range(0, m, CHUNK):
-            a = points[lo:lo + CHUNK]
-            total += 0.5 * float(np.sqrt(sqdist(a, a)).sum())
-            for lo2 in range(lo + CHUNK, m, CHUNK):
-                total += float(np.sqrt(sqdist(a, points[lo2:lo2 + CHUNK])).sum())
+        for part in ordered_map(partial(_tile_distance_sum, points),
+                                pair_tiles(m), workers):
+            total += part
     return total / (m * (m - 1) / 2.0)
 
 
@@ -174,7 +196,10 @@ def run_census(landscape: EnergyLandscape,
     Raises CensusFailureError when more than 1% of a level's flows fail
     (numerical breakdown or non-convergence), as soon as the chunk that
     passes that budget has run; failures below the threshold are excluded
-    from the statistics and reported in the failures field.
+    from the statistics and reported in the failures field. workers
+    threads run the flow chunks and the diversity tiles. Each report's
+    phases holds the seconds its level spent on flow, classification,
+    diversity and privacy.
     """
     levels = _resolve_levels(hierarchy, config.levels)
     flow_config = flow_config or default_flow_config()
@@ -195,6 +220,7 @@ def run_census(landscape: EnergyLandscape,
         lvl = hierarchy.level_energy(landscape, a)
         center = np.asarray(lvl.encode(mem.centroid))
         starts = center + sigma * unit
+        t_flow = time.perf_counter()
         out, ok = flow_chunked(lvl, starts, flow_config, workers, budget)
         failures = int((~ok).sum())
         if failures > budget:
@@ -204,21 +230,29 @@ def run_census(landscape: EnergyLandscape,
                 + _decoder_range_hint(landscape, hierarchy, (a,)))
         terminals = out["terminals"][ok]
 
+        t_class = time.perf_counter()
         basin_class = labels[lvl.nearest_memory(terminals)]
         m_ok = terminals.shape[0]
         p_gen = {c: float((basin_class == i).sum()) / m_ok
                  for i, c in enumerate(classes)}
+
+        t_div = time.perf_counter()
+        diversity = _mean_pairwise_distance(terminals, workers)
+        t_priv = time.perf_counter()
+        privacy = _knn_mean_distances(terminals, np.asarray(lvl.encoded_memories()))
+        t_end = time.perf_counter()
 
         reports.append(CensusReport(
             level=int(a),
             p_data=dict(p_data),
             p_gen=p_gen,
             amplification=p_gen[c_maj] - p_data[c_maj],
-            diversity_mean_pairwise=_mean_pairwise_distance(terminals),
-            privacy_knn_distance=_knn_mean_distances(
-                terminals, np.asarray(lvl.encoded_memories())),
+            diversity_mean_pairwise=diversity,
+            privacy_knn_distance=privacy,
             n_queries=config.n_queries,
             failures=failures,
+            phases={"flow": t_class - t_flow, "classification": t_div - t_class,
+                    "diversity": t_priv - t_div, "privacy": t_end - t_priv},
         ))
     return reports
 

@@ -5,7 +5,8 @@ Each run reads an optional flat JSON config (closed schema: unknown keys
 are rejected by name), resolves seed/out_dir/format/workers with
 precedence flag > environment > config > default, computes its result
 tables once, plot data included, and writes each from memory, and echoes
-the fully resolved configuration into manifest.json. Each experiment's
+the fully resolved configuration into manifest.json (a census manifest
+also holds each level's phase timings). Each experiment's
 schema holds exactly the keys it reads. Exit codes: 0 success, 2 input or
 config error, 3 numerical failure.
 
@@ -223,7 +224,9 @@ def _census_config(params: dict, seed: int) -> CensusConfig:
 
 
 # ---------------------------------------------------------------------------
-# Experiments: each returns {table_name: (columns, rows)}, plot data included
+# Experiments: each returns {table_name: (columns, rows)}, plot data included,
+# and may put run records (timings, never results) into records, which the
+# manifest carries
 # ---------------------------------------------------------------------------
 
 _CENSUS_COLUMNS = ["level", "class", "p_data", "p_gen", "amplification",
@@ -235,13 +238,14 @@ _PRIVACY_COLUMNS = ["level", "k", "mean_knn_distance", "diversity",
 _PLOTDATA_COLUMNS = ["series", "x", "y", "stderr"]
 
 
-def _experiment_census(cfg: RunConfig) -> dict:
+def _experiment_census(cfg: RunConfig, records: dict) -> dict:
     """The census, privacy and census plot-data tables, all from one
-    run_census call."""
+    run_census call; records gets each level's phase timings."""
     landscape = _build_landscape(cfg.params, cfg.seed)
     hierarchy = _build_hierarchy(cfg.params, landscape.dim)
     reports = run_census(landscape, hierarchy, _census_config(cfg.params, cfg.seed),
                          _flow_config(cfg.params), workers=cfg.workers)
+    records["phases"] = [{"level": r.level, **r.phases} for r in reports]
     rows = []
     for r in reports:
         for c in sorted(r.p_data):
@@ -279,7 +283,7 @@ def _experiment_census(cfg: RunConfig) -> dict:
             "plotdata_census": (_PLOTDATA_COLUMNS, plot_rows)}
 
 
-def _experiment_biasvar(cfg: RunConfig) -> dict:
+def _experiment_biasvar(cfg: RunConfig, records: dict) -> dict:
     landscape = _build_landscape(cfg.params, cfg.seed)
     hierarchy = _build_hierarchy(cfg.params, landscape.dim)
     results = bias_variance_probes(
@@ -294,7 +298,7 @@ def _experiment_biasvar(cfg: RunConfig) -> dict:
     return {"biasvar": (["level", "class", "bias", "variance_mean"], rows)}
 
 
-def _experiment_smoothness(cfg: RunConfig) -> dict:
+def _experiment_smoothness(cfg: RunConfig, records: dict) -> dict:
     landscape = _build_landscape(cfg.params, cfg.seed)
     hierarchy = _build_hierarchy(cfg.params, landscape.dim)
     reports = smoothness_report(
@@ -317,7 +321,7 @@ def _experiment_smoothness(cfg: RunConfig) -> dict:
             "plotdata_smoothness": (_PLOTDATA_COLUMNS, plot_rows)}
 
 
-def _experiment_knn(cfg: RunConfig) -> dict:
+def _experiment_knn(cfg: RunConfig, records: dict) -> dict:
     mem = _build_memories(cfg.params, cfg.seed)
     if mem.labels_numeric():
         # this table compares class outcomes, so labels act as identifiers
@@ -374,7 +378,7 @@ def _experiment_knn(cfg: RunConfig) -> dict:
                      "hard_1nn_class", "basin_class", "agreement_flag"], rows)}
 
 
-def _experiment_odds(cfg: RunConfig) -> dict:
+def _experiment_odds(cfg: RunConfig, records: dict) -> dict:
     scenarios = cfg.params["scenarios"]
     if not scenarios or any(len(scenario) != 3 for scenario in scenarios):
         raise InputError("scenarios must be a non-empty list of [p, q, S] triples")
@@ -398,7 +402,7 @@ def _experiment_odds(cfg: RunConfig) -> dict:
                       "empirical_conditional_odds"], rows)}
 
 
-def _experiment_grid(cfg: RunConfig) -> dict:
+def _experiment_grid(cfg: RunConfig, records: dict) -> dict:
     if not cfg.params["p_red"]:
         raise InputError("p_red must name at least one initial share")
     rows, plot_rows = [], []
@@ -435,7 +439,8 @@ def run(config: RunConfig) -> int:
     """Execute one experiment and write its artifacts."""
     t0 = time.monotonic()
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    tables = _EXPERIMENT_FNS[config.experiment](config)
+    records = {}
+    tables = _EXPERIMENT_FNS[config.experiment](config, records)
     for name, (columns, rows) in tables.items():
         write_table(config.out_dir, name, columns, rows, config.format)
     manifest = {
@@ -446,6 +451,7 @@ def run(config: RunConfig) -> int:
         "workers": config.workers,
         "params": config.params,
         "artifact_version": __version__,
+        **records,
         "wall_time_s": time.monotonic() - t0,
     }
     with open(config.out_dir / "manifest.json", "w", encoding="utf-8") as fh:

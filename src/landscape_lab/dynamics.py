@@ -12,6 +12,8 @@ is written back to the outputs when it leaves. Every per-row decision
 row's result is bit-identical no matter how starts are grouped.
 flow_chunked uses that to cut a batch into fixed CHUNK-row chunks, flowed
 on a thread pool when asked, and stops once a failure budget is passed.
+ordered_map is the package's one thread pool: it runs flow_chunked's
+chunks and census diversity's pair tiles, and yields results in order.
 Each trial is evaluated once, by its evaluator's energy_grad, and an
 accepted trial's gradient drives the next step.
 
@@ -32,6 +34,7 @@ import logging
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -237,6 +240,31 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
     return out
 
 
+def ordered_map(fn: Callable, items: Sequence, workers: int = 1,
+                stop: threading.Event | None = None):
+    """Yield fn(item) for each item, in item order: on a pool of workers
+    threads when workers > 1 and there is more than one item, else in
+    the calling thread. This is the package's one place that starts
+    threads; they only change scheduling, never what fn computes.
+
+    When the generator on the pool ends, is closed early or fails, stop
+    (if given) is set, so calls still running can return early; calls not
+    yet started are cancelled and the running ones waited for.
+    """
+    if workers <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(fn, item) for item in items]
+        for f in futures:
+            yield f.result()
+    finally:
+        if stop is not None:
+            stop.set()
+        pool.shutdown(cancel_futures=True)
+
+
 def flow_chunked(target, starts: np.ndarray, config: FlowConfig,
                  workers: int = 1, max_failures: float = math.inf) -> tuple:
     """flow_batch over fixed-size chunks, optionally on a thread pool.
@@ -245,9 +273,9 @@ def flow_chunked(target, starts: np.ndarray, config: FlowConfig,
     chunk gets the slice of it for its rows. Returns (out, ok): out holds
     flow_batch's arrays for the rows flowed, and ok marks the rows that
     converged without failing. Chunk boundaries are constants, so the
-    arithmetic is identical at any worker count; threads only change
-    scheduling. Results are taken in chunk order. Once more than
-    max_failures rows are not ok, the chunks not yet started are
+    arithmetic is identical at any worker count; threads (ordered_map)
+    only change scheduling. Results are taken in chunk order. Once more
+    than max_failures rows are not ok, the chunks not yet started are
     cancelled, those still running are told to stop, and the arrays
     returned end with the chunk that passed the budget, so where a run
     stops does not depend on workers.
@@ -256,30 +284,21 @@ def flow_chunked(target, starts: np.ndarray, config: FlowConfig,
     blocks = Blocks.of(target, m)
     # an empty batch still flows one (empty) chunk, for its empty arrays
     bounds = [(lo, min(lo + CHUNK, m)) for lo in range(0, max(m, 1), CHUNK)]
+    stop = threading.Event()
 
-    pool = None
-    if workers > 1 and len(bounds) > 1:
-        stop = threading.Event()
-        pool = ThreadPoolExecutor(max_workers=workers)
-        futures = [pool.submit(flow_batch, blocks[lo:hi], starts[lo:hi], config,
-                               stop=stop)
-                   for lo, hi in bounds]
-        results = (f.result() for f in futures)
-    else:
-        results = (flow_batch(blocks[lo:hi], starts[lo:hi], config) for lo, hi in bounds)
+    def chunk(bound):
+        lo, hi = bound
+        return flow_batch(blocks[lo:hi], starts[lo:hi], config, stop=stop)
+
     parts, failures = [], 0
-    try:
+    # every chunk up to the last one read has finished when the map is
+    # closed, so its stop cuts short only chunks whose rows are discarded
+    with closing(ordered_map(chunk, bounds, workers, stop)) as results:
         for out in results:
             parts.append(out)
             failures += int((~out["converged"] | out["failed"]).sum())
             if failures > max_failures:
                 break
-    finally:
-        if pool is not None:
-            # every chunk up to the last one read has finished, so this
-            # cuts short only chunks whose rows are discarded
-            stop.set()
-            pool.shutdown(cancel_futures=True)
     out = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
     return out, out["converged"] & ~out["failed"]
 

@@ -38,6 +38,7 @@ from landscape_lab.errors import InputError
 _NUMERIC_TYPES = (int, float, np.integer, np.floating)
 
 CHUNK = 1024            # rows per work item of every chunked batch routine
+TILE = 32               # rows per tile of every upper-triangle pair walk
 _BLOCK_CELLS = 65536    # (row, memory) cells per sqdist block, d >= 8
 _PAIRWISE_BLOCK = 128   # numpy's pairwise_sum splits ranges longer than this
 
@@ -129,6 +130,17 @@ def _pairwise_sqdist(a: np.ndarray, b: np.ndarray, lo: int, hi: int,
     return res
 
 
+def pair_tiles(m: int) -> list:
+    """Row bounds (lo, hi) of the upper-triangle pair walk over m rows.
+
+    Tile [lo, hi) pairs its rows with each other (its square) and with
+    every row from hi on (its strip), so each unordered pair i < j lies in
+    exactly one tile and no tile's distances exceed TILE x m. The bounds
+    depend on m alone, never on a worker count.
+    """
+    return [(lo, min(lo + TILE, m)) for lo in range(0, m, TILE)]
+
+
 def weighted_sum(w: np.ndarray, points: np.ndarray) -> np.ndarray:
     """sum_i w_i x_i: weights (..., n) against points (n, d), shape (..., d).
 
@@ -210,7 +222,12 @@ class MemorySet:
 
     @property
     def diameter(self) -> float:
-        return float(np.sqrt(sqdist(self.points, self.points)).max())
+        """Max distance between two memories, taken over the pair tiles
+        (no (n, n) array); sqrt is monotone, so it is taken once, of the
+        largest squared distance."""
+        pts = self.points
+        return math.sqrt(max(float(sqdist(pts[lo:hi], pts[lo:]).max())
+                             for lo, hi in pair_tiles(self.n)))
 
     def classes(self) -> list:
         return sorted(set(self.labels))

@@ -24,12 +24,26 @@ def _cell(value) -> str:
     return str(value)
 
 
+# _cell's result for a value of exactly this type, as a plain function
+_EXACT = {type(None): lambda value: "", bool: lambda value: str(int(value)),
+          float: float.__repr__, int: int.__repr__, str: str}
+
+
+def _column(values: list) -> list[str]:
+    """_cell of each value, mapped a column at a time: a column of one
+    exact type (a table's usual case) takes that type's formatter in one
+    map, anything else goes through _cell."""
+    kinds = set(map(type, values))
+    fmt = _EXACT.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(fmt or _cell, values))
+
+
 def write_csv(path, columns: list[str], rows: list[dict]) -> None:
+    cells = [_column([row.get(c) for row in rows]) for c in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row.get(c)) for c in columns])
+        writer.writerows(zip(*cells))
 
 
 def write_json(path, columns: list[str], rows: list[dict]) -> None:

@@ -18,7 +18,7 @@ from landscape_lab.abstraction import (
     total_curvature,
 )
 from landscape_lab.errors import InputError
-from landscape_lab.landscape import CHUNK, EnergyLandscape, MemorySet, sqdist
+from landscape_lab.landscape import CHUNK, TILE, EnergyLandscape, MemorySet, sqdist
 
 
 def random_landscape(seed, n=10, dim=2, beta=4.0, scale=1.0):
@@ -168,11 +168,12 @@ def test_lipschitz_below_hessian_estimate():
                 assert r.lipschitz_est <= r.hessian_norm_est + 1e-3
 
 
-@pytest.mark.parametrize("m", [2, CHUNK, CHUNK + 1, 2 * CHUNK + 50])
+@pytest.mark.parametrize("m", [2, TILE - 1, TILE, TILE + 1, 2 * TILE + 1,
+                               CHUNK, CHUNK + 1, 2 * CHUNK + 50])
 def test_difference_quotient_blocks_match_full_matrix(m):
-    # CHUNK-row block pairs give the max of the full pairwise matrix's
-    # upper triangle exactly; a fifth of the points are duplicates, whose
-    # zero distances are skipped
+    # the upper-triangle pair tiles give the max of the full pairwise
+    # matrix's upper triangle exactly; a fifth of the points are
+    # duplicates, whose zero distances are skipped
     rng = np.random.default_rng(m)
     base = rng.standard_normal((m - m // 5, 2))
     z = base[rng.permutation(np.arange(m) % base.shape[0])]

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from landscape_lab.census import (
 )
 from landscape_lab.dynamics import FlowConfig
 from landscape_lab.errors import CensusFailureError, InputError
-from landscape_lab.landscape import EnergyLandscape, MemorySet, gaussian_blobs
+from landscape_lab.landscape import CHUNK, TILE, EnergyLandscape, MemorySet, gaussian_blobs
 
 
 def biased_1d_landscape(beta=40.0):
@@ -128,8 +130,8 @@ def test_mean_pairwise_distance_oracle():
 @pytest.mark.parametrize("m", [2, 1023, 1025, 2049])
 @pytest.mark.parametrize("dim", [1, 2, 16])
 def test_mean_pairwise_distance_matches_brute_force(m, dim):
-    # 1-D closed form, and diagonal/off-diagonal CHUNK blocks otherwise;
-    # about a quarter of the points are duplicates
+    # 1-D closed form, and the upper-triangle pair tiles otherwise; about a
+    # quarter of the points are duplicates
     rng = np.random.default_rng(m + dim)
     base = rng.standard_normal((m - m // 4, dim))
     points = base[rng.permutation(np.arange(m) % base.shape[0])]
@@ -138,6 +140,52 @@ def test_mean_pairwise_distance_matches_brute_force(m, dim):
         total += np.linalg.norm(points[i + 1:] - points[i], axis=1).sum()
     want = total / (m * (m - 1) / 2)
     assert abs(_mean_pairwise_distance(points) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("m", [2, TILE - 1, TILE, TILE + 1, 2 * TILE + 1, CHUNK + 1])
+@pytest.mark.parametrize("dim", [2, 7, 8, 16])
+def test_mean_pairwise_distance_bits_do_not_depend_on_workers(m, dim):
+    # the calling thread adds the tiles' sums in tile order, so threads
+    # change only when a tile runs; dims 7 and 8 sit on either side of
+    # sqdist's switch between paths
+    points = np.random.default_rng(31 * m + dim).standard_normal((m, dim))
+    want = _mean_pairwise_distance(points)
+    for workers in (2, 3):
+        assert _mean_pairwise_distance(points, workers).hex() == want.hex()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mean_pairwise_distance_memory_is_bounded_by_a_tile(workers):
+    # numpy reports its buffers to tracemalloc. A tile's strip holds
+    # sqdist's two (TILE, m) arrays at once (at d < 8, its accumulator and
+    # one coordinate's squares; the sqrt is taken in place) while the
+    # tile's (TILE, TILE) square is still referenced, and each worker
+    # thread runs one tile at a time. Each tile also has a few small
+    # Python objects (its bounds, its sum, on a pool its future), allowed
+    # 1 KiB. The CHUNK blocks this walk replaced held (CHUNK, CHUNK)
+    # temporaries, 8 MB each.
+    m = 5000
+    points = np.random.default_rng(3).standard_normal((m, 2))
+    per_tile = (2 * TILE * m + TILE * TILE) * 8
+    objects = 1024 * len(landscape.pair_tiles(m))
+    tracemalloc.start()
+    try:
+        _mean_pairwise_distance(points, workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= workers * per_tile + objects
+
+
+def test_census_reports_phase_timings_outside_equality():
+    ls = biased_1d_landscape()
+    cfg = CensusConfig(n_queries=200, seed=1, levels=(0, 2))
+    reports = run_census(ls, hierarchy_1d(2), cfg)
+    for r in reports:
+        assert set(r.phases) == {"flow", "classification", "diversity", "privacy"}
+        assert all(t >= 0.0 for t in r.phases.values())
+    assert dataclasses.replace(reports[0], phases={}) == reports[0]
+    assert run_census(ls, hierarchy_1d(2), cfg) == reports
 
 
 def test_census_level_selection():

@@ -261,6 +261,25 @@ def test_worker_count_does_not_change_tables(tmp_path):
     assert (out1 / "census.csv").read_bytes() == (out8 / "census.csv").read_bytes()
 
 
+def test_census_manifest_records_phases_and_tables_ignore_workers(tmp_path):
+    # 600 queries in 2-D: diversity walks several pair tiles, which run on
+    # the census's threads at 2 workers
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"n_queries": 600, "dim": 2, "depth": 2, "class_counts": [5, 2]})
+    outs = [tmp_path / f"w{w}" for w in (1, 2)]
+    for w, out in zip((1, 2), outs):
+        assert main(["census", "--config", cfg, "--seed", "8", "--out-dir", str(out),
+                     "--workers", str(w)]) == 0
+    for name in ("census.csv", "privacy.csv", "plotdata_census.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    for out in outs:
+        phases = json.loads((out / "manifest.json").read_text())["phases"]
+        assert [p["level"] for p in phases] == [0, 1, 2]
+        for p in phases:
+            assert set(p) == {"level", "flow", "classification", "diversity", "privacy"}
+            assert all(p[k] >= 0.0 for k in p)
+
+
 def test_json_format(tmp_path):
     cfg = write_cfg(tmp_path, "o.json", {"scenarios": [[2, 1, 2]], "trials": 500})
     out = tmp_path / "out"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from landscape_lab.errors import InputError
 from landscape_lab.landscape import (
+    TILE,
     EnergyLandscape,
     MemorySet,
     _assemble_hessian,
@@ -51,6 +52,16 @@ def test_memoryset_stats():
     assert ms.radius == 2.0
     assert ms.diameter == 4.0
     assert ms.class_proportions() == {"a": 2 / 3, "b": 1 / 3}
+
+
+@pytest.mark.parametrize("n", [2, TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+@pytest.mark.parametrize("dim", [3, 16])
+def test_diameter_is_the_full_matrix_max(n, dim):
+    # the pair tiles cover every pair, and sqrt of the largest squared
+    # distance is the largest distance, bit for bit
+    pts = np.random.default_rng(n + dim).standard_normal((n, dim))
+    ms = MemorySet(pts, ("a",) * n)
+    assert ms.diameter == float(np.sqrt(sqdist(pts, pts)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -118,3 +118,17 @@ def test_only_the_softmax_helper_calls_exp():
                  for name, func, line in _package_sites(_is_np_exp)
                  if (name, func) not in allowed]
     assert offenders == []
+
+
+def _is_thread_start(node: ast.AST) -> bool:
+    """True for a name, attribute or import of a thread or thread pool class."""
+    names = {"ThreadPoolExecutor", "Thread", "ProcessPoolExecutor"}
+    return ((isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.alias) and node.name in names))
+
+
+def test_only_ordered_map_starts_threads():
+    # flow chunks and diversity tiles share one pool helper
+    assert {(name, func) for name, func, _ in _package_sites(_is_thread_start)} == {
+        ("dynamics.py", None), ("dynamics.py", "ordered_map")}
