@@ -18,9 +18,12 @@ minima are compared; class assignment always happens in base space.
 
 Determinism: all draws derive from (seed, purpose, index) streams, query
 noise is shared across levels (common random numbers), flows run in
-fixed-size chunks, and diversity sums fixed TILE-row pair tiles, added in
-tile order, so reports are bit-identical for any worker count. The
-worker threads run both the flow chunks and the diversity tiles.
+fixed-size chunks, diversity sums fixed TILE-row pair tiles, added in
+tile order, and classification and privacy run over fixed CHUNK-row blocks
+of the terminals, the privacy block sums added in block order, so reports
+are bit-identical for any worker count. The worker threads run the flow
+chunks, the classification blocks, the diversity tiles and the privacy
+blocks.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from landscape_lab.abstraction import AbstractionHierarchy
 from landscape_lab.dynamics import Blocks, FlowConfig, flow_chunked, ordered_map
 from landscape_lab.errors import CensusFailureError, InputError
 from landscape_lab.knn import argmax_class
-from landscape_lab.landscape import (CHUNK, EnergyLandscape, MemorySet, pair_tiles,
-                                     sqdist)
+from landscape_lab.landscape import (EnergyLandscape, MemorySet, chunk_bounds,
+                                     pair_tiles, sqdist)
 
 _PRIVACY_KS = (1, 2, 5, 10)
 _MAX_FAILURE_RATE = 0.01
@@ -172,17 +175,43 @@ def _mean_pairwise_distance(points: np.ndarray, workers: int = 1) -> float:
     return total / (m * (m - 1) / 2.0)
 
 
-def _knn_mean_distances(points: np.ndarray, references: np.ndarray) -> dict:
-    """Mean distance to the k nearest references, per k, averaged over points."""
+def _nearest_in_blocks(lvl, points: np.ndarray, workers: int = 1) -> np.ndarray:
+    """lvl.nearest_memory of each row, over CHUNK-row blocks on ordered_map's
+    workers threads. A row's index does not depend on its block."""
+    bounds = chunk_bounds(points.shape[0])
+    idx = np.empty(points.shape[0], dtype=np.intp)
+    for (lo, hi), part in zip(bounds, ordered_map(
+            lambda b: lvl.nearest_memory(points[b[0]:b[1]]), bounds, workers)):
+        idx[lo:hi] = part
+    return idx
+
+
+def _knn_block_sums(points: np.ndarray, references: np.ndarray,
+                    bounds: tuple) -> list:
+    """Block [lo, hi)'s sum over rows of the mean distance to the k nearest
+    references, one sum per k in _PRIVACY_KS."""
+    lo, hi = bounds
+    d = sqdist(points[lo:hi], references)
+    np.sqrt(d, out=d)
+    d.sort(axis=1)
     n_ref = references.shape[0]
-    sums = {k: 0.0 for k in _PRIVACY_KS}
-    for lo in range(0, points.shape[0], CHUNK):
-        d = np.sqrt(sqdist(points[lo:lo + CHUNK], references))
-        d.sort(axis=1)
-        for k in _PRIVACY_KS:
-            kk = min(k, n_ref)
-            sums[k] += float(d[:, :kk].mean(axis=1).sum())
+    return [float(d[:, :min(k, n_ref)].mean(axis=1).sum()) for k in _PRIVACY_KS]
+
+
+def _knn_mean_distances(points: np.ndarray, references: np.ndarray,
+                        workers: int = 1) -> dict:
+    """Mean distance to the k nearest references, per k, averaged over points.
+
+    The CHUNK-row blocks run on ordered_map's workers threads, and the
+    calling thread adds their sums in block order, so the bits do not
+    depend on workers.
+    """
+    sums = dict.fromkeys(_PRIVACY_KS, 0.0)
     m = points.shape[0]
+    for part in ordered_map(partial(_knn_block_sums, points, references),
+                            chunk_bounds(m), workers):
+        for k, s in zip(_PRIVACY_KS, part):
+            sums[k] += s
     return {k: (sums[k] / m if m else 0.0) for k in _PRIVACY_KS}
 
 
@@ -197,9 +226,10 @@ def run_census(landscape: EnergyLandscape,
     (numerical breakdown or non-convergence), as soon as the chunk that
     passes that budget has run; failures below the threshold are excluded
     from the statistics and reported in the failures field. workers
-    threads run the flow chunks and the diversity tiles. Each report's
-    phases holds the seconds its level spent on flow, classification,
-    diversity and privacy.
+    threads run the flow chunks, the classification and privacy blocks
+    (CHUNK rows of the terminals each) and the diversity tiles. Each
+    report's phases holds the seconds its level spent on flow,
+    classification, diversity and privacy, each timed over its own pass.
     """
     levels = _resolve_levels(hierarchy, config.levels)
     flow_config = flow_config or default_flow_config()
@@ -231,7 +261,7 @@ def run_census(landscape: EnergyLandscape,
         terminals = out["terminals"][ok]
 
         t_class = time.perf_counter()
-        basin_class = labels[lvl.nearest_memory(terminals)]
+        basin_class = labels[_nearest_in_blocks(lvl, terminals, workers)]
         m_ok = terminals.shape[0]
         p_gen = {c: float((basin_class == i).sum()) / m_ok
                  for i, c in enumerate(classes)}
@@ -239,7 +269,8 @@ def run_census(landscape: EnergyLandscape,
         t_div = time.perf_counter()
         diversity = _mean_pairwise_distance(terminals, workers)
         t_priv = time.perf_counter()
-        privacy = _knn_mean_distances(terminals, np.asarray(lvl.encoded_memories()))
+        privacy = _knn_mean_distances(terminals, np.asarray(lvl.encoded_memories()),
+                                      workers)
         t_end = time.perf_counter()
 
         reports.append(CensusReport(

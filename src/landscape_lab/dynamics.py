@@ -13,7 +13,8 @@ row's result is bit-identical no matter how starts are grouped.
 flow_chunked uses that to cut a batch into fixed CHUNK-row chunks, flowed
 on a thread pool when asked, and stops once a failure budget is passed.
 ordered_map is the package's one thread pool: it runs flow_chunked's
-chunks and census diversity's pair tiles, and yields results in order.
+chunks and the census's classification blocks, diversity pair tiles and
+privacy blocks, and yields results in order.
 Each trial is evaluated once, by its evaluator's energy_grad, and an
 accepted trial's gradient drives the next step.
 
@@ -33,16 +34,18 @@ import copy
 import logging
 import math
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
 
 from landscape_lab._seeds import derive_rng
 from landscape_lab.errors import InputError, NumericalFlowError
-from landscape_lab.landscape import CHUNK, sqdist
+from landscape_lab.landscape import chunk_bounds, sqdist
 
 logger = logging.getLogger(__name__)
 
@@ -247,18 +250,25 @@ def ordered_map(fn: Callable, items: Sequence, workers: int = 1,
     the calling thread. This is the package's one place that starts
     threads; they only change scheduling, never what fn computes.
 
-    When the generator on the pool ends, is closed early or fails, stop
-    (if given) is set, so calls still running can return early; calls not
-    yet started are cancelled and the running ones waited for.
+    The pool holds at most 2 * workers submitted calls (each future costs
+    about 2 KB of Python objects), topped up as each result is read, so
+    a long list of items does not hold one future per item. When the
+    generator on the pool ends, is closed early or fails, stop (if given)
+    is set, so calls still running can return early; calls not yet
+    started are cancelled or never submitted, and the running ones waited
+    for.
     """
     if workers <= 1 or len(items) <= 1:
         yield from map(fn, items)
         return
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        futures = [pool.submit(fn, item) for item in items]
-        for f in futures:
-            yield f.result()
+        ahead = iter(items)
+        pending = deque(pool.submit(fn, item) for item in islice(ahead, 2 * workers))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in islice(ahead, 1))
+            yield result
     finally:
         if stop is not None:
             stop.set()
@@ -283,7 +293,7 @@ def flow_chunked(target, starts: np.ndarray, config: FlowConfig,
     m = starts.shape[0]
     blocks = Blocks.of(target, m)
     # an empty batch still flows one (empty) chunk, for its empty arrays
-    bounds = [(lo, min(lo + CHUNK, m)) for lo in range(0, max(m, 1), CHUNK)]
+    bounds = chunk_bounds(max(m, 1))
     stop = threading.Event()
 
     def chunk(bound):

@@ -20,8 +20,10 @@ states the chunk-invariance contract the evaluators inherit. sqdist gives
 the bits of a plain broadcast-and-sum with no (..., n, d) temporary: below
 8 coordinates it accumulates one coordinate at a time, as numpy sums fewer
 than 8 terms; from 8 up it rebuilds numpy's pairwise sum with 8 (..., n)
-lane accumulators, over row blocks sized to stay in cache. No path uses
-BLAS, so a row's distances never depend on the batch it is computed in.
+lane accumulators, over row blocks sized to stay in cache, reading one
+coordinate-major copy of the memories so that each coordinate is contiguous.
+No path uses BLAS, so a row's distances never depend on the batch it is
+computed in.
 """
 
 from __future__ import annotations
@@ -46,17 +48,21 @@ _PAIRWISE_BLOCK = 128   # numpy's pairwise_sum splits ranges longer than this
 def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances from a (d,) or (m, d) to each row of b (n, d).
 
-    Takes float64 arrays as they are (no copy or check: this is the score
-    hot path). Gives the bits of the broadcast ((a - b)**2).sum(-1) without
-    its (..., n, d) temporary. Two paths, chosen by d = b.shape[1]:
+    Takes float64 arrays without a check (this is the score hot path).
+    Gives the bits of the broadcast ((a - b)**2).sum(-1) without its
+    (..., n, d) temporary. Two paths, chosen by d = b.shape[1]:
 
     * d < 8: the squares are accumulated into the (..., n) result one
-      coordinate at a time. numpy's add.reduce sums fewer than 8 terms
-      left to right, so this is the broadcast's order.
+      coordinate at a time, reading a and b as they are (no copy). numpy's
+      add.reduce sums fewer than 8 terms left to right, so this is the
+      broadcast's order.
     * d >= 8: numpy sums pairwise from 8 terms up, and _pairwise_sqdist
       adds the squares in that order with 8 (rows, n) lane accumulators.
-      The rows of a run in blocks of _BLOCK_CELLS // n, written into the
-      preallocated result, so a block's lanes stay in cache.
+      It reads one coordinate-major copy of b (n * d floats, made once
+      per call unless b already is coordinate-major), so each subtraction
+      reads a contiguous memory coordinate. The rows of a run in blocks of
+      _BLOCK_CELLS // n, written into the preallocated result, so a
+      block's lanes stay in cache.
 
     Chunk-invariance contract: no path uses a BLAS expansion, and a row's
     terms are added in an order fixed by d alone, so a row's result is
@@ -66,6 +72,7 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = b.shape[1]
     if d >= 8:
         n = b.shape[0]
+        b = np.ascontiguousarray(b.T).T
         rows = a.reshape(-1, d)
         out = np.empty((rows.shape[0], n))
         block = max(1, _BLOCK_CELLS // n)
@@ -128,6 +135,12 @@ def _pairwise_sqdist(a: np.ndarray, b: np.ndarray, lo: int, hi: int,
         t *= t
         res += t
     return res
+
+
+def chunk_bounds(m: int) -> list:
+    """Row bounds (lo, hi) of the fixed CHUNK-row blocks of m rows, which
+    depend on m alone, never on a worker count."""
+    return [(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
 
 
 def pair_tiles(m: int) -> list:

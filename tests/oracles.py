@@ -2,10 +2,12 @@
 
 Everything here is implemented directly from first principles (plain
 formulas, brute force, enumeration, quadrature) and never calls back into
-the code paths it is used to check. The one exception is
-flow_batch_reference, an earlier form of the flow loop kept to check the
-current one: it evaluates through dynamics.Blocks.energy_grad, so that
-both loops' evaluations can be logged and compared call by call.
+the code paths it is used to check. The two exceptions are earlier forms
+of census code kept to check the current ones. flow_batch_reference, the
+flow loop, evaluates through dynamics.Blocks.energy_grad, so that both
+loops' evaluations can be logged and compared call by call.
+knn_mean_distances_serial, the privacy reduction, takes its distances from
+landscape.sqdist, so that the pooled reduction must match it bit for bit.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from scipy.stats import norm
 
 from landscape_lab import dynamics
 from landscape_lab.errors import InputError
+from landscape_lab.landscape import CHUNK, sqdist
 
 
 def lse_energy_1d(points, beta, x):
@@ -270,3 +273,19 @@ def flow_batch_reference(target, starts, config, *, record=False, stop=None):
     if record:
         out["trajectory"] = np.array(snapshots)
     return out
+
+
+def knn_mean_distances_serial(points, references, ks=(1, 2, 5, 10)):
+    """The one-thread privacy loop that census._knn_mean_distances replaced:
+    per CHUNK-row block, the mean distance to the k nearest references,
+    summed over rows and added to each k's total in block order."""
+    n_ref = references.shape[0]
+    sums = {k: 0.0 for k in ks}
+    for lo in range(0, points.shape[0], CHUNK):
+        d = np.sqrt(sqdist(points[lo:lo + CHUNK], references))
+        d.sort(axis=1)
+        for k in ks:
+            kk = min(k, n_ref)
+            sums[k] += float(d[:, :kk].mean(axis=1).sum())
+    m = points.shape[0]
+    return {k: (sums[k] / m if m else 0.0) for k in ks}

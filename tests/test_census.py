@@ -12,7 +12,9 @@ from landscape_lab.abstraction import LevelEnergy, diagonal_hierarchy, tanh_hier
 from landscape_lab.census import (
     CensusConfig,
     CensusReport,
+    _knn_mean_distances,
     _mean_pairwise_distance,
+    _nearest_in_blocks,
     bias_variance_probes,
     run_census,
 )
@@ -177,6 +179,58 @@ def test_mean_pairwise_distance_memory_is_bounded_by_a_tile(workers):
     assert peak <= workers * per_tile + objects
 
 
+@pytest.mark.parametrize("m", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
+@pytest.mark.parametrize("dim", [2, 16])
+def test_privacy_blocks_match_the_serial_loop(m, dim):
+    # the calling thread adds the blocks' sums in block order, the order of
+    # the one-thread loop, so the pool changes only when a block runs; 3
+    # references leave k = 5 and 10 at all of them
+    rng = np.random.default_rng(17 * m + dim)
+    points = rng.standard_normal((m, dim))
+    for n_ref in (3, 40):
+        refs = rng.standard_normal((n_ref, dim))
+        want = oracles.knn_mean_distances_serial(points, refs)
+        for workers in (1, 2, 3):
+            got = _knn_mean_distances(points, refs, workers)
+            assert list(got) == list(want)
+            assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+
+@pytest.mark.parametrize("m", [0, 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
+def test_classification_blocks_match_one_call(m):
+    # tanh decoding and nearest_memory are row-wise, so a block's indices
+    # are the whole batch's
+    ms = gaussian_blobs(dim=8, class_counts=[30, 10], spread=0.5, seed=2)
+    lvl = tanh_hierarchy([0.9, 0.81], dim=8).level_energy(EnergyLandscape(ms, 4.0), 2)
+    points = np.random.default_rng(m).standard_normal((m, 8))
+    want = lvl.nearest_memory(points)
+    for workers in (1, 2, 3):
+        assert np.array_equal(_nearest_in_blocks(lvl, points, workers), want)
+
+
+def test_wide_census_reports_do_not_depend_on_workers():
+    # 2500 queries make three CHUNK blocks, the last one partial, for the
+    # flows, classification and privacy; 16-D runs sqdist's lane path, and
+    # every phase is timed over its own pass
+    ms = gaussian_blobs(dim=16, class_counts=[24, 8], spread=0.5, seed=4,
+                        center_scale=1.0)
+    ls = EnergyLandscape(ms, 4.0)
+    hierarchy = diagonal_hierarchy([0.9], dim=16)
+    cfg = CensusConfig(n_queries=2500, seed=6)
+    assert cfg.n_queries % CHUNK and cfg.n_queries // CHUNK == 2
+    want = run_census(ls, hierarchy, cfg, workers=1)
+    for r in want:
+        assert r.failures == 0
+        assert all(t > 0.0 for t in r.phases.values()), r.phases
+    for workers in (2, 3):
+        got = run_census(ls, hierarchy, cfg, workers=workers)
+        assert got == want
+        for a, b in zip(got, want):
+            assert a.diversity_mean_pairwise.hex() == b.diversity_mean_pairwise.hex()
+            assert ([v.hex() for v in a.privacy_knn_distance.values()]
+                    == [v.hex() for v in b.privacy_knn_distance.values()])
+
+
 def test_census_reports_phase_timings_outside_equality():
     ls = biased_1d_landscape()
     cfg = CensusConfig(n_queries=200, seed=1, levels=(0, 2))
@@ -339,8 +393,8 @@ def test_biasvar_flows_each_level_in_chunks(monkeypatch):
     monkeypatch.setattr(dynamics, "flow_batch", counting)
     bias_variance_probes(ls, hierarchy, seed=0, bootstrap_rounds=rounds)
     levels = hierarchy.levels + 1
-    assert rounds * ls.memories.n > census.CHUNK
-    assert len(calls) <= levels * math.ceil(rounds * ls.memories.n / census.CHUNK)
+    assert rounds * ls.memories.n > CHUNK
+    assert len(calls) <= levels * math.ceil(rounds * ls.memories.n / CHUNK)
 
 
 def test_census_fails_after_the_chunk_that_passes_the_budget(monkeypatch):
@@ -355,7 +409,7 @@ def test_census_fails_after_the_chunk_that_passes_the_budget(monkeypatch):
     hierarchy = tanh_hierarchy([0.9, 0.81], dim=2)
     cfg = CensusConfig(n_queries=5000, seed=0)
     flow_cfg = FlowConfig(step_size=1.0, grad_tol=1e-5, max_steps=500)
-    chunks = -(-cfg.n_queries // census.CHUNK)
+    chunks = -(-cfg.n_queries // CHUNK)
     calls = []
     real = dynamics.flow_batch
 
@@ -373,7 +427,7 @@ def test_census_fails_after_the_chunk_that_passes_the_budget(monkeypatch):
             # level 0 passes in full, level 1 stops after its first chunk
             assert len(calls) == chunks + 1
     assert messages[0] == messages[1]
-    assert messages[0].startswith("level 1: ") and f"/{census.CHUNK} flows" in messages[0]
+    assert messages[0].startswith("level 1: ") and f"/{CHUNK} flows" in messages[0]
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +477,7 @@ def test_round_blocks_give_each_row_its_rounds_bits(name):
         assert min(sizes) >= 8
     if "straddles" in name:
         # the first chunk ends inside a round
-        assert starts.shape[0] > census.CHUNK and census.CHUNK % sum(class_counts)
+        assert starts.shape[0] > CHUNK and CHUNK % sum(class_counts)
     cfg = FlowConfig(step_size=1.0, grad_tol=1e-5, max_steps=150)
     for workers in (1, 2):
         out, ok = dynamics.flow_chunked(one_pass, starts, cfg, workers)

@@ -276,6 +276,28 @@ def test_blocks_validation():
         flow_batch(Blocks(levels, np.array([0, 1, 1])), np.zeros((2, 2)), CFG)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_ordered_map_yields_in_order_with_few_calls_ahead(workers):
+    # the pool keeps at most 2 * workers calls submitted beyond the results
+    # read, so a closed map never calls fn on the items past that window
+    started = []
+    lock = threading.Lock()
+
+    def fn(item):
+        with lock:
+            started.append(item)
+        return item * item
+
+    items = list(range(50))
+    assert list(dynamics.ordered_map(fn, items, workers)) == [i * i for i in items]
+    assert sorted(started) == items
+    started.clear()
+    results = dynamics.ordered_map(fn, items, workers)
+    assert [next(results) for _ in range(5)] == [0, 1, 4, 9, 16]
+    results.close()
+    assert max(started) < 5 + 2 * max(workers, 1)
+
+
 def test_flow_batch_returns_at_once_when_stop_is_set():
     # the starts are evaluated, then the loop sees the event before any
     # step: every row comes back where it started, neither converged nor

@@ -163,6 +163,25 @@ def test_sqdist_equals_broadcast_reference(dim):
         assert np.array_equal(got, broadcast_sqdist(a, b))
 
 
+@pytest.mark.parametrize("dim", [7, 8, 9, 16, 130])
+@pytest.mark.parametrize("rows", [1, 7, 1025])
+def test_sqdist_bits_do_not_depend_on_the_memories_layout(dim, rows):
+    # from 8 coordinates up sqdist reads a coordinate-major copy of b; a
+    # Fortran-ordered b is read as it is, and strided row views are copied.
+    # The reference broadcasts over a C-ordered copy: over a Fortran-ordered
+    # b its product is laid out coordinate-major, and numpy then sums the
+    # strided last axis left to right rather than pairwise
+    rng = np.random.default_rng(7 * dim + rows)
+    pts = rng.standard_normal((40, dim))
+    a = 2.0 * rng.standard_normal((rows, dim))
+    layouts = {"C": np.ascontiguousarray(pts), "F": np.asfortranarray(pts),
+               "offset": pts[3:], "strided": pts[::2]}
+    for name, b in layouts.items():
+        want = broadcast_sqdist(a, np.ascontiguousarray(b))
+        assert np.array_equal(sqdist(a, b), want), name
+        assert np.array_equal(sqdist(a[0], b), want[0]), name
+
+
 def test_sqdist_memory_is_bounded_by_its_output():
     # numpy reports its buffers to tracemalloc; the broadcast this kernel
     # replaced peaked at 33x the output here, a (1024, 2000, 32) temporary
