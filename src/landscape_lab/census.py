@@ -303,8 +303,10 @@ class _ResampledLandscape(EnergyLandscape):
     log_counts: np.ndarray = field(default=None)
     drawn: np.ndarray = field(default=None)
 
-    def _scores(self, x):
-        return super()._scores(x) + self.log_counts
+    def _scores(self, x, by_memory=False):
+        s = super()._scores(x, by_memory)
+        s += self.log_counts[:, None] if by_memory else self.log_counts
+        return s
 
 
 def _bootstrap_landscape(landscape: EnergyLandscape, rng: np.random.Generator,

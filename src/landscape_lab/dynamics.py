@@ -18,14 +18,11 @@ privacy blocks, and yields results in order.
 Each trial is evaluated once, by its evaluator's energy_grad, and an
 accepted trial's gradient drives the next step.
 
-A batch may mix evaluators: given Blocks, row r is evaluated by
-evaluators[block[r]], and Blocks.energy_grad evaluates a batch of rows.
-By default each run of rows sharing an evaluator is one energy_grad call
-on those rows alone; a subclass may evaluate all rows in one pass, as the
-bootstrap rounds of census do, if each row gets its own evaluator's bits.
-Since evaluators are row-wise, a row's result equals that of a flow_batch
-on its own evaluator, so many small flows (one per bootstrap round, say)
-run as one loop. A lone evaluator is the one-block case.
+Given Blocks, row r is evaluated by evaluators[block[r]]; a Blocks
+subclass that mixes evaluators gives each row its own evaluator's bits,
+as census's bootstrap rounds do in one pass, so a row's result equals
+that of a flow_batch on its own evaluator and many small flows run as
+one loop. Every row ends with a reason code.
 """
 
 from __future__ import annotations
@@ -50,6 +47,12 @@ from landscape_lab.landscape import chunk_bounds, sqdist
 logger = logging.getLogger(__name__)
 
 _MAX_HALVINGS = 60
+
+CONVERGED = 0   # flow_batch's reason codes: |grad| fell below grad_tol
+NONFINITE = 1   # a non-finite energy or gradient (the row failed)
+STALLED = 2     # at float resolution: no step length descends or moves x
+MAX_STEPS = 3   # still moving after max_steps steps
+STOPPED = 4     # the batch's stop event was set
 
 
 @dataclass
@@ -100,8 +103,8 @@ class MergedMinimum:
 class Blocks:
     """Per-row evaluators of one batch: row r is evaluated by
     evaluators[block[r]]. Slicing selects rows, as a chunk of the batch
-    does, and keeps the evaluators and the class: a subclass that
-    evaluates its rows another way keeps doing so chunk by chunk."""
+    does, and keeps the evaluators and the class: a subclass that mixes
+    evaluators keeps evaluating its way chunk by chunk."""
 
     def __init__(self, evaluators: Sequence, block: np.ndarray):
         self.evaluators = tuple(evaluators)
@@ -125,20 +128,40 @@ class Blocks:
 
     def energy_grad(self, x: np.ndarray, rows: np.ndarray) -> tuple:
         """Energies and gradients at x, whose i-th point is batch row
-        rows[i]: each run of consecutive points whose rows share a block
-        index is one energy_grad call, by that block's evaluator, on that
-        slice of x alone. A lone evaluator makes one run of all of x.
-        """
-        if len(self.evaluators) == 1:
-            e, g = self.evaluators[0].energy_grad(x)
-            return np.asarray(e, dtype=np.float64).reshape(-1), g
-        b = self.block[rows]
-        edges = np.flatnonzero(np.diff(b, prepend=-1, append=-1))
-        e = np.empty(x.shape[0])
-        g = np.empty_like(x)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            e[lo:hi], g[lo:hi] = self.evaluators[b[lo]].energy_grad(x[lo:hi])
-        return e, g
+        rows[i], from one energy_grad call by the lone evaluator."""
+        (evaluator,) = self.evaluators
+        e, g = evaluator.energy_grad(x)
+        return np.asarray(e, dtype=np.float64).reshape(-1), g
+
+
+def _coordinate_rows(d: int) -> float:
+    """The rows from which the flow loop's row reductions over d
+    coordinates run one coordinate at a time, each operation along the
+    rows: below 8 coordinates, where numpy also adds left to right, from
+    64 (d - 1) rows on, the measured crossover of the two forms' call
+    overheads; never from 8 up."""
+    return 64 * (d - 1) if d < 8 else math.inf
+
+
+def _row_norms(g: np.ndarray, by_coordinate: bool) -> np.ndarray:
+    """np.sqrt((g * g).sum(axis=1)), bit for bit, taken one coordinate at
+    a time by_coordinate."""
+    if not by_coordinate:
+        return np.sqrt((g * g).sum(axis=1))
+    s = g[:, 0] * g[:, 0]
+    for k in range(1, g.shape[1]):
+        s += g[:, k] * g[:, k]
+    return np.sqrt(s, out=s)
+
+
+def _rows_differ(a: np.ndarray, b: np.ndarray, by_coordinate: bool) -> np.ndarray:
+    """(a != b).any(axis=1), taken one coordinate at a time by_coordinate."""
+    if not by_coordinate:
+        return (a != b).any(axis=1)
+    out = a[:, 0] != b[:, 0]
+    for k in range(1, a.shape[1]):
+        out |= a[:, k] != b[:, k]
+    return out
 
 
 def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
@@ -152,13 +175,14 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
     Each evaluation of a set of rows (the starts, each iteration's trials,
     each halving's retries) is one Blocks.energy_grad call on those rows.
     Returns arrays: terminals (m, d), steps (m,), converged (m,), failed
-    (m,) and fail_step (m,). Rows that hit non-finite values are marked
-    failed and frozen rather than aborting the batch. A row stalled at
-    float resolution (no step length descends, or the accepted step leaves
-    x bitwise unchanged) ends not converged; steps counts only the steps
-    that moved it. flow's recorder sets record, which adds "trajectory": a
-    snapshot of x per stepping iteration. In each one every active row
-    either steps or leaves, so row r visited trajectory[:steps[r] + 1, r].
+    (m,), fail_step (m,) and reason (m,), each row's int8 reason code.
+    Rows that hit non-finite values are marked failed and frozen rather
+    than aborting the batch. A row stalled at float resolution (no step
+    length descends, or the accepted step leaves x bitwise unchanged) ends
+    not converged; steps counts only the steps that moved it. flow's
+    recorder sets record, which adds "trajectory": a snapshot of x per
+    stepping iteration. In each one every active row either steps or
+    leaves, so row r visited trajectory[:steps[r] + 1, r].
     stop is checked once per iteration: once it is set the batch returns
     as it stands, its active rows neither converged nor failed.
 
@@ -166,7 +190,9 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
     order, beside act, their sorted batch rows; every active row has taken
     the same n steps. A row is written back to the outputs when it leaves
     (non-finite, converged or stalled), every iteration under record, and
-    at the end if still active (max_steps or stop).
+    at the end if still active (max_steps or stop); reason is written at
+    the stall test and at the end. Below 8 coordinates the per-row
+    reductions run one coordinate at a time once the rows are many.
     """
     x = np.array(starts, dtype=np.float64)
     if x.ndim == 1:
@@ -183,16 +209,19 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
     steps = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
     failed = ~np.isfinite(e)
+    reason = np.empty(m, dtype=np.int8)
     act = np.flatnonzero(~failed)
     xa, ea, ga = x[act], e[act], g[act]
     n = 0
+    coordinate_rows = _coordinate_rows(x.shape[1])
 
     snapshots = [x.copy()] if record else None
 
     while act.size and n < config.max_steps:
         if stop is not None and stop.is_set():
             break
-        gnorm = np.sqrt((ga * ga).sum(axis=1))
+        by_coordinate = act.size >= coordinate_rows
+        gnorm = _row_norms(ga, by_coordinate)
         bad = ~np.isfinite(gnorm)
         done = gnorm < config.grad_tol
         left = bad | done
@@ -223,12 +252,13 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
         # cannot descend at any step length (still in todo), and those
         # whose accepted trial leaves x bitwise unchanged (from there every
         # iteration would repeat exactly until max_steps)
-        moved = (trial != xa).any(axis=1)
+        moved = _rows_differ(trial, xa, by_coordinate)
         moved[todo] = False
         if moved.all():
             xa, ea, ga = trial, et, gt
         else:
             x[act[~moved]], steps[act[~moved]] = xa[~moved], n
+            reason[act[~moved]] = STALLED
             act, xa, ea, ga = act[moved], trial[moved], et[moved], gt[moved]
         n += 1
         if record:
@@ -236,8 +266,11 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
             snapshots.append(x.copy())
 
     x[act], steps[act] = xa, n
+    reason[act] = MAX_STEPS if n >= config.max_steps else STOPPED
+    reason[converged], reason[failed] = CONVERGED, NONFINITE
     out = {"terminals": x, "steps": steps, "converged": converged,
-           "failed": failed, "fail_step": np.where(failed, steps, -1)}
+           "failed": failed, "fail_step": np.where(failed, steps, -1),
+           "reason": reason}
     if record:
         out["trajectory"] = np.array(snapshots)
     return out

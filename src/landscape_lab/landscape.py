@@ -20,10 +20,18 @@ states the chunk-invariance contract the evaluators inherit. sqdist gives
 the bits of a plain broadcast-and-sum with no (..., n, d) temporary: below
 8 coordinates it accumulates one coordinate at a time, as numpy sums fewer
 than 8 terms; from 8 up it rebuilds numpy's pairwise sum with 8 (..., n)
-lane accumulators, over row blocks sized to stay in cache, reading one
-coordinate-major copy of the memories so that each coordinate is contiguous.
-No path uses BLAS, so a row's distances never depend on the batch it is
-computed in.
+lane accumulators, over row blocks, reading one coordinate-major copy of
+the memories so that each coordinate is contiguous. No path uses BLAS, so
+a row's distances never depend on the batch it is computed in.
+
+Scores come in two layouts with the same bits. Row-major (rows, n) is the
+default. Below 8 coordinates, from _MAJOR_ROWS + 8 n rows on (_by_memory,
+decided from rows, n and d alone), energy, weights and energy_grad build
+them memory-major, (n, rows), so that each numpy operation runs along the
+rows rather than along a handful of memories. Their sums over the
+memories then follow numpy's pairwise row order through the one lane
+routine, _pairwise_sum, that sqdist's d >= 8 path also uses; a single
+row always stays row-major, since numpy sums an (n, 1) array pairwise.
 """
 
 from __future__ import annotations
@@ -43,45 +51,70 @@ CHUNK = 1024            # rows per work item of every chunked batch routine
 TILE = 32               # rows per tile of every upper-triangle pair walk
 _BLOCK_CELLS = 65536    # (row, memory) cells per sqdist block, d >= 8
 _PAIRWISE_BLOCK = 128   # numpy's pairwise_sum splits ranges longer than this
+_MAJOR_ROWS = 96        # scores below 8 coordinates are memory-major from
+                        # _MAJOR_ROWS + 8 n rows on (see _by_memory)
 
 
-def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def sqdist(a: np.ndarray, b: np.ndarray, by_memory: bool = False) -> np.ndarray:
     """Squared distances from a (d,) or (m, d) to each row of b (n, d).
 
     Takes float64 arrays without a check (this is the score hot path).
     Gives the bits of the broadcast ((a - b)**2).sum(-1) without its
     (..., n, d) temporary. Two paths, chosen by d = b.shape[1]:
 
-    * d < 8: the squares are accumulated into the (..., n) result one
-      coordinate at a time, reading a and b as they are (no copy). numpy's
-      add.reduce sums fewer than 8 terms left to right, so this is the
-      broadcast's order.
-    * d >= 8: numpy sums pairwise from 8 terms up, and _pairwise_sqdist
-      adds the squares in that order with 8 (rows, n) lane accumulators.
-      It reads one coordinate-major copy of b (n * d floats, made once
-      per call unless b already is coordinate-major), so each subtraction
-      reads a contiguous memory coordinate. The rows of a run in blocks of
-      _BLOCK_CELLS // n, written into the preallocated result, so a
-      block's lanes stay in cache.
+    * d < 8: the squares are accumulated into the result one coordinate
+      at a time, reading a and b as they are (no copy). numpy's add.reduce
+      sums fewer than 8 terms left to right, so this is the broadcast's
+      order. by_memory lays the result out memory-major, (n, m) for a
+      (m, d), so that each operation runs along the rows of a; the cells
+      hold the same bits in either layout.
+    * d >= 8: numpy sums pairwise from 8 terms up, and _pairwise_sum adds
+      the squares in that order into 8 (rows, n) lanes, one coordinate's
+      squares at a time. It reads one coordinate-major copy of b (n * d
+      floats), so each subtraction reads a contiguous memory coordinate.
+      The rows of a run in blocks of _BLOCK_CELLS // n, written into the
+      preallocated result, so a block's lanes stay small. by_memory is not
+      taken here.
 
     Chunk-invariance contract: no path uses a BLAS expansion, and a row's
     terms are added in an order fixed by d alone, so a row's result is
-    bit-identical however its batch is chunked or offset; every result
-    table is worker-count independent because all distances come from here.
+    bit-identical however its batch is chunked or offset, and in either
+    layout; every result table is worker-count independent because all
+    distances come from here.
     """
     d = b.shape[1]
     if d >= 8:
         n = b.shape[0]
-        b = np.ascontiguousarray(b.T).T
+        bt = np.ascontiguousarray(b.T)
         rows = a.reshape(-1, d)
         out = np.empty((rows.shape[0], n))
         block = max(1, _BLOCK_CELLS // n)
-        scratch = np.empty((8, min(block, rows.shape[0]), n))
+        lanes = np.empty((8, min(block, rows.shape[0]), n))
         for lo in range(0, rows.shape[0], block):
+            part = rows[lo:lo + block]
             res = out[lo:lo + block]
-            _pairwise_sqdist(rows[lo:lo + block], b, 0, d, res,
-                             scratch[:, :res.shape[0]])
+            block_lanes = lanes[:, :res.shape[0]]
+            lane_views = list(block_lanes)   # made once per block, not per term
+
+            def squares(k, j, into, spare):
+                targets = lane_views if into is block_lanes else into
+                for i, r in zip(range(k, j), targets):
+                    s = np.subtract(part[:, None, i], bt[i],
+                                    out=r if spare is None else spare)
+                    s *= s
+                    if spare is not None:
+                        r += s
+
+            _pairwise_sum(squares, 0, d, res, block_lanes)
         return out.reshape(a.shape[:-1] + (n,))
+    if by_memory:
+        acc = np.subtract(a[:, 0], b[:, 0, None])
+        acc *= acc
+        for k in range(1, d):
+            t = np.subtract(a[:, k], b[:, k, None])
+            t *= t
+            acc += t
+        return acc
     acc = a[..., None, 0] - b[:, 0]
     acc *= acc
     for k in range(1, d):
@@ -91,37 +124,37 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _pairwise_sqdist(a: np.ndarray, b: np.ndarray, lo: int, hi: int,
-                     res: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Sum of the squares t_k = (a_k - b_k)**2 over lo <= k < hi (at least
-    8 terms) for a (rows, d) and b (n, d), into res (rows, n), in the order
-    of numpy's pairwise_sum (Higham, Accuracy and Stability of Numerical
-    Algorithms, sec. 4.2).
+def _pairwise_sum(terms, lo: int, hi: int, res: np.ndarray,
+                  lanes: np.ndarray) -> np.ndarray:
+    """Sum of the terms lo <= k < hi (at least 8) into res, in the order of
+    numpy's pairwise_sum (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 4.2). This is the package's one copy of that order:
+    sqdist's d >= 8 path sums squares with it, _memory_sum the rows of a
+    memory-major array.
 
-    Up to _PAIRWISE_BLOCK terms: lane j sums the t_k with k - lo = j mod 8
-    in order, the lanes combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
-    the remaining (hi - lo) mod 8 terms are added last. Above it the range
-    splits at a multiple of 8 near its middle and the halves are summed
-    the same way, then added. scratch holds 7 lanes and one term, each
-    shaped like res; res is lane 0.
+    terms(k, j, into, spare) writes terms k..j-1 (at most 8) into the
+    stacked arrays into[0..j-k-1], each shaped like res, or, given a spare
+    array shaped like res that it may overwrite, adds them to those. lanes
+    is 8 arrays shaped like res, used as scratch. The spare is res itself
+    until the lanes combine into it, then a spent lane, so the routine
+    needs no scratch beyond the lanes.
+
+    Up to _PAIRWISE_BLOCK terms: lane j sums the terms with k - lo = j
+    mod 8 in order, the lanes combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    and the remaining (hi - lo) mod 8 terms are added last. Above it the
+    range splits at a multiple of 8 near its middle and the halves are
+    summed the same way, then added.
     """
     m = hi - lo
     if m > _PAIRWISE_BLOCK:
         mid = lo + m // 2 - (m // 2) % 8
-        _pairwise_sqdist(a, b, lo, mid, res, scratch)
-        res += _pairwise_sqdist(a, b, mid, hi, np.empty_like(res), scratch)
+        _pairwise_sum(terms, lo, mid, res, lanes)
+        res += _pairwise_sum(terms, mid, hi, np.empty_like(res), lanes)
         return res
-    lanes = (res, *scratch[:7])
-    t = scratch[7]
-    for j, r in enumerate(lanes):
-        np.subtract(a[:, None, lo + j], b[:, lo + j], out=r)
-        r *= r
+    terms(lo, lo + 8, lanes, None)
     tail = hi - m % 8
-    for k in range(lo + 8, tail):
-        np.subtract(a[:, None, k], b[:, k], out=t)
-        t *= t
-        r = lanes[(k - lo) % 8]
-        r += t
+    for k in range(lo + 8, tail, 8):
+        terms(k, k + 8, lanes, res)
     r0, r1, r2, r3, r4, r5, r6, r7 = lanes
     r0 += r1
     r2 += r3
@@ -129,12 +162,45 @@ def _pairwise_sqdist(a: np.ndarray, b: np.ndarray, lo: int, hi: int,
     r4 += r5
     r6 += r7
     r4 += r6
-    r0 += r4
+    np.add(r0, r4, out=res)
+    into = res[None]
     for k in range(tail, hi):
-        np.subtract(a[:, None, k], b[:, k], out=t)
-        t *= t
-        res += t
+        terms(k, k + 1, into, r1)
     return res
+
+
+def _memory_sum(t: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of a memory-major t (n, rows), with the bits
+    of the row sums of t.T, which numpy adds pairwise along the memories:
+    fewer than 8 terms left to right, as add.reduce sums along an outer
+    axis, and from 8 up through _pairwise_sum. One exception: numpy adds a
+    pairwise sum to its initial 0.0, which turns a sum of -0.0 terms into
+    0.0, and the lanes do not, so a caller whose terms can all be -0.0
+    adds that 0.0 itself.
+
+    t needs at least 2 rows: for a (n, 1) t numpy itself sums pairwise.
+    """
+    n, rows = t.shape
+    if n < 8:
+        return np.add.reduce(t, axis=0)
+
+    def terms(k, j, into, spare):
+        if spare is None:
+            into[...] = t[k:j]
+        else:
+            into += t[k:j]
+
+    return _pairwise_sum(terms, 0, n, np.empty(rows), np.empty((8, rows)))
+
+
+def _by_memory(x: np.ndarray, n: int) -> bool:
+    """Whether the scores of points x (rows, d) against n memories are
+    built memory-major, decided from rows, n and d alone (so a row's bits,
+    the same in either layout, never depend on it): below 8 coordinates,
+    once the rows are many enough that running each operation along them
+    beats running it along the memories. That is never a single row, which
+    numpy would sum pairwise as an (n, 1) block."""
+    return len(x) >= _MAJOR_ROWS + 8 * n and x.ndim == 2 and x.shape[1] < 8
 
 
 def chunk_bounds(m: int) -> list:
@@ -154,7 +220,8 @@ def pair_tiles(m: int) -> list:
     return [(lo, min(lo + TILE, m)) for lo in range(0, m, TILE)]
 
 
-def weighted_sum(w: np.ndarray, points: np.ndarray) -> np.ndarray:
+def weighted_sum(w: np.ndarray, points: np.ndarray,
+                 by_memory: bool = False) -> np.ndarray:
     """sum_i w_i x_i: weights (..., n) against points (n, d), shape (..., d).
 
     Gives the bits of the broadcast (w[..., :, None] * points).sum(-2)
@@ -164,20 +231,42 @@ def weighted_sum(w: np.ndarray, points: np.ndarray) -> np.ndarray:
     numpy sums pairwise, and only the plain row sum matches it. No BLAS
     (w @ points rounds differently), so a row's result does not depend on
     its batch. A test checks both paths against the broadcast.
+
+    by_memory takes memory-major weights (n, rows), rows >= 2, and gives
+    the same bits: at d = 1 through _memory_sum, and at d >= 2 by adding
+    each coordinate's C-ordered (n, rows) products along the memories
+    with add.reduce, which adds an outer axis in order, as einsum does.
     """
+    if by_memory:
+        if points.shape[1] == 1:
+            mean = _memory_sum(w * points)
+            mean += 0.0
+            return mean[:, None]
+        mean = np.empty((points.shape[1], w.shape[1]))
+        for k in range(points.shape[1]):
+            np.add.reduce(w * points[:, k, None], axis=0, out=mean[k])
+        return mean.T
     if points.shape[1] == 1:
         return (w * points[:, 0]).sum(axis=-1)[..., None]
     return np.einsum("...n,nd->...d", w, points)
 
 
-def _softmax(s: np.ndarray) -> tuple:
-    """Max-shifted softmax of scores s (..., n), as (m, ex, z).
+def _softmax(s: np.ndarray, by_memory: bool = False) -> tuple:
+    """Max-shifted softmax of scores s along their memory axis, as (m, ex, z).
 
-    m is the row max, ex = exp(s - m) and z the row sum of ex, so the
-    weights are ex / z and the log-sum-exp is m + log(z). The energy, its
-    weights and gradient all come from here, and so do the soft k-NN
+    s is (..., n), or memory-major (n, rows), rows >= 2, by_memory (its
+    memory axis is then 0). m is the max over the memories, ex = exp(s - m)
+    and z the sum of ex over the memories, so the weights are ex / z and
+    the log-sum-exp is m + log(z). Both layouts give the same bits: the
+    max and exp are exact or elementwise, and the memory-major z is
+    _memory_sum's, in the pairwise order of numpy's row sum. The energy,
+    its weights and gradient all come from here, and so do the soft k-NN
     weights, which are the weights at beta = 2 / tau.
     """
+    if by_memory:
+        m = s.max(axis=0)
+        ex = np.exp(s - m)
+        return m, ex, _memory_sum(ex)
     m = s.max(axis=-1)
     ex = np.exp(s - m[..., None])
     return m, ex, ex.sum(axis=-1)
@@ -279,19 +368,27 @@ class EnergyLandscape:
                 f"point dimension {x.shape[-1]} != landscape dimension {self.dim}")
         return x
 
-    def _scores(self, x: np.ndarray) -> np.ndarray:
-        """Per-memory scores -beta * ||x - x_i||^2 / 2, shape (..., n)."""
-        return -0.5 * self.beta * sqdist(x, self.memories.points)
+    def _scores(self, x: np.ndarray, by_memory: bool = False) -> np.ndarray:
+        """Per-memory scores -beta * ||x - x_i||^2 / 2, shape (..., n), or
+        memory-major (n, rows) by_memory (see sqdist)."""
+        return -0.5 * self.beta * sqdist(x, self.memories.points, by_memory)
 
     def energy(self, x) -> np.ndarray | float:
         """Log-sum-exp energy, computed with max subtraction."""
-        m, _, z = _softmax(self._scores(self._check_dim(x)))
+        x = self._check_dim(x)
+        by_memory = _by_memory(x, len(self.memories.points))
+        m, _, z = _softmax(self._scores(x, by_memory), by_memory)
         e = -(m + np.log(z)) / self.beta
         return float(e) if e.ndim == 0 else e
 
     def weights(self, x) -> np.ndarray:
-        """Softmax attention over memories; non-negative, sums to 1."""
-        _, ex, z = _softmax(self._scores(self._check_dim(x)))
+        """Softmax attention over memories; non-negative, sums to 1. A
+        C-ordered (..., n) array in either score layout."""
+        x = self._check_dim(x)
+        by_memory = _by_memory(x, len(self.memories.points))
+        _, ex, z = _softmax(self._scores(x, by_memory), by_memory)
+        if by_memory:
+            return np.divide(ex.T, z[:, None], out=np.empty(ex.T.shape))
         return ex / z[..., None]
 
     def energy_grad(self, x) -> tuple:
@@ -302,9 +399,11 @@ class EnergyLandscape:
         is bit-identical to what energy and weights compute alone.
         """
         x = self._check_dim(x)
-        m, ex, z = _softmax(self._scores(x))
+        by_memory = _by_memory(x, len(self.memories.points))
+        m, ex, z = _softmax(self._scores(x, by_memory), by_memory)
         e = -(m + np.log(z)) / self.beta
-        g = x - weighted_sum(ex / z[..., None], self.memories.points)
+        w = ex / z if by_memory else ex / z[..., None]
+        g = x - weighted_sum(w, self.memories.points, by_memory)
         return (float(e) if e.ndim == 0 else e), g
 
     def multiset_energy_grad(self, x: np.ndarray, log_counts: np.ndarray) -> tuple:

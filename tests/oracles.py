@@ -4,8 +4,9 @@ Everything here is implemented directly from first principles (plain
 formulas, brute force, enumeration, quadrature) and never calls back into
 the code paths it is used to check. The two exceptions are earlier forms
 of census code kept to check the current ones. flow_batch_reference, the
-flow loop, evaluates through dynamics.Blocks.energy_grad, so that both
-loops' evaluations can be logged and compared call by call.
+flow loop, evaluates through the Blocks' energy_grad, so that both loops'
+evaluations can be logged and compared call by call; MixedBlocks, the
+Blocks of several evaluators that tests flow, evaluates them run by run.
 knn_mean_distances_serial, the privacy reduction, takes its distances from
 landscape.sqdist, so that the pooled reduction must match it bit for bit.
 """
@@ -185,11 +186,27 @@ def strict_minima_count(grid):
                 & (c < p[1:-1, :-2]) & (c < p[1:-1, 2:])).sum())
 
 
+class MixedBlocks(dynamics.Blocks):
+    """Blocks of several evaluators, each run of consecutive points whose
+    rows share a block index evaluated by one energy_grad call of that
+    block's evaluator on that slice of the points alone."""
+
+    def energy_grad(self, x, rows):
+        b = self.block[rows]
+        edges = np.flatnonzero(np.diff(b, prepend=-1, append=-1))
+        e = np.empty(x.shape[0])
+        g = np.empty_like(x)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            e[lo:hi], g[lo:hi] = self.evaluators[b[lo]].energy_grad(x[lo:hi])
+        return e, g
+
+
 def flow_batch_reference(target, starts, config, *, record=False, stop=None):
     """The flow loop over full-batch state that flow_batch replaced: each
     iteration finds the active rows again (idx, rows, sub[ok], good) and
     fills an xt/et/gt scratch trio for the accepted trials. Same arguments
-    and outputs as dynamics.flow_batch."""
+    and outputs as dynamics.flow_batch; a row still active when stop ends
+    the loop keeps the reason STOPPED."""
     x = np.array(starts, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -206,6 +223,7 @@ def flow_batch_reference(target, starts, config, *, record=False, stop=None):
     converged = np.zeros(m, dtype=bool)
     failed = ~np.isfinite(e)
     fail_step = np.where(failed, 0, -1).astype(np.int64)
+    reason = np.where(failed, dynamics.NONFINITE, dynamics.STOPPED).astype(np.int8)
     active = ~failed
 
     snapshots = [x.copy()] if record else None
@@ -221,10 +239,12 @@ def flow_batch_reference(target, starts, config, *, record=False, stop=None):
         if bad.any():
             failed[idx[bad]] = True
             fail_step[idx[bad]] = steps[idx[bad]]
+            reason[idx[bad]] = dynamics.NONFINITE
             active[idx[bad]] = False
         done = ~bad & (gnorm < config.grad_tol)
         if done.any():
             converged[idx[done]] = True
+            reason[idx[done]] = dynamics.CONVERGED
             active[idx[done]] = False
         moving = ~bad & ~done
         if not moving.any():
@@ -255,6 +275,7 @@ def flow_batch_reference(target, starts, config, *, record=False, stop=None):
         moved = accepted & (xt != xa).any(axis=1)
         stalled = ~moved
         if stalled.any():
+            reason[rows[stalled]] = dynamics.STALLED
             active[rows[stalled]] = False
         good = rows[moved]
         x[good] = xt[moved]
@@ -266,10 +287,11 @@ def flow_batch_reference(target, starts, config, *, record=False, stop=None):
 
         hit = moved & (steps[rows] >= config.max_steps)
         if hit.any():
+            reason[rows[hit]] = dynamics.MAX_STEPS
             active[rows[hit]] = False
 
     out = {"terminals": x, "steps": steps, "converged": converged,
-           "failed": failed, "fail_step": fail_step}
+           "failed": failed, "fail_step": fail_step, "reason": reason}
     if record:
         out["trajectory"] = np.array(snapshots)
     return out

@@ -436,7 +436,7 @@ def test_census_fails_after_the_chunk_that_passes_the_budget(monkeypatch):
 
 def round_blocks(dim, class_counts, decoder, level, rounds, seed=0):
     """A level's bootstrap rounds, as bias_variance_probes flows them: the
-    one-pass _RoundBlocks and the generic Blocks of the same per-round
+    one-pass _RoundBlocks and the MixedBlocks of the same per-round
     LevelEnergy evaluators, plus the stacked probes with three NaN rows."""
     ms = gaussian_blobs(dim=dim, class_counts=class_counts, spread=0.3, seed=seed,
                         center_scale=0.5)
@@ -450,7 +450,7 @@ def round_blocks(dim, class_counts, decoder, level, rounds, seed=0):
     starts = np.tile(np.asarray(hierarchy.decoders[level].encode(probes)), (rounds, 1))
     starts[[0, starts.shape[0] // 2, -1]] = np.nan
     sizes = {lvl.base.drawn.size for lvl in lvls}
-    return census._RoundBlocks(lvls, block, ls), dynamics.Blocks(lvls, block), starts, sizes
+    return census._RoundBlocks(lvls, block, ls), oracles.MixedBlocks(lvls, block), starts, sizes
 
 
 ROUND_CASES = {
@@ -467,7 +467,7 @@ ROUND_CASES = {
 @pytest.mark.parametrize("name", ROUND_CASES)
 def test_round_blocks_give_each_row_its_rounds_bits(name):
     # every flow output of the one-pass evaluator equals, bit for bit, that
-    # of the generic Blocks, which calls each row's own round's evaluator
+    # of MixedBlocks, which calls each row's own round's evaluator
     dim, class_counts, decoder, level, rounds = ROUND_CASES[name]
     one_pass, per_round, starts, sizes = round_blocks(dim, class_counts, decoder, level,
                                                       rounds)

@@ -1,3 +1,4 @@
+import math
 import threading
 from functools import partial
 
@@ -243,7 +244,7 @@ def test_blocks_give_each_row_its_own_evaluators_bits():
     # over 90 % of the rows converge (1356 of 1424), so the bits compared
     # are mostly those of converged endings, not of max_steps ones
     assert sum(o["converged"].sum() for o in own) > 0.9 * starts.shape[0]
-    blocks = Blocks(levels, np.repeat(np.arange(3), sizes))
+    blocks = oracles.MixedBlocks(levels, np.repeat(np.arange(3), sizes))
     for workers in (1, 2):
         out, _ = flow_chunked(blocks, starts, cfg, workers)
         for o, lo, hi in zip(own, edges[:-1], edges[1:]):
@@ -258,7 +259,7 @@ def test_each_block_evaluator_sees_only_its_own_rows():
     levels = resampled_levels(4)
     starts = 1.5 * np.random.default_rng(6).standard_normal((4 * 15, 2))
     shared = [LoggedEvaluator(lvl) for lvl in levels]
-    out = flow_batch(Blocks(shared, np.repeat(np.arange(4), 15)), starts, cfg)
+    out = flow_batch(oracles.MixedBlocks(shared, np.repeat(np.arange(4), 15)), starts, cfg)
     assert out["converged"].sum() > 0.9 * starts.shape[0]    # 57 of 60
     for b, lvl in enumerate(levels):
         alone = LoggedEvaluator(lvl)
@@ -271,9 +272,12 @@ def test_each_block_evaluator_sees_only_its_own_rows():
 def test_blocks_validation():
     levels = resampled_levels(2)
     with pytest.raises(InputError, match="dimension"):
-        Blocks((levels[0], two_memory_1d(1.0)), np.array([0, 1]))
+        oracles.MixedBlocks((levels[0], two_memory_1d(1.0)), np.array([0, 1]))
     with pytest.raises(InputError, match="block indices"):
-        flow_batch(Blocks(levels, np.array([0, 1, 1])), np.zeros((2, 2)), CFG)
+        flow_batch(oracles.MixedBlocks(levels, np.array([0, 1, 1])), np.zeros((2, 2)), CFG)
+    # Blocks itself evaluates with one evaluator; mixing them takes a subclass
+    with pytest.raises(ValueError):
+        flow_batch(Blocks(levels, np.array([0, 1])), np.zeros((2, 2)), CFG)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -368,7 +372,7 @@ def blocks_case(record=False):
     levels = resampled_levels(3)
     starts = 1.5 * np.random.default_rng(5).standard_normal((90, 2))
     starts[[0, 45, 89]] = np.nan
-    return (Blocks(levels, np.repeat(np.arange(3), 30)), starts,
+    return (oracles.MixedBlocks(levels, np.repeat(np.arange(3), 30)), starts,
             FlowConfig(1.0, 1e-5, 300), {"record": record})
 
 
@@ -376,7 +380,7 @@ def blocks_of_levels_case():
     # rows of three diagonal levels, which all converge
     levels = [census_level(2, a) for a in (0, 2, 4)]
     starts = census_starts(levels[0], 300, seed=6)
-    return Blocks(levels, np.repeat(np.arange(3), 100)), starts, CFG, {}
+    return oracles.MixedBlocks(levels, np.repeat(np.arange(3), 100)), starts, CFG, {}
 
 
 def stop_case(calls):
@@ -391,7 +395,7 @@ def blocks_stop_case():
     stop = threading.Event()
     levels = [StopAfter(lvl, stop, 25) for lvl in resampled_levels(3)]
     starts = 1.5 * np.random.default_rng(7).standard_normal((60, 2))
-    return (Blocks(levels, np.repeat(np.arange(3), 20)), starts,
+    return (oracles.MixedBlocks(levels, np.repeat(np.arange(3), 20)), starts,
             FlowConfig(1.0, 1e-5, 300), {"stop": stop})
 
 
@@ -430,17 +434,18 @@ REFERENCE_CASES.update({
 
 def logged_flow(monkeypatch, loop, case):
     """loop's outputs on a fresh instance of case, and the row count of
-    each Blocks.energy_grad call it made."""
+    each Blocks.energy_grad call it made (by Blocks or MixedBlocks)."""
     target, starts, cfg, kwargs = case()
     sizes = []
-    evaluate = dynamics.Blocks.energy_grad
+    evaluate = {cls: cls.energy_grad for cls in (dynamics.Blocks, oracles.MixedBlocks)}
 
     def logged(blocks, x, rows):
         sizes.append(x.shape[0])
-        return evaluate(blocks, x, rows)
+        return evaluate[type(blocks)](blocks, x, rows)
 
     with monkeypatch.context() as patch:
-        patch.setattr(dynamics.Blocks, "energy_grad", logged)
+        for cls in evaluate:
+            patch.setattr(cls, "energy_grad", logged)
         return loop(target, starts, cfg, **kwargs), sizes
 
 
@@ -460,26 +465,62 @@ def test_flow_batch_equals_reference_loop(name, monkeypatch):
 
 def test_reference_cases_reach_every_ending(monkeypatch):
     # between them the cases end rows converged, failed, stalled, at
-    # max_steps and stopped, and halve steps
+    # max_steps and stopped, and halve steps; each ending has its reason
+    # code, and the codes agree with converged and failed everywhere
     def run(name):
         out, sizes = logged_flow(monkeypatch, flow_batch, REFERENCE_CASES[name])
         still = ~out["converged"] & ~out["failed"]
+        assert np.array_equal(out["reason"] == dynamics.CONVERGED, out["converged"])
+        assert np.array_equal(out["reason"] == dynamics.NONFINITE, out["failed"])
         return out, sizes, still
 
+    reasons = set()
     out, _, _ = run("nonfinite")
     assert out["converged"].any() and out["failed"].any()
+    reasons |= set(out["reason"][out["failed"]])
     out, _, _ = run("blocks-of-levels")
     assert out["converged"].all()
+    reasons |= set(out["reason"])
     out, _, still = run("stall")
-    assert (still & (out["steps"] < 4000)).any()
+    stalled = still & (out["steps"] < 4000)
+    assert stalled.any() and (out["reason"][stalled] == dynamics.STALLED).all()
+    reasons |= set(out["reason"][stalled])
     out, _, still = run("max-steps7")
     assert (still & (out["steps"] == 7)).any()
+    assert (out["reason"][still & (out["steps"] == 7)] == dynamics.MAX_STEPS).all()
+    reasons |= set(out["reason"][still])
     out, _, still = run("stop-mid-run")
     assert still.any() and out["converged"].any()
+    assert (out["reason"][still] == dynamics.STOPPED).all()
+    reasons |= set(out["reason"][still])
+    assert reasons == {dynamics.CONVERGED, dynamics.NONFINITE, dynamics.STALLED,
+                       dynamics.MAX_STEPS, dynamics.STOPPED}
     # every row converges, so each stepping iteration moves some row and
     # any call beyond one per iteration is a halving
     out, sizes, _ = run("step50")
     assert out["converged"].all() and len(sizes) - 1 > out["steps"].max()
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_flow_row_reductions_equal_numpys(dim):
+    # below 8 coordinates the flow loop's per-row reductions run one
+    # coordinate at a time once the rows are many; either way they keep
+    # the bits of numpy's row reductions, special values included
+    rng = np.random.default_rng(dim)
+    g = rng.standard_normal((715, dim))
+    g[:6, 0] = [np.nan, np.inf, -np.inf, -0.0, 1e-200, 1e200]
+    g[6:9] = np.array([[0.0], [-0.0], [1e-170]])
+    t = g.copy()
+    t[::5, dim - 1] = np.nextafter(t[::5, dim - 1], np.inf)
+    t[7] = 0.0                                    # -0.0 == 0.0: not moved
+    assert dynamics._coordinate_rows(dim) == (64 * (dim - 1) if dim < 8 else math.inf)
+    for by_coordinate in (False, True)[:1 + (dim < 8)]:
+        with np.errstate(over="ignore"):
+            norms = dynamics._row_norms(g, by_coordinate)
+            assert np.array_equal(norms, np.sqrt((g * g).sum(axis=1)), equal_nan=True)
+        moved = dynamics._rows_differ(t, g, by_coordinate)
+        assert np.array_equal(moved, (t != g).any(axis=1))
+        assert moved.any() and not moved.all() and not moved[7]
 
 
 def test_flow_step_size_rescales_time_only():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from landscape_lab import landscape
 from landscape_lab.errors import InputError
 from landscape_lab.landscape import (
     TILE,
@@ -142,10 +143,16 @@ def broadcast_sqdist(a, b):
     return (d * d).sum(-1)
 
 
-def rechunking_case(dim=5):
+def rechunking_case(dim=5, n=37):
     rng = np.random.default_rng(11)
-    mem = MemorySet(rng.standard_normal((37, dim)), tuple(range(37)))
+    mem = MemorySet(rng.standard_normal((n, dim)), tuple(range(n)))
     return EnergyLandscape(mem, 2.0), 3.0 * rng.standard_normal((2503, dim))
+
+
+def major_rows(n):
+    """The rows from which scores against n memories below 8 coordinates
+    are built memory-major."""
+    return landscape._MAJOR_ROWS + 8 * n
 
 
 @pytest.mark.parametrize("dim", range(1, 301))
@@ -207,14 +214,18 @@ def test_sqdist_matches_per_row_sums():
         assert np.array_equal(sqdist(x[r], pts), full[r])
 
 
-@pytest.mark.parametrize("batch", [1, 7, 1024, 1025, 2500])
+@pytest.mark.parametrize("batch", [1, 7, 1024, 1025, 2500, major_rows(37) - 1, major_rows(37),
+                                   major_rows(129) - 1, major_rows(129)])
 @pytest.mark.parametrize("offset", [0, 3])
 def test_sqdist_and_nearest_memory_rows_do_not_depend_on_chunking(batch, offset):
     # also gates grad and energy_grad; dims 7 and 8 sit on either side of
     # sqdist's switch between paths, 16 runs two rounds of lanes and 130
-    # the pairwise split; dim 1 takes weighted_sum's own path
-    for dim in (1, 5, 7, 8, 16, 130):
-        ls, x = rechunking_case(dim)
+    # the pairwise split; dim 1 takes weighted_sum's own path. Below 8
+    # coordinates the full batch's scores are memory-major and a batch's
+    # are so from major_rows(n) rows on; with 129 memories the softmax sum
+    # takes the pairwise split along the memories
+    for dim, n in ((1, 37), (5, 37), (7, 37), (8, 37), (16, 37), (130, 37), (2, 129)):
+        ls, x = rechunking_case(dim, n)
         pts = ls.memories.points
         full_d2 = sqdist(x, pts)
         full_idx = ls.nearest_memory(x)
@@ -229,6 +240,61 @@ def test_sqdist_and_nearest_memory_rows_do_not_depend_on_chunking(batch, offset)
             assert np.array_equal(e, full_e[lo:hi])
             assert np.array_equal(g, full_g[lo:hi])
             assert np.array_equal(ls.grad(x[lo:hi]), full_g[lo:hi])
+
+
+def score_targets(n, dim, seed):
+    """An EnergyLandscape, a _ResampledLandscape and a tanh LevelEnergy on
+    n memories in dim coordinates."""
+    rng = np.random.default_rng(seed)
+    ls = EnergyLandscape(MemorySet(rng.standard_normal((n, dim)), tuple(range(n))), 4.0)
+    resampled = _ResampledLandscape(ls.memories, 30.0,
+                                    log_counts=np.log(rng.integers(1, 4, n)))
+    return ls, resampled, tanh_hierarchy([0.8], dim).level_energy(ls, 1)
+
+
+def score_outputs(target, x):
+    """energy, energy_grad and (where the evaluator has it) weights at x."""
+    out = [target.energy(x), *target.energy_grad(x)]
+    if hasattr(target, "weights"):
+        w = target.weights(x)
+        assert w.flags.c_contiguous
+        out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 10, 16, 17, 128, 129, 250, 300])
+def test_score_layouts_give_the_same_bits(n, monkeypatch):
+    # the memory-major scores give every output the bits of the row-major
+    # ones: the softmax sum and the d = 1 weighted sum in numpy's pairwise
+    # order over the memories (lanes from 8, the split above 128), the
+    # d >= 2 weighted sum in einsum's order. The layout flips at
+    # major_rows(n) rows, and a single row always stays row-major
+    for dim in range(1, 8):
+        for target in score_targets(n, dim, seed=n * dim):
+            base = getattr(target, "base", target)
+            for rows in (1, 2, 3, major_rows(n) - 1, major_rows(n), 1025):
+                x = 2.0 * np.random.default_rng(rows).standard_normal((rows, dim))
+                assert landscape._by_memory(x, base.memories.n) == (rows >= major_rows(n))
+                chosen = score_outputs(target, x)
+                for layout in (False, True)[:1 + (rows >= 2)]:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(landscape, "_by_memory", lambda x, n, b=layout: b)
+                        forced = score_outputs(target, x)
+                    for got, want in zip(forced, chosen):
+                        assert np.array_equal(got, want), (dim, type(target), rows, layout)
+
+
+def test_memory_major_weighted_sum_starts_from_numpys_zero():
+    # numpy adds a row sum to its initial 0.0, so a sum of -0.0 terms is
+    # 0.0; the lanes would leave -0.0, and x = -0.0 minus it would give a
+    # gradient of 0.0 where the row-major one is -0.0
+    pts = np.concatenate([[-0.0], -50.0 * np.arange(1.0, 10.0)])[:, None]
+    ls = EnergyLandscape(MemorySet(pts, tuple(range(10))), 30.0)
+    x = np.full((major_rows(10), 1), -0.0)
+    assert landscape._by_memory(x, 10)
+    _, g = ls.energy_grad(x)
+    _, row_major = ls.energy_grad(x[:2])
+    assert np.signbit(g).all() and np.signbit(row_major).all()
 
 
 def test_nearest_memory_single_point_and_ties():
