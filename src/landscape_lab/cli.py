@@ -31,6 +31,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+import scipy
 
 from landscape_lab import __version__
 from landscape_lab._seeds import derive_rng, derive_seed
@@ -56,8 +58,8 @@ from landscape_lab.errors import (
 )
 from landscape_lab.gridsim import coarsening_levels, write_pbm
 from landscape_lab.knn import SoftWeights, _aggregate, argmax_class, tau_landscape
-from landscape_lab.landscape import (CHUNK, EnergyLandscape, MemorySet, gaussian_blobs,
-                                     load_memory_csv)
+from landscape_lab.landscape import (_SMALL_BUFFER, CHUNK, EnergyLandscape, MemorySet,
+                                     gaussian_blobs, load_memory_csv)
 from landscape_lab.oddsmodel import MergeScenario, initial_odds, simulate_merge, smoothed_odds
 from landscape_lab.tables import write_table
 
@@ -435,6 +437,20 @@ _EXPERIMENT_FNS = {
 # Runner
 # ---------------------------------------------------------------------------
 
+def _environment() -> dict:
+    """The numerical stack a run had, for its manifest only: sqdist's
+    speed at d >= 8 rests on numpy's ufunc iterator and its scoped buffer
+    size, so a timing is read against the numpy that made it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):   # numpy < 1.26 has no mode="dicts"
+        blas = "unknown"
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas,
+            "cpu_count": os.cpu_count(),
+            "sqdist_ufunc_buffer": _SMALL_BUFFER}
+
+
 def run(config: RunConfig) -> int:
     """Execute one experiment and write its artifacts."""
     t0 = time.monotonic()
@@ -451,6 +467,7 @@ def run(config: RunConfig) -> int:
         "workers": config.workers,
         "params": config.params,
         "artifact_version": __version__,
+        "environment": _environment(),
         **records,
         "wall_time_s": time.monotonic() - t0,
     }

@@ -24,6 +24,14 @@ lane accumulators, over row blocks, reading one coordinate-major copy of
 the memories so that each coordinate is contiguous. No path uses BLAS, so
 a row's distances never depend on the batch it is computed in.
 
+numpy runs a ufunc with a broadcast operand, like the lanes' column-minus-
+row subtractions, through its buffered iterator, whose default 8192-element
+buffers cost about 4x a plain contiguous operation on long rows. So from
+_SMALL_BUFFER_FROM memories on (decided from n alone) the lane loop runs
+inside _small_ufunc_buffer, a scope with a small ufunc buffer that restores
+the caller's size. Only elementwise ufuncs run in it, whose bits the buffer
+cannot change; every reduction stays outside.
+
 Scores come in two layouts with the same bits. Row-major (rows, n) is the
 default. Below 8 coordinates, from _MAJOR_ROWS + 8 n rows on (_by_memory,
 decided from rows, n and d alone), energy, weights and energy_grad build
@@ -36,6 +44,7 @@ row always stays row-major, since numpy sums an (n, 1) array pairwise.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, field
@@ -51,6 +60,8 @@ CHUNK = 1024            # rows per work item of every chunked batch routine
 TILE = 32               # rows per tile of every upper-triangle pair walk
 _BLOCK_CELLS = 65536    # (row, memory) cells per sqdist block, d >= 8
 _PAIRWISE_BLOCK = 128   # numpy's pairwise_sum splits ranges longer than this
+_SMALL_BUFFER = 256     # numpy ufunc buffer (elements) of sqdist's d >= 8
+_SMALL_BUFFER_FROM = 96  # lanes from this many memories on (_small_ufunc_buffer)
 _MAJOR_ROWS = 96        # scores below 8 coordinates are memory-major from
                         # _MAJOR_ROWS + 8 n rows on (see _by_memory)
 
@@ -73,8 +84,13 @@ def sqdist(a: np.ndarray, b: np.ndarray, by_memory: bool = False) -> np.ndarray:
       squares at a time. It reads one coordinate-major copy of b (n * d
       floats), so each subtraction reads a contiguous memory coordinate.
       The rows of a run in blocks of _BLOCK_CELLS // n, written into the
-      preallocated result, so a block's lanes stay small. by_memory is not
-      taken here.
+      preallocated result, so a block's lanes stay small. Each
+      subtraction broadcasts a column of a against a row of b's copy,
+      which numpy feeds through its buffered iterator; from
+      _SMALL_BUFFER_FROM memories on the loop runs in _small_ufunc_buffer,
+      whose small buffer makes that about 4x cheaper at 250 memories and
+      more. The loop holds elementwise ufuncs only, so the bits are the
+      same with or without it. by_memory is not taken here.
 
     Chunk-invariance contract: no path uses a BLAS expansion, and a row's
     terms are added in an order fixed by d alone, so a row's result is
@@ -90,22 +106,24 @@ def sqdist(a: np.ndarray, b: np.ndarray, by_memory: bool = False) -> np.ndarray:
         out = np.empty((rows.shape[0], n))
         block = max(1, _BLOCK_CELLS // n)
         lanes = np.empty((8, min(block, rows.shape[0]), n))
-        for lo in range(0, rows.shape[0], block):
-            part = rows[lo:lo + block]
-            res = out[lo:lo + block]
-            block_lanes = lanes[:, :res.shape[0]]
-            lane_views = list(block_lanes)   # made once per block, not per term
+        # elementwise ufuncs only from here to the end of the loop
+        with _small_ufunc_buffer(n >= _SMALL_BUFFER_FROM):
+            for lo in range(0, rows.shape[0], block):
+                part = rows[lo:lo + block]
+                res = out[lo:lo + block]
+                block_lanes = lanes[:, :res.shape[0]]
+                lane_views = list(block_lanes)   # made once per block, not per term
 
-            def squares(k, j, into, spare):
-                targets = lane_views if into is block_lanes else into
-                for i, r in zip(range(k, j), targets):
-                    s = np.subtract(part[:, None, i], bt[i],
-                                    out=r if spare is None else spare)
-                    s *= s
-                    if spare is not None:
-                        r += s
+                def squares(k, j, into, spare):
+                    targets = lane_views if into is block_lanes else into
+                    for i, r in zip(range(k, j), targets):
+                        s = np.subtract(part[:, None, i], bt[i],
+                                        out=r if spare is None else spare)
+                        s *= s
+                        if spare is not None:
+                            r += s
 
-            _pairwise_sum(squares, 0, d, res, block_lanes)
+                _pairwise_sum(squares, 0, d, res, block_lanes)
         return out.reshape(a.shape[:-1] + (n,))
     if by_memory:
         acc = np.subtract(a[:, 0], b[:, 0, None])
@@ -122,6 +140,32 @@ def sqdist(a: np.ndarray, b: np.ndarray, by_memory: bool = False) -> np.ndarray:
         t *= t
         acc += t
     return acc
+
+
+@contextlib.contextmanager
+def _small_ufunc_buffer(on: bool):
+    """Run the body with numpy's ufunc buffer at _SMALL_BUFFER elements
+    when on, restoring the caller's size on the way out, raise or not.
+
+    A ufunc with a broadcast operand, like sqdist's column-minus-row
+    subtraction, goes through numpy's buffered iterator, which copies the
+    operand into buffers of this size (8192 by default); with long rows a
+    small buffer runs it about 4x faster. The size lives in thread-local
+    (numpy 2: context-local) state that every new thread starts at the
+    default, so the helper is entered in the thread that runs the body,
+    and it never sets the size process-wide. Only elementwise ufuncs may
+    run inside: their bits do not depend on the buffer, whereas a
+    reduction's inner loop may be split by it. This is the package's one
+    np.setbufsize.
+    """
+    if not on:
+        yield
+        return
+    old = np.setbufsize(_SMALL_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def _pairwise_sum(terms, lo: int, hi: int, res: np.ndarray,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landscape_lab import cli, dynamics, gridsim
+from landscape_lab import cli, dynamics, gridsim, landscape
 from landscape_lab.abstraction import jacobian_norm_probe, smoothness_report
 from landscape_lab._seeds import derive_rng
 from landscape_lab.census import bias_variance_probes, default_flow_config, default_query_sigma
@@ -298,6 +298,28 @@ def test_manifest_contents(tmp_path):
     assert manifest["artifact_version"]
     assert "wall_time_s" in manifest
     assert manifest["params"]["trials"] == 100000
+    env = manifest["environment"]
+    assert set(env) == {"numpy", "scipy", "blas", "cpu_count", "sqdist_ufunc_buffer"}
+    assert env["numpy"] == np.__version__
+    assert env["sqdist_ufunc_buffer"] == landscape._SMALL_BUFFER
+
+
+def test_wide_census_tables_ignore_workers_and_the_environment_stays_out(tmp_path):
+    # 16-D on landscape._SMALL_BUFFER_FROM memories: every score, diversity
+    # and privacy distance runs sqdist's lanes in the small ufunc buffer,
+    # and 1100 queries make two CHUNK blocks, which run on two threads
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"n_queries": 1100, "dim": 16, "depth": 1, "beta": 4.0,
+                     "class_counts": [landscape._SMALL_BUFFER_FROM - 28, 28]})
+    outs = [tmp_path / f"w{w}" for w in (1, 2)]
+    for w, out in zip((1, 2), outs):
+        assert main(["census", "--config", cfg, "--seed", "5", "--out-dir", str(out),
+                     "--workers", str(w)]) == 0
+    for name in ("census.csv", "privacy.csv", "plotdata_census.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert b"numpy" not in (outs[0] / name).read_bytes()
+    envs = [json.loads((out / "manifest.json").read_text())["environment"] for out in outs]
+    assert envs[0] == envs[1]
 
 
 def test_smoothness_experiment(tmp_path):

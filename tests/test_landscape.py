@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from landscape_lab import landscape
+from landscape_lab import dynamics, landscape
 from landscape_lab.errors import InputError
 from landscape_lab.landscape import (
     TILE,
@@ -240,6 +240,81 @@ def test_sqdist_and_nearest_memory_rows_do_not_depend_on_chunking(batch, offset)
             assert np.array_equal(e, full_e[lo:hi])
             assert np.array_equal(g, full_g[lo:hi])
             assert np.array_equal(ls.grad(x[lo:hi]), full_g[lo:hi])
+
+
+BUFFER_FROM = landscape._SMALL_BUFFER_FROM
+
+
+@pytest.mark.parametrize("dim", [8, 9, 16, 32, 130])
+@pytest.mark.parametrize("n", [BUFFER_FROM - 1, BUFFER_FROM, BUFFER_FROM + 1, 2000])
+def test_sqdist_bits_do_not_depend_on_the_ufunc_buffer(dim, n):
+    # from BUFFER_FROM memories on the lanes run with a small ufunc buffer;
+    # the rows span two of sqdist's row blocks, the second one partial
+    rng = np.random.default_rng(dim * n)
+    b = rng.standard_normal((n, dim))
+    a = 2.0 * rng.standard_normal((landscape._BLOCK_CELLS // n + 5, dim))
+    got = sqdist(a, b)
+    for lo in range(0, len(a), 32):   # the reference's (32, n, dim) temporaries
+        want = broadcast_sqdist(a[lo:lo + 32], b)
+        assert [v.hex() for v in got[lo:lo + 32].ravel()] == [v.hex() for v in want.ravel()]
+    assert [v.hex() for v in sqdist(a[0], b)] == [v.hex() for v in got[0]]
+
+
+def buffer_seen_by_lanes(monkeypatch):
+    """Patch the lane routine to record (memories, numpy's ufunc buffer
+    size) in each call; return the list it appends to."""
+    seen = []
+    lanes = landscape._pairwise_sum
+
+    def recording(terms, lo, hi, res, scratch):
+        seen.append((res.shape[-1], np.getbufsize()))
+        return lanes(terms, lo, hi, res, scratch)
+
+    monkeypatch.setattr(landscape, "_pairwise_sum", recording)
+    return seen
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sqdist_scopes_the_small_buffer_to_its_lanes(monkeypatch, workers):
+    # in the calling thread and on ordered_map's threads, which start at
+    # numpy's default size: the lanes see the small buffer from BUFFER_FROM
+    # memories on, and every caller gets its own size back
+    seen = buffer_seen_by_lanes(monkeypatch)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((40, 16))
+    wide, narrow = rng.standard_normal((BUFFER_FROM, 16)), rng.standard_normal((64, 16))
+
+    def call(b):
+        before = np.getbufsize()
+        sqdist(a, b)
+        return before, np.getbufsize()
+
+    default = np.getbufsize()
+    assert default != landscape._SMALL_BUFFER
+    small = (BUFFER_FROM, landscape._SMALL_BUFFER)
+    got = list(dynamics.ordered_map(call, [wide, narrow, wide], workers))
+    assert got == [(default, default)] * 3
+    assert sorted(seen) == sorted([small, (64, default), small])   # threads interleave
+    old = np.setbufsize(4096)
+    try:
+        assert call(wide) == (4096, 4096)
+        assert call(narrow) == (4096, 4096)
+    finally:
+        np.setbufsize(old)
+    assert seen[3:] == [small, (64, 4096)]
+
+
+def test_sqdist_restores_the_buffer_when_its_lanes_raise(monkeypatch):
+    def failing(*args):
+        assert np.getbufsize() == landscape._SMALL_BUFFER
+        raise FloatingPointError("lanes failed")
+
+    monkeypatch.setattr(landscape, "_pairwise_sum", failing)
+    rng = np.random.default_rng(4)
+    before = np.getbufsize()
+    with pytest.raises(FloatingPointError):
+        sqdist(rng.standard_normal((3, 8)), rng.standard_normal((BUFFER_FROM, 8)))
+    assert np.getbufsize() == before
 
 
 def score_targets(n, dim, seed):

@@ -132,3 +132,23 @@ def test_only_ordered_map_starts_threads():
     # flow chunks and diversity tiles share one pool helper
     assert {(name, func) for name, func, _ in _package_sites(_is_thread_start)} == {
         ("dynamics.py", None), ("dynamics.py", "ordered_map")}
+
+
+def _is_setbufsize(node: ast.AST) -> bool:
+    """True for a name, attribute or import of numpy's setbufsize."""
+    return ((isinstance(node, ast.Name) and node.id == "setbufsize")
+            or (isinstance(node, ast.Attribute) and node.attr == "setbufsize")
+            or (isinstance(node, ast.alias) and node.name == "setbufsize"))
+
+
+def test_scan_detects_setbufsize():
+    tree = ast.parse("from numpy import setbufsize\n"
+                     "def f():\n    np.setbufsize(256)\n    g = setbufsize\n")
+    assert _sites(tree, _is_setbufsize) == [(None, 1), ("f", 3), ("f", 4)]
+
+
+def test_only_the_scoped_helper_sets_the_ufunc_buffer():
+    # the ufunc buffer size is set in one scope that restores it, never
+    # process-wide
+    assert {(name, func) for name, func, _ in _package_sites(_is_setbufsize)} == {
+        ("landscape.py", "_small_ufunc_buffer")}
