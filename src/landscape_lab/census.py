@@ -29,6 +29,7 @@ blocks.
 from __future__ import annotations
 
 import math
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -41,7 +42,7 @@ from landscape_lab.abstraction import AbstractionHierarchy
 from landscape_lab.dynamics import Blocks, FlowConfig, flow_chunked, ordered_map
 from landscape_lab.errors import CensusFailureError, InputError
 from landscape_lab.knn import argmax_class
-from landscape_lab.landscape import (EnergyLandscape, MemorySet, chunk_bounds,
+from landscape_lab.landscape import (TILE, EnergyLandscape, MemorySet, chunk_bounds,
                                      pair_tiles, sqdist)
 
 _PRIVACY_KS = (1, 2, 5, 10)
@@ -135,16 +136,28 @@ def _decoder_range_hint(landscape: EnergyLandscape,
     return "".join(notes)
 
 
-def _tile_distance_sum(points: np.ndarray, bounds: tuple) -> float:
+def _tile_distance_sum(points: np.ndarray, buffers: threading.local,
+                       bounds: tuple) -> float:
     """Pair tile [lo, hi)'s share of the pairwise distance sum: half the
     sum over its square (sqdist(a, a) is bitwise symmetric with a zero
-    diagonal) plus the sum over its strip, points[hi:]."""
+    diagonal) plus the sum over its strip, points[hi:].
+
+    points is coordinate-major (Fortran-ordered), so sqdist reads each
+    coordinate of the tile and of the strip as a contiguous run. The
+    square and then the strip are written into C-contiguous views of the
+    calling thread's TILE x m buffer (buffers.out, made on its first
+    tile), so a walk allocates no result per tile; sqrt runs in place."""
     lo, hi = bounds
+    m = points.shape[0]
+    out = getattr(buffers, "out", None)
+    if out is None:
+        out = buffers.out = np.empty(TILE * m)
     a = points[lo:hi]
-    d = sqdist(a, a)
+    r = hi - lo
+    d = sqdist(a, a, out=out[:r * r].reshape(r, r))
     total = 0.5 * float(np.sqrt(d, out=d).sum())
-    if hi < points.shape[0]:
-        d = sqdist(a, points[hi:])
+    if hi < m:
+        d = sqdist(a, points[hi:], out=out[:r * (m - hi)].reshape(r, m - hi))
         total += float(np.sqrt(d, out=d).sum())
     return total
 
@@ -155,10 +168,12 @@ def _mean_pairwise_distance(points: np.ndarray, workers: int = 1) -> float:
     In 1-D, the sorted-gap closed form: the gap between the k-th and the
     (k+1)-th smallest point lies between k(m-k) pairs, and every term is
     non-negative, so nothing cancels. Otherwise the upper-triangle walk of
-    pair_tiles: each TILE-row tile sums its own pairs once (see
-    _tile_distance_sum), so no array exceeds TILE x m. The tiles run on
-    ordered_map's workers threads, and the calling thread adds their sums in
-    tile order, so the bits do not depend on workers.
+    pair_tiles over one coordinate-major copy of the points: each TILE-row
+    tile sums its own pairs once (see _tile_distance_sum), so no array
+    exceeds TILE x m. The tiles run on ordered_map's workers threads, each
+    with one result buffer that lives as long as the walk, and the calling
+    thread adds their sums in tile order, so the bits do not depend on
+    workers.
     """
     m = points.shape[0]
     if m < 2:
@@ -169,8 +184,8 @@ def _mean_pairwise_distance(points: np.ndarray, workers: int = 1) -> float:
         total = float((gaps * (k * (m - k))).sum())
     else:
         total = 0.0
-        for part in ordered_map(partial(_tile_distance_sum, points),
-                                pair_tiles(m), workers):
+        tile = partial(_tile_distance_sum, np.asfortranarray(points), threading.local())
+        for part in ordered_map(tile, pair_tiles(m), workers):
             total += part
     return total / (m * (m - 1) / 2.0)
 

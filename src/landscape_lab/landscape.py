@@ -20,17 +20,18 @@ states the chunk-invariance contract the evaluators inherit. sqdist gives
 the bits of a plain broadcast-and-sum with no (..., n, d) temporary: below
 8 coordinates it accumulates one coordinate at a time, as numpy sums fewer
 than 8 terms; from 8 up it rebuilds numpy's pairwise sum with 8 (..., n)
-lane accumulators, over row blocks, reading one coordinate-major copy of
-the memories so that each coordinate is contiguous. No path uses BLAS, so
-a row's distances never depend on the batch it is computed in.
+lane accumulators, over row blocks, reading the memories coordinate-major
+(at most one copy) so that each coordinate is contiguous. No path uses
+BLAS, so a row's distances never depend on the batch it is computed in.
 
-numpy runs a ufunc with a broadcast operand, like the lanes' column-minus-
+numpy runs a ufunc with a broadcast operand, like sqdist's column-minus-
 row subtractions, through its buffered iterator, whose default 8192-element
-buffers cost about 4x a plain contiguous operation on long rows. So from
-_SMALL_BUFFER_FROM memories on (decided from n alone) the lane loop runs
-inside _small_ufunc_buffer, a scope with a small ufunc buffer that restores
-the caller's size. Only elementwise ufuncs run in it, whose bits the buffer
-cannot change; every reduction stays outside.
+buffers cost 2-4x a plain contiguous operation while they hold several
+rows. So where _small_buffer (decided from rows, n and d alone) says so,
+either path's elementwise work runs inside _small_ufunc_buffer, a scope
+with a small ufunc buffer that restores the caller's size, and reads each
+memory coordinate as a contiguous row. Only elementwise ufuncs run in it,
+whose bits the buffer cannot change; every reduction stays outside.
 
 Scores come in two layouts with the same bits. Row-major (rows, n) is the
 default. Below 8 coordinates, from _MAJOR_ROWS + 8 n rows on (_by_memory,
@@ -60,37 +61,45 @@ CHUNK = 1024            # rows per work item of every chunked batch routine
 TILE = 32               # rows per tile of every upper-triangle pair walk
 _BLOCK_CELLS = 65536    # (row, memory) cells per sqdist block, d >= 8
 _PAIRWISE_BLOCK = 128   # numpy's pairwise_sum splits ranges longer than this
-_SMALL_BUFFER = 256     # numpy ufunc buffer (elements) of sqdist's d >= 8
-_SMALL_BUFFER_FROM = 96  # lanes from this many memories on (_small_ufunc_buffer)
+_SMALL_BUFFER = 256     # numpy ufunc buffer (elements) in _small_ufunc_buffer
+_SMALL_BUFFER_FROM = 96        # sqdist takes it from this many memories
+_SMALL_BUFFER_UPTO = 8192 // 3  # to this many, three rows of numpy's default buffer
+_SMALL_BUFFER_CELLS = 8192     # and from this many rows * n * d (_small_buffer)
 _MAJOR_ROWS = 96        # scores below 8 coordinates are memory-major from
                         # _MAJOR_ROWS + 8 n rows on (see _by_memory)
 
 
-def sqdist(a: np.ndarray, b: np.ndarray, by_memory: bool = False) -> np.ndarray:
+def sqdist(a: np.ndarray, b: np.ndarray, by_memory: bool = False,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Squared distances from a (d,) or (m, d) to each row of b (n, d).
 
     Takes float64 arrays without a check (this is the score hot path).
     Gives the bits of the broadcast ((a - b)**2).sum(-1) without its
-    (..., n, d) temporary. Two paths, chosen by d = b.shape[1]:
+    (..., n, d) temporary. out, if given, is a C-contiguous array of the
+    result's shape that receives the result and is returned, so a caller
+    that walks many blocks can reuse one buffer. Two paths, chosen by
+    d = b.shape[1]:
 
     * d < 8: the squares are accumulated into the result one coordinate
-      at a time, reading a and b as they are (no copy). numpy's add.reduce
-      sums fewer than 8 terms left to right, so this is the broadcast's
-      order. by_memory lays the result out memory-major, (n, m) for a
-      (m, d), so that each operation runs along the rows of a; the cells
-      hold the same bits in either layout.
+      at a time (_add_squares, inline where neither the small buffer nor
+      out is taken). numpy's add.reduce sums fewer than 8 terms
+      left to right, so this is the broadcast's order. by_memory lays the
+      result out memory-major, (n, m) for a (m, d), so that each operation
+      runs along the rows of a; the cells hold the same bits in either
+      layout.
     * d >= 8: numpy sums pairwise from 8 terms up, and _pairwise_sum adds
       the squares in that order into 8 (rows, n) lanes, one coordinate's
-      squares at a time. It reads one coordinate-major copy of b (n * d
-      floats), so each subtraction reads a contiguous memory coordinate.
-      The rows of a run in blocks of _BLOCK_CELLS // n, written into the
-      preallocated result, so a block's lanes stay small. Each
-      subtraction broadcasts a column of a against a row of b's copy,
-      which numpy feeds through its buffered iterator; from
-      _SMALL_BUFFER_FROM memories on the loop runs in _small_ufunc_buffer,
-      whose small buffer makes that about 4x cheaper at 250 memories and
-      more. The loop holds elementwise ufuncs only, so the bits are the
-      same with or without it. by_memory is not taken here.
+      squares at a time. The rows of a run in blocks of _BLOCK_CELLS // n,
+      written into the result, so a block's lanes stay small. by_memory
+      is not taken here.
+
+    Both paths subtract a column of a from a row of memory coordinates,
+    a broadcast that numpy feeds through its buffered iterator. Where
+    _small_buffer(rows, n, d) says so, the row-major elementwise work
+    runs in _small_ufunc_buffer, whose small buffer makes it 2-4x cheaper,
+    and reads each coordinate of b contiguously (_coordinate_major(b)).
+    The scope holds elementwise ufuncs only, so the bits are the same with
+    or without it; few-memory calls skip the rule on their n alone.
 
     Chunk-invariance contract: no path uses a BLAS expansion, and a row's
     terms are added in an order fixed by d alone, so a row's result is
@@ -98,19 +107,20 @@ def sqdist(a: np.ndarray, b: np.ndarray, by_memory: bool = False) -> np.ndarray:
     layout; every result table is worker-count independent because all
     distances come from here.
     """
-    d = b.shape[1]
+    n, d = b.shape
     if d >= 8:
-        n = b.shape[0]
-        bt = np.ascontiguousarray(b.T)
+        if out is None:
+            out = np.empty(a.shape[:-1] + (n,))
         rows = a.reshape(-1, d)
-        out = np.empty((rows.shape[0], n))
+        bt = _coordinate_major(b)
+        res_rows = out.reshape(-1, n)   # a view: out is C-contiguous
         block = max(1, _BLOCK_CELLS // n)
         lanes = np.empty((8, min(block, rows.shape[0]), n))
         # elementwise ufuncs only from here to the end of the loop
-        with _small_ufunc_buffer(n >= _SMALL_BUFFER_FROM):
+        with _small_ufunc_buffer(_small_buffer(rows.shape[0], n, d)):
             for lo in range(0, rows.shape[0], block):
                 part = rows[lo:lo + block]
-                res = out[lo:lo + block]
+                res = res_rows[lo:lo + block]
                 block_lanes = lanes[:, :res.shape[0]]
                 lane_views = list(block_lanes)   # made once per block, not per term
 
@@ -124,15 +134,18 @@ def sqdist(a: np.ndarray, b: np.ndarray, by_memory: bool = False) -> np.ndarray:
                             r += s
 
                 _pairwise_sum(squares, 0, d, res, block_lanes)
-        return out.reshape(a.shape[:-1] + (n,))
+        return out
+    # below 8 coordinates: memory-major is the same sum with a and b
+    # swapped, and n is tested first, so few-memory flows skip the rule
     if by_memory:
-        acc = np.subtract(a[:, 0], b[:, 0, None])
-        acc *= acc
-        for k in range(1, d):
-            t = np.subtract(a[:, k], b[:, k, None])
-            t *= t
-            acc += t
-        return acc
+        a, b = b, a
+    elif n >= _SMALL_BUFFER_FROM and _small_buffer(a.size // d, n, d):
+        with _small_ufunc_buffer(True):
+            return _add_squares(a, _coordinate_major(b).T, out)
+    if out is not None:
+        return _add_squares(a, b, out)
+    # _add_squares inline: the helper call costs few-memory flows' calls
+    # of 2-4 us about 3 %
     acc = a[..., None, 0] - b[:, 0]
     acc *= acc
     for k in range(1, d):
@@ -142,6 +155,30 @@ def sqdist(a: np.ndarray, b: np.ndarray, by_memory: bool = False) -> np.ndarray:
     return acc
 
 
+def _add_squares(a: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """sum_k (a[..., k] - b[:, k])**2, shape a.shape[:-1] + (n,), for a
+    (..., d) and b (n, d), into out if given, added left to right, the
+    order in which numpy sums fewer than 8 terms: sqdist's d < 8 sum where
+    it takes the small buffer or an out. Elementwise ufuncs only, so
+    sqdist may run it in _small_ufunc_buffer. In the memory-major layout
+    a and b swap roles: (x - y)**2 and (y - x)**2 have the same bits,
+    since rounding is symmetric in sign."""
+    acc = np.subtract(a[..., None, 0], b[:, 0], out=out)
+    acc *= acc
+    for k in range(1, b.shape[1]):
+        t = a[..., None, k] - b[:, k]
+        t *= t
+        acc += t
+    return acc
+
+
+def _coordinate_major(b: np.ndarray) -> np.ndarray:
+    """b (n, d) as (d, n) with each coordinate a contiguous row: b.T itself
+    when its coordinates already are (b Fortran-ordered, or a row slice of
+    a Fortran-ordered array), else one copy of n * d floats."""
+    return b.T if b.strides[0] == b.itemsize else np.ascontiguousarray(b.T)
+
+
 @contextlib.contextmanager
 def _small_ufunc_buffer(on: bool):
     """Run the body with numpy's ufunc buffer at _SMALL_BUFFER elements
@@ -149,8 +186,9 @@ def _small_ufunc_buffer(on: bool):
 
     A ufunc with a broadcast operand, like sqdist's column-minus-row
     subtraction, goes through numpy's buffered iterator, which copies the
-    operand into buffers of this size (8192 by default); with long rows a
-    small buffer runs it about 4x faster. The size lives in thread-local
+    operand into buffers of this size (8192 by default); while a default
+    buffer holds three rows or more, a small one runs it 2-4x faster, for
+    about 5 us a scope (see _small_buffer). The size lives in thread-local
     (numpy 2: context-local) state that every new thread starts at the
     default, so the helper is entered in the thread that runs the body,
     and it never sets the size process-wide. Only elementwise ufuncs may
@@ -245,6 +283,19 @@ def _by_memory(x: np.ndarray, n: int) -> bool:
     beats running it along the memories. That is never a single row, which
     numpy would sum pairwise as an (n, 1) block."""
     return len(x) >= _MAJOR_ROWS + 8 * n and x.ndim == 2 and x.shape[1] < 8
+
+
+def _small_buffer(rows: int, n: int, d: int) -> bool:
+    """Whether sqdist runs its elementwise work for rows points against n
+    memories in d coordinates in _small_ufunc_buffer, decided from rows, n
+    and d alone (the bits are the same either way). The scope costs about
+    5 us a call, and a broadcast gains from it only while numpy's default
+    buffer of 8192 elements holds at least three rows of n memories; the
+    crossover table is the kernel block of BENCH_pair_walk.json. So: from
+    3 rows, from _SMALL_BUFFER_FROM to _SMALL_BUFFER_UPTO memories, and
+    from _SMALL_BUFFER_CELLS (row, memory, coordinate) cells on."""
+    return (rows >= 3 and _SMALL_BUFFER_FROM <= n <= _SMALL_BUFFER_UPTO
+            and rows * n * d >= _SMALL_BUFFER_CELLS)
 
 
 def chunk_bounds(m: int) -> list:

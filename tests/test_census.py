@@ -158,25 +158,27 @@ def test_mean_pairwise_distance_bits_do_not_depend_on_workers(m, dim):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mean_pairwise_distance_memory_is_bounded_by_a_tile(workers):
-    # numpy reports its buffers to tracemalloc. A tile's strip holds
-    # sqdist's two (TILE, m) arrays at once (at d < 8, its accumulator and
-    # one coordinate's squares; the sqrt is taken in place) while the
-    # tile's (TILE, TILE) square is still referenced, and each worker
-    # thread runs one tile at a time. Each tile also has a few small
-    # Python objects (its bounds, its sum, on a pool its future), allowed
-    # 1 KiB. The CHUNK blocks this walk replaced held (CHUNK, CHUNK)
-    # temporaries, 8 MB each.
+    # numpy reports its buffers to tracemalloc. A tile's strip holds two
+    # (TILE, m) arrays at once, its thread's result buffer, which also
+    # held the tile's (TILE, TILE) square, and sqdist's squares of one
+    # coordinate (the sqrt is taken in place); each worker thread runs one
+    # tile at a time and keeps one buffer for the walk. Each tile also has
+    # a few small Python objects (its bounds, its sum, on a pool its
+    # future), allowed 1 KiB. Apart from the tiles, the walk reads one
+    # coordinate-major copy of the points. The CHUNK blocks this walk
+    # replaced held (CHUNK, CHUNK) temporaries, 8 MB each.
     m = 5000
     points = np.random.default_rng(3).standard_normal((m, 2))
     per_tile = (2 * TILE * m + TILE * TILE) * 8
     objects = 1024 * len(landscape.pair_tiles(m))
+    copy = points.nbytes
     tracemalloc.start()
     try:
         _mean_pairwise_distance(points, workers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= workers * per_tile + objects
+    assert peak <= workers * per_tile + objects + copy
 
 
 @pytest.mark.parametrize("m", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])

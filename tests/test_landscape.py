@@ -155,38 +155,69 @@ def major_rows(n):
     return landscape._MAJOR_ROWS + 8 * n
 
 
+def carved_out(shape, offset=3):
+    """A C-contiguous view of the given shape carved from a larger flat
+    buffer at an offset, filled with NaN, as a caller's out= argument."""
+    size = math.prod(shape)
+    return np.full(size + offset + 5, np.nan)[offset:offset + size].reshape(shape)
+
+
+def assert_sqdist_into_out(a, b, want):
+    """sqdist(a, b, out=view) returns that very view, holding want's bits."""
+    view = carved_out(want.shape)
+    assert sqdist(a, b, out=view) is view
+    assert view.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dim", range(1, 301))
 def test_sqdist_equals_broadcast_reference(dim):
     # both kernel paths: per-coordinate below 8; from 8 up the lanes, with
-    # a tail from 9, and the split of numpy's pairwise sum from 129
+    # a tail from 9, and the split of numpy's pairwise sum from 129; each
+    # also written into a caller's out=
     rng = np.random.default_rng(dim)
     b = rng.standard_normal((13, dim))
     single = 2.0 * rng.standard_normal(dim)
     assert np.array_equal(sqdist(single, b), broadcast_sqdist(single, b))
+    assert_sqdist_into_out(single, b, broadcast_sqdist(single, b))
     for m in (0, 1, 7, 1025):
         a = 2.0 * rng.standard_normal((m, dim))
         got = sqdist(a, b)
         assert got.shape == (m, 13)
         assert np.array_equal(got, broadcast_sqdist(a, b))
+        assert_sqdist_into_out(a, b, got)
 
 
-@pytest.mark.parametrize("dim", [7, 8, 9, 16, 130])
+def blocked_reference(a, b):
+    """broadcast_sqdist over a C-ordered copy of b, 32 rows of a at a time
+    (its (32, n, d) temporaries stay small; rows do not share terms)."""
+    b = np.ascontiguousarray(b)
+    return np.concatenate([broadcast_sqdist(a[lo:lo + 32], b)
+                           for lo in range(0, max(len(a), 1), 32)])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 130])
 @pytest.mark.parametrize("rows", [1, 7, 1025])
 def test_sqdist_bits_do_not_depend_on_the_memories_layout(dim, rows):
-    # from 8 coordinates up sqdist reads a coordinate-major copy of b; a
-    # Fortran-ordered b is read as it is, and strided row views are copied.
-    # The reference broadcasts over a C-ordered copy: over a Fortran-ordered
+    # where the small buffer is taken, and from 8 coordinates up, sqdist
+    # reads each coordinate of b as a contiguous row: a Fortran-ordered b
+    # and its row slices are read as they are, other layouts are copied
+    # once. 40 memories never take the buffer, 200 do from 1025 rows. The
+    # reference broadcasts over a C-ordered copy: over a Fortran-ordered
     # b its product is laid out coordinate-major, and numpy then sums the
-    # strided last axis left to right rather than pairwise
+    # strided last axis left to right rather than pairwise. Each case is
+    # also written into a caller's out=
     rng = np.random.default_rng(7 * dim + rows)
-    pts = rng.standard_normal((40, dim))
     a = 2.0 * rng.standard_normal((rows, dim))
-    layouts = {"C": np.ascontiguousarray(pts), "F": np.asfortranarray(pts),
-               "offset": pts[3:], "strided": pts[::2]}
-    for name, b in layouts.items():
-        want = broadcast_sqdist(a, np.ascontiguousarray(b))
-        assert np.array_equal(sqdist(a, b), want), name
-        assert np.array_equal(sqdist(a[0], b), want[0]), name
+    for n in (40, 200):
+        pts = rng.standard_normal((n, dim))
+        layouts = {"C": np.ascontiguousarray(pts), "F": np.asfortranarray(pts),
+                   "F offset": np.asfortranarray(pts)[3:],
+                   "offset": pts[3:], "strided": pts[::2]}
+        for name, b in layouts.items():
+            want = blocked_reference(a, b)
+            assert np.array_equal(sqdist(a, b), want), (n, name)
+            assert np.array_equal(sqdist(a[0], b), want[0]), (n, name)
+            assert_sqdist_into_out(a, b, want)
 
 
 def test_sqdist_memory_is_bounded_by_its_output():
@@ -243,21 +274,29 @@ def test_sqdist_and_nearest_memory_rows_do_not_depend_on_chunking(batch, offset)
 
 
 BUFFER_FROM = landscape._SMALL_BUFFER_FROM
+BUFFER_UPTO = landscape._SMALL_BUFFER_UPTO
 
 
-@pytest.mark.parametrize("dim", [8, 9, 16, 32, 130])
-@pytest.mark.parametrize("n", [BUFFER_FROM - 1, BUFFER_FROM, BUFFER_FROM + 1, 2000])
+@pytest.mark.parametrize("dim", [1, 2, 5, 8, 9, 16, 32, 130])
+@pytest.mark.parametrize("n", [BUFFER_FROM - 1, BUFFER_FROM, BUFFER_FROM + 1, 2000,
+                               BUFFER_UPTO, BUFFER_UPTO + 1])
 def test_sqdist_bits_do_not_depend_on_the_ufunc_buffer(dim, n):
-    # from BUFFER_FROM memories on the lanes run with a small ufunc buffer;
-    # the rows span two of sqdist's row blocks, the second one partial
+    # where _small_buffer(rows, n, dim) says so, the elementwise work runs
+    # with a small ufunc buffer: on both sides of each of its bounds in
+    # memories, and with 2 and 3 rows, with few and many cells. The most
+    # rows span two of sqdist's row blocks, the second one partial
     rng = np.random.default_rng(dim * n)
     b = rng.standard_normal((n, dim))
-    a = 2.0 * rng.standard_normal((landscape._BLOCK_CELLS // n + 5, dim))
-    got = sqdist(a, b)
-    for lo in range(0, len(a), 32):   # the reference's (32, n, dim) temporaries
-        want = broadcast_sqdist(a[lo:lo + 32], b)
-        assert [v.hex() for v in got[lo:lo + 32].ravel()] == [v.hex() for v in want.ravel()]
-    assert [v.hex() for v in sqdist(a[0], b)] == [v.hex() for v in got[0]]
+    scoped = set()
+    for rows in (2, 3, 8, landscape._BLOCK_CELLS // n + 5):
+        a = 2.0 * rng.standard_normal((rows, dim))
+        scoped.add(landscape._small_buffer(rows, n, dim))
+        got = sqdist(a, b)
+        want = blocked_reference(a, b)
+        assert [v.hex() for v in got.ravel()] == [v.hex() for v in want.ravel()]
+        assert [v.hex() for v in sqdist(a[0], b)] == [v.hex() for v in got[0]]
+    inside = BUFFER_FROM <= n <= BUFFER_UPTO
+    assert scoped == ({False, True} if inside else {False})
 
 
 def buffer_seen_by_lanes(monkeypatch):
@@ -277,8 +316,9 @@ def buffer_seen_by_lanes(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sqdist_scopes_the_small_buffer_to_its_lanes(monkeypatch, workers):
     # in the calling thread and on ordered_map's threads, which start at
-    # numpy's default size: the lanes see the small buffer from BUFFER_FROM
-    # memories on, and every caller gets its own size back
+    # numpy's default size: the lanes of 40 rows see the small buffer from
+    # BUFFER_FROM memories on, those of 2 rows never, and every caller gets
+    # its own size back
     seen = buffer_seen_by_lanes(monkeypatch)
     rng = np.random.default_rng(3)
     a = rng.standard_normal((40, 16))
@@ -302,19 +342,90 @@ def test_sqdist_scopes_the_small_buffer_to_its_lanes(monkeypatch, workers):
     finally:
         np.setbufsize(old)
     assert seen[3:] == [small, (64, 4096)]
+    sqdist(a[:2], wide)   # two rows do not earn the scope back
+    assert seen[5:] == [(BUFFER_FROM, default)]
+
+
+def assert_buffer_restored_when_raising(monkeypatch, routine, dim):
+    """Make sqdist's routine fail inside the small buffer, on a shape that
+    takes it; the caller's size comes back."""
+    def failing(*args):
+        assert np.getbufsize() == landscape._SMALL_BUFFER
+        raise FloatingPointError(f"{routine} failed")
+
+    monkeypatch.setattr(landscape, routine, failing)
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal((8, dim)), rng.standard_normal((BUFFER_FROM * 8, dim))
+    assert landscape._small_buffer(len(a), len(b), dim)
+    before = np.getbufsize()
+    with pytest.raises(FloatingPointError):
+        sqdist(a, b)
+    assert np.getbufsize() == before
 
 
 def test_sqdist_restores_the_buffer_when_its_lanes_raise(monkeypatch):
-    def failing(*args):
-        assert np.getbufsize() == landscape._SMALL_BUFFER
-        raise FloatingPointError("lanes failed")
+    assert_buffer_restored_when_raising(monkeypatch, "_pairwise_sum", 16)
 
-    monkeypatch.setattr(landscape, "_pairwise_sum", failing)
-    rng = np.random.default_rng(4)
-    before = np.getbufsize()
-    with pytest.raises(FloatingPointError):
-        sqdist(rng.standard_normal((3, 8)), rng.standard_normal((BUFFER_FROM, 8)))
-    assert np.getbufsize() == before
+
+def test_sqdist_restores_the_buffer_when_its_squares_raise(monkeypatch):
+    assert_buffer_restored_when_raising(monkeypatch, "_add_squares", 2)
+
+
+def buffer_seen_by_squares(monkeypatch):
+    """Patch the per-coordinate squares of sqdist below 8 coordinates to
+    record (result shape, numpy's ufunc buffer size) in each call; return
+    the list it appends to."""
+    seen = []
+    squares = landscape._add_squares
+
+    def recording(a, b, out):
+        size = np.getbufsize()
+        result = squares(a, b, out)
+        seen.append((result.shape, size))
+        return result
+
+    monkeypatch.setattr(landscape, "_add_squares", recording)
+    return seen
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sqdist_scopes_the_small_buffer_to_its_squares(monkeypatch, workers):
+    # below 8 coordinates, in the calling thread and on ordered_map's
+    # threads: the row-major squares see the small buffer exactly where
+    # _small_buffer says so, never with 2 rows, outside its memory range
+    # or in the memory-major layout, and every caller gets its own size back;
+    # each call passes out, so that the unscoped ones run _add_squares too
+    seen = buffer_seen_by_squares(monkeypatch)
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((40, 2))
+    wide, narrow, long = (rng.standard_normal((n, 2)) for n in (250, 64, BUFFER_UPTO + 1))
+    cases = [(a, wide, False), (a[:2], wide, False), (a, narrow, False),
+             (a, long, False), (a, wide, True)]
+    scoped = [not by_memory and landscape._small_buffer(len(x), len(b), 2)
+              for x, b, by_memory in cases]
+    assert scoped == [True, False, False, False, False]
+
+    def call(case):
+        x, b, by_memory = case
+        before = np.getbufsize()
+        shape = (len(b), len(x)) if by_memory else (len(x), len(b))
+        sqdist(x, b, by_memory, out=np.empty(shape))
+        return before, np.getbufsize()
+
+    default = np.getbufsize()
+    assert default != landscape._SMALL_BUFFER
+    want = [((len(b), len(x)) if by_memory else (len(x), len(b)),
+             landscape._SMALL_BUFFER if on else default)
+            for (x, b, by_memory), on in zip(cases, scoped)]
+    got = list(dynamics.ordered_map(call, cases, workers))
+    assert got == [(default, default)] * len(cases)
+    assert sorted(seen) == sorted(want)   # threads interleave
+    old = np.setbufsize(4096)
+    try:
+        assert [call(case) for case in cases[:3]] == [(4096, 4096)] * 3
+    finally:
+        np.setbufsize(old)
+    assert seen[len(cases):] == [want[0], (want[1][0], 4096), (want[2][0], 4096)]
 
 
 def score_targets(n, dim, seed):

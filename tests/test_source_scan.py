@@ -152,3 +152,63 @@ def test_only_the_scoped_helper_sets_the_ufunc_buffer():
     # process-wide
     assert {(name, func) for name, func, _ in _package_sites(_is_setbufsize)} == {
         ("landscape.py", "_small_ufunc_buffer")}
+
+
+_REDUCTIONS = {"sum", "max", "min", "argmin", "sort", "einsum", "_memory_sum"}
+
+
+def _is_reduction_call(node: ast.AST) -> bool:
+    """True for a call of a reduction: a method or function named in
+    _REDUCTIONS, or add.reduce."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr in _REDUCTIONS or (
+            func.attr == "reduce" and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "add")
+    return isinstance(func, ast.Name) and func.id in _REDUCTIONS
+
+
+def _is_small_buffer_call(node: ast.AST) -> bool:
+    """True for a call of _small_ufunc_buffer, by name or attribute."""
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id == "_small_ufunc_buffer")
+        or (isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_small_ufunc_buffer"))
+
+
+def _enters_small_buffer(node: ast.AST) -> bool:
+    """True for a with statement that enters _small_ufunc_buffer."""
+    return isinstance(node, ast.With) and any(
+        _is_small_buffer_call(item.context_expr) for item in node.items)
+
+
+def _is_scoped_reduction(node: ast.AST) -> bool:
+    """True for a with statement that enters _small_ufunc_buffer and calls
+    a reduction anywhere in its body, nested functions included."""
+    return _enters_small_buffer(node) and any(
+        _is_reduction_call(n) for stmt in node.body for n in ast.walk(stmt))
+
+
+def test_scan_detects_reductions_in_the_small_buffer():
+    tree = ast.parse(
+        "def f(t, w, p):\n"
+        "    with _small_ufunc_buffer(True):\n        t *= t\n"
+        "    with _small_ufunc_buffer(True):\n        s = t.sum()\n"
+        "    with landscape._small_ufunc_buffer(True), open('x'):\n"
+        "        def g():\n            return np.add.reduce(t, axis=0)\n"
+        "    with _small_ufunc_buffer(False):\n        np.einsum('n,nd->d', w, p)\n"
+        "    with open('x'):\n        t.max()\n"
+        "    with _small_ufunc_buffer(True):\n        np.add(t, t, out=t)\n"
+        "    with _small_ufunc_buffer(True):\n        u = _memory_sum(t)\n")
+    assert _sites(tree, _is_scoped_reduction) == [("f", 4), ("f", 6), ("f", 9), ("f", 15)]
+
+
+def test_no_reduction_runs_in_the_small_buffer():
+    # a reduction's inner loop may be split by the ufunc buffer, so the
+    # buffer could change its bits; elementwise ufuncs cannot, and they
+    # are all that runs in any _small_ufunc_buffer scope
+    assert _package_sites(_is_scoped_reduction) == []
+    assert [(name, func) for name, func, _ in _package_sites(_enters_small_buffer)] == [
+        ("landscape.py", "sqdist")] * 2
