@@ -348,7 +348,8 @@ class _RoundBlocks(Blocks):
     of landscape. An energy_grad call decodes its rows once and hands them
     to landscape.multiset_energy_grad with each row's round's log-counts,
     so every row gets the bits of its round's own LevelEnergy.energy_grad
-    from one score pass, with one softmax per distinct subset size.
+    from one score pass, with one softmax for all rows below 8 memories
+    and one per distinct subset size from 8 on.
     """
 
     def __init__(self, evaluators, block: np.ndarray, landscape: EnergyLandscape):
@@ -366,6 +367,20 @@ class _RoundBlocks(Blocks):
         return e, self.decoder.jacobian_diag(z) * g
 
 
+def _nearest_drawn(points: np.ndarray, undrawn: np.ndarray, rounds: np.ndarray,
+                   x: np.ndarray) -> np.ndarray:
+    """Index of each row of x's nearest memory among those drawn by its
+    round rounds[r] (undrawn (rounds, n) marks the others): one sqdist per
+    CHUNK rows, the undrawn columns at +inf, and an argmin, whose ties go
+    to the lower index as in the round's own ascending nearest_memory."""
+    idx = np.empty(x.shape[0], dtype=np.intp)
+    for lo, hi in chunk_bounds(x.shape[0]):
+        d = sqdist(x[lo:hi], points)
+        d[undrawn[rounds[lo:hi]]] = np.inf
+        idx[lo:hi] = d.argmin(axis=1)
+    return idx
+
+
 def bias_variance_probes(landscape: EnergyLandscape,
                          hierarchy: AbstractionHierarchy,
                          flow_config: FlowConfig | None = None,
@@ -375,7 +390,8 @@ def bias_variance_probes(landscape: EnergyLandscape,
                          stratified: bool = True,
                          seed: int = 0,
                          levels: tuple | None = None,
-                         workers: int = 1) -> list[dict]:
+                         workers: int = 1,
+                         phases: list | None = None) -> list[dict]:
     """Per-level bias and variance of the basin classifier.
 
     One probe per memory: x_i plus isotropic noise of scale probe_sigma.
@@ -383,14 +399,16 @@ def bias_variance_probes(landscape: EnergyLandscape,
     (class-stratified by default, which keeps class proportions fixed),
     rebuilds the landscape, and reflows the same probes. Per level, every
     round's probes flow as one batch, and each evaluation of its rows is
-    one score pass against the full memory set, with one softmax per
-    distinct subset size, which gives each row the bits of its own
-    round's landscape (see _RoundBlocks). The bootstrap expectation over
+    one score pass against the full memory set, which gives each row the
+    bits of its own round's landscape (see _RoundBlocks); the converged
+    terminals of all rounds are then classified in one pass
+    (_nearest_drawn). The bootstrap expectation over
     rounds gives, per probe, the mean one-hot prediction p. Bias is the
     mean of (p - true one-hot) over probes, per class; variance is the
     mean of (1 - ||p||^2), the one-hot shortcut for the expected squared
     deviation from the mean prediction. seed draws the probe noise and the
-    resamples; levels defaults to every hierarchy level.
+    resamples; levels defaults to every hierarchy level. phases, if given,
+    receives each level's flow and classification seconds, never results.
     """
     if not (probe_sigma > 0 and math.isfinite(probe_sigma)):
         raise InputError(f"probe_sigma must be a positive finite real, got {probe_sigma}")
@@ -411,7 +429,9 @@ def bias_variance_probes(landscape: EnergyLandscape,
     valid = {a: np.zeros(mem.n) for a in levels}
     resampled = [_bootstrap_landscape(landscape, derive_rng(seed, "bootstrap", b), stratified)
                  for b in range(bootstrap_rounds)]
-    sub_idx = [np.array([classes.index(y) for y in r.memories.labels]) for r in resampled]
+    undrawn = np.ones((bootstrap_rounds, mem.n), dtype=bool)
+    for b, r in enumerate(resampled):
+        undrawn[b, r.drawn] = False
     # the rounds' probes are stacked round-major, each round one block
     block = np.repeat(np.arange(bootstrap_rounds), mem.n)
     # failures only grow and every planned flow runs unless this raises,
@@ -423,6 +443,7 @@ def bias_variance_probes(landscape: EnergyLandscape,
         lvls = [hierarchy.level_energy(r, a) for r in resampled]
         starts = np.tile(np.asarray(hierarchy.decoders[a].encode(probes)),
                          (bootstrap_rounds, 1))
+        t_flow = time.perf_counter()
         out, ok = flow_chunked(_RoundBlocks(lvls, block, landscape), starts,
                                flow_config, workers, budget - failures)
         failures += int((~ok).sum())
@@ -430,12 +451,16 @@ def bias_variance_probes(landscape: EnergyLandscape,
             raise CensusFailureError(
                 f"bias/variance probes: {failures} of {planned} planned "
                 "flows failed" + _decoder_range_hint(landscape, hierarchy, levels))
-        for b, lvl in enumerate(lvls):
-            rows = slice(b * mem.n, (b + 1) * mem.n)
-            hit = np.flatnonzero(ok[rows])
-            pred = sub_idx[b][lvl.nearest_memory(out["terminals"][rows][hit])]
-            counts[a][hit, pred] += 1.0
-            valid[a][hit] += 1.0
+        t_class = time.perf_counter()
+        hit = np.flatnonzero(ok)
+        nearest = _nearest_drawn(mem.points, undrawn, block[hit],
+                                 hierarchy.decoders[a].decode(out["terminals"][hit]))
+        probe = hit % mem.n
+        np.add.at(counts[a], (probe, true_idx[nearest]), 1.0)
+        valid[a] += np.bincount(probe, minlength=mem.n)
+        if phases is not None:
+            phases.append({"level": int(a), "flow": t_class - t_flow,
+                           "classification": time.perf_counter() - t_class})
 
     results = []
     for a in levels:

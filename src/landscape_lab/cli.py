@@ -57,7 +57,8 @@ from landscape_lab.errors import (
     NumericalFlowError,
 )
 from landscape_lab.gridsim import coarsening_levels, write_pbm
-from landscape_lab.knn import SoftWeights, _aggregate, argmax_class, tau_landscape
+from landscape_lab.knn import (_aggregate, _effective_counts, _invalid_rows, argmax_class,
+                               tau_landscape)
 from landscape_lab.landscape import (_SMALL_BUFFER, CHUNK, EnergyLandscape, MemorySet,
                                      gaussian_blobs, load_memory_csv)
 from landscape_lab.oddsmodel import MergeScenario, initial_odds, simulate_merge, smoothed_odds
@@ -293,7 +294,8 @@ def _experiment_biasvar(cfg: RunConfig, records: dict) -> dict:
         probe_sigma=float(cfg.params["probe_sigma"]),
         bootstrap_rounds=int(cfg.params["bootstrap_rounds"]),
         stratified=bool(cfg.params["stratified"]),
-        seed=cfg.seed, levels=cfg.params.get("levels"), workers=cfg.workers)
+        seed=cfg.seed, levels=cfg.params.get("levels"), workers=cfg.workers,
+        phases=records.setdefault("phases", []))
     rows = [{"level": r["level"], "class": c, "bias": b,
              "variance_mean": r["variance_mean"]}
             for r in results for c, b in sorted(r["bias_per_class"].items())]
@@ -345,37 +347,52 @@ def _experiment_knn(cfg: RunConfig, records: dict) -> dict:
     flow_cfg = _flow_config(cfg.params)
     taus = [float(tau) for tau in cfg.params["taus"]]
     landscapes = [tau_landscape(mem, tau) for tau in taus]
+    labels = np.array(mem.labels, dtype=object)
+    classes = np.array(mem.classes(), dtype=object)
     rows = []
+    flow_s = 0.0
+    t_start = time.perf_counter()
     # the queries flow a window at a time, one chunk per worker and one
     # batch per tau; a row's bits are those of its own flow and weights
-    # call. A failed flow raises query-major, as if each (query, tau)
-    # flowed alone, so a failing run stops within a window
+    # call, and each column is computed for a whole (window, tau). A
+    # failed flow raises query-major, as if each (query, tau) flowed
+    # alone, so a failing run stops within a window
     window = CHUNK * cfg.workers
     for lo in range(0, n_queries, window):
         batch = queries[lo:lo + window]
         # the hard 1-NN is the nearest memory, ties to the lower index, as
         # a stable sort of the distances gives it; beta plays no part
-        nearest = landscapes[0].nearest_memory(batch)
+        hard = labels[landscapes[0].nearest_memory(batch)].tolist()
+        flows = []
+        for landscape in landscapes:
+            t_flow = time.perf_counter()
+            flows.append(flow_chunked(landscape, batch, flow_cfg, cfg.workers)[0])
+            flow_s += time.perf_counter() - t_flow
+        attend = [landscape.weights(out["terminals"])
+                  for landscape, out in zip(landscapes, flows)]
+        # the first failing (query, tau), query-major; the attention
+        # weights are checked on the rows whose flow did not fail
+        failed = np.stack([out["failed"] for out in flows], axis=1)
+        bad = failed | np.stack([_invalid_rows(w) for w in attend], axis=1)
+        if bad.any():
+            i, t = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)
+            if failed[i, t]:
+                raise NumericalFlowError(step=int(flows[t]["fail_step"][i]))
+            raise InputError("weights must be non-negative and sum to 1")
+        ids = range(lo, lo + batch.shape[0])
         per_tau = []
-        for tau, landscape in zip(taus, landscapes):
-            out, _ = flow_chunked(landscape, batch, flow_cfg, cfg.workers)
-            per_tau.append((tau, out, landscape.weights(batch),
-                            landscape.nearest_memory(out["terminals"]),
-                            landscape.weights(out["terminals"])))
-        for i in range(batch.shape[0]):
-            hard_class = mem.labels[nearest[i]]
-            for tau, out, soft, basin, attend in per_tau:
-                if out["failed"][i]:
-                    raise NumericalFlowError(step=int(out["fail_step"][i]))
-                soft_class = argmax_class(_aggregate(mem, soft[i]))
-                basin_class = mem.labels[basin[i]]
-                rows.append({
-                    "query_id": lo + i, "tau": tau,
-                    "k_equivalent": SoftWeights(attend[i], tau).effective_count,
-                    "soft_argmax_class": soft_class, "hard_1nn_class": hard_class,
-                    "basin_class": basin_class,
-                    "agreement_flag": int(soft_class == basin_class),
-                })
+        for tau, landscape, out, w in zip(taus, landscapes, flows, attend):
+            # argmax over the sorted classes: ties to the sorted-first, as
+            # argmax_class breaks them
+            soft = classes[_aggregate(mem, landscape.weights(batch)).argmax(axis=1)].tolist()
+            basin = labels[landscape.nearest_memory(out["terminals"])].tolist()
+            per_tau.append([
+                {"query_id": q, "tau": tau, "k_equivalent": k, "soft_argmax_class": s,
+                 "hard_1nn_class": h, "basin_class": b, "agreement_flag": int(s == b)}
+                for q, k, s, h, b in zip(ids, _effective_counts(w), soft, hard, basin)])
+        for query_rows in zip(*per_tau):
+            rows.extend(query_rows)
+    records["phases"] = {"flow": flow_s, "table": time.perf_counter() - t_start - flow_s}
     return {"knn": (["query_id", "tau", "k_equivalent", "soft_argmax_class",
                      "hard_1nn_class", "basin_class", "agreement_flag"], rows)}
 

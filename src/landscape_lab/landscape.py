@@ -495,11 +495,19 @@ class EnergyLandscape:
         """
         x = self._check_dim(x)
         by_memory = _by_memory(x, len(self.memories.points))
-        m, ex, z = _softmax(self._scores(x, by_memory), by_memory)
+        e, g = self._energy_grad_of(x, _softmax(self._scores(x, by_memory), by_memory),
+                                    by_memory)
+        return (float(e) if e.ndim == 0 else e), g
+
+    def _energy_grad_of(self, x: np.ndarray, softmax: tuple, by_memory: bool) -> tuple:
+        """Energy and gradient of x from the _softmax (m, ex, z) of its scores
+        in either layout: the tail of energy_grad and of multiset_energy_grad
+        below 8 memories. It takes the softmax, not the scores, so that the
+        scores are freed before the weighted sum."""
+        m, ex, z = softmax
         e = -(m + np.log(z)) / self.beta
         w = ex / z if by_memory else ex / z[..., None]
-        g = x - weighted_sum(w, self.memories.points, by_memory)
-        return (float(e) if e.ndim == 0 else e), g
+        return e, x - weighted_sum(w, self.memories.points, by_memory)
 
     def multiset_energy_grad(self, x: np.ndarray, log_counts: np.ndarray) -> tuple:
         """Energies and gradients of rows x (m, d), each on its own multiset
@@ -507,20 +515,30 @@ class EnergyLandscape:
         of each memory drawn for it, at least one, and is -inf for the
         others. Row r gets the bits of energy_grad on a landscape of only
         its drawn memories, in memory order, with those offsets added to
-        their scores.
+        their scores. One score pass covers every row, as cell (r, i)
+        depends only on x_r and memory i.
 
-        One score pass covers every row, as cell (r, i) depends only on x_r
-        and memory i. The rows are ordered by their multiset's size k, and
+        Below 8 memories every sum over the memories runs left to right
+        from 0.0, in either layout, so the exact zeros of the undrawn
+        memories change no bit: the offsets are added to the scores and
+        all rows take energy_grad's one softmax (_energy_grad_of).
+
+        From 8 memories on, numpy sums pairwise and a zero would regroup
+        its lanes, so the rows are ordered by their multiset's size k, and
         each size's rows take their drawn (rows, k) scores through one
-        _softmax, so each row reduces the same k values in the same order
-        as on its own landscape. The weighted sum is weighted_sum's at
-        d = 1, the row sum of the (rows, k) product with the drawn
-        memories; at d >= 2 the weights are put in zeroed (m, n) rows for
-        one weighted_sum, whose einsum adds the memories' terms in order,
-        and the exact zeros it adds leave each sum as it was.
+        _softmax. The weighted sum is weighted_sum's at d = 1, the row sum
+        of the (rows, k) product with the drawn memories; at d >= 2 the
+        weights are put in zeroed (m, n) rows for one weighted_sum, whose
+        einsum adds the memories' terms in order, and the exact zeros it
+        adds leave each sum as it was.
         """
         x = self._check_dim(x)
         points = self.memories.points
+        if len(points) < 8:
+            by_memory = _by_memory(x, len(points))
+            s = self._scores(x, by_memory)
+            s += log_counts.T if by_memory else log_counts
+            return self._energy_grad_of(x, _softmax(s, by_memory), by_memory)
         drawn = np.isfinite(log_counts)
         size = drawn.sum(axis=1)
         order = np.argsort(size, kind="stable")

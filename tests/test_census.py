@@ -463,6 +463,8 @@ ROUND_CASES = {
     "d2-diag-straddles-chunk": (2, [6, 4], diagonal_hierarchy, 1, 105),
     "d8-diag-large": (8, [10, 6], diagonal_hierarchy, 0, 8),
     "d16-tanh-large": (16, [12, 8], tanh_hierarchy, 1, 4),
+    # 180 rows against 6 memories: the padded path's memory-major scores
+    "d2-diag-small-major": (2, [4, 2], diagonal_hierarchy, 1, 30),
 }
 
 
@@ -477,6 +479,8 @@ def test_round_blocks_give_each_row_its_rounds_bits(name):
         assert max(sizes) < 8
     if "large" in name:
         assert min(sizes) >= 8
+    if "major" in name:
+        assert starts.shape[0] >= landscape._MAJOR_ROWS + 8 * sum(class_counts)
     if "straddles" in name:
         # the first chunk ends inside a round
         assert starts.shape[0] > CHUNK and CHUNK % sum(class_counts)
@@ -490,24 +494,68 @@ def test_round_blocks_give_each_row_its_rounds_bits(name):
             assert np.array_equal(out[key], expected[key], equal_nan=True), key
 
 
-def test_multiset_energy_grad_equals_each_rows_own_landscape():
+# (memories, dim, rows): below 8 memories the padded one-softmax path, in
+# both score layouts (rows on both sides of _MAJOR_ROWS + 8 n), and from 8
+# on the grouped path
+MULTISET_CASES = [(n, dim, landscape._MAJOR_ROWS + 8 * n + side)
+                  for n in (*range(1, 9), 12) for dim in (1, 2, 5) for side in (-1, 0)]
+
+
+@pytest.mark.parametrize("n, dim, rows", MULTISET_CASES,
+                         ids=[f"n{n}-d{dim}-rows{rows}" for n, dim, rows in MULTISET_CASES])
+def test_multiset_energy_grad_equals_each_rows_own_landscape(n, dim, rows):
     # rows of mixed multiset sizes, one evaluation: each row's energy and
-    # gradient are those of its own resampled landscape
-    ms = gaussian_blobs(dim=3, class_counts=[7, 5], spread=0.3, seed=2, center_scale=0.5)
+    # gradient are those of its own resampled landscape, for a round that
+    # drew a single memory and for a NaN row too
+    ms = gaussian_blobs(dim=dim, class_counts=[n], spread=0.3, seed=n, center_scale=0.5)
     ls = EnergyLandscape(ms, 12.0)
     rounds = [census._bootstrap_landscape(ls, derive_rng(2, "bootstrap", b), False)
-              for b in range(6)]
-    assert len({r.drawn.size for r in rounds}) > 1
-    x = ms.centroid + np.random.default_rng(3).standard_normal((30, 3))
-    which = np.arange(30) % 6
-    log_counts = np.full((30, ms.n), -np.inf)
+              for b in range(5)]
+    j = n // 2
+    rounds.append(census._ResampledLandscape(
+        MemorySet(ms.points[[j]], ms.labels[j:j + 1]), 12.0,
+        log_counts=np.log([float(n)]), drawn=np.array([j])))
+    if n > 2:
+        assert len({r.drawn.size for r in rounds}) > 2
+    x = ms.centroid + np.random.default_rng(3).standard_normal((rows, dim))
+    x[rows // 2] = np.nan
+    which = np.arange(rows) % len(rounds)
+    log_counts = np.full((rows, ms.n), -np.inf)
     for row, b in enumerate(which):
         log_counts[row, rounds[b].drawn] = rounds[b].log_counts
     e, g = ls.multiset_energy_grad(x, log_counts)
     for b, r in enumerate(rounds):
         own_e, own_g = r.energy_grad(x[which == b])
-        assert np.array_equal(e[which == b], own_e)
-        assert np.array_equal(g[which == b], own_g)
+        assert np.array_equal(e[which == b], own_e, equal_nan=True)
+        assert np.array_equal(g[which == b], own_g, equal_nan=True)
+
+
+def test_one_pass_classification_equals_each_rounds_nearest_memory():
+    # _nearest_drawn classifies every round's decoded terminals at once;
+    # each row's memory is the one its round's LevelEnergy.nearest_memory
+    # names, over more than one CHUNK of rows
+    ms = gaussian_blobs(dim=2, class_counts=[6, 4], spread=0.3, seed=5, center_scale=0.5)
+    ls = EnergyLandscape(ms, 12.0)
+    hierarchy = tanh_hierarchy([0.9], dim=2)
+    rounds = [census._bootstrap_landscape(ls, derive_rng(5, "bootstrap", b), True)
+              for b in range(12)]
+    undrawn = np.ones((len(rounds), ms.n), dtype=bool)
+    for b, r in enumerate(rounds):
+        undrawn[b, r.drawn] = False
+    z = np.random.default_rng(6).standard_normal((CHUNK + 50, 2))
+    which = np.arange(z.shape[0]) % len(rounds)
+    for a in (0, 1):
+        got = census._nearest_drawn(ms.points, undrawn, which,
+                                    hierarchy.decoders[a].decode(z))
+        for b, r in enumerate(rounds):
+            lvl = hierarchy.level_energy(r, a)
+            assert np.array_equal(got[which == b], r.drawn[lvl.nearest_memory(z[which == b])])
+    # equidistant memories: the tie goes to the lower index the round drew
+    ms = MemorySet(np.array([[-1.0], [1.0], [3.0]]), ("a", "b", "b"))
+    undrawn = np.array([[False, False, True], [True, False, False]])
+    z = np.array([[0.0], [2.0], [0.0], [2.0]])
+    got = census._nearest_drawn(ms.points, undrawn, np.array([0, 0, 1, 1]), z)
+    assert got.tolist() == [0, 1, 1, 1]
 
 
 def test_bootstrap_flows_take_one_score_pass_per_evaluation(monkeypatch):

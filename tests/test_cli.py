@@ -280,6 +280,35 @@ def test_census_manifest_records_phases_and_tables_ignore_workers(tmp_path):
             assert all(p[k] >= 0.0 for k in p)
 
 
+def test_knn_and_biasvar_manifests_record_phases_outside_the_tables(tmp_path):
+    # knn records its flow and table seconds, biasvar each level's flow
+    # and classification seconds; neither reaches a table, which stays
+    # the same bytes at 1 and 2 workers
+    runs = {"knn": ({"n_queries": 40, "taus": [0.5, 2.0]}, ["knn.csv"]),
+            "biasvar": ({"dim": 1, "class_counts": [2, 1], "beta": 12.0, "depth": 2,
+                         "probe_sigma": 0.3, "bootstrap_rounds": 12}, ["biasvar.csv"])}
+    for experiment, (params, tables) in runs.items():
+        cfg = write_cfg(tmp_path, f"{experiment}.json", params)
+        outs = [tmp_path / f"{experiment}-w{w}" for w in (1, 2)]
+        for w, out in zip((1, 2), outs):
+            assert main([experiment, "--config", cfg, "--seed", "3", "--workers", str(w),
+                         "--out-dir", str(out)]) == 0
+        for name in tables:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+            header = (outs[0] / name).read_text().splitlines()[0].split(",")
+            assert not {"flow", "table", "classification"} & set(header)
+        for out in outs:
+            phases = json.loads((out / "manifest.json").read_text())["phases"]
+            if experiment == "knn":
+                assert set(phases) == {"flow", "table"}
+                assert all(t >= 0.0 for t in phases.values())
+            else:
+                assert [p["level"] for p in phases] == [0, 1, 2]
+                for p in phases:
+                    assert set(p) == {"level", "flow", "classification"}
+                    assert all(p[k] >= 0.0 for k in p)
+
+
 def test_json_format(tmp_path):
     cfg = write_cfg(tmp_path, "o.json", {"scenarios": [[2, 1, 2]], "trials": 500})
     out = tmp_path / "out"

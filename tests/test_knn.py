@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from landscape_lab import knn
 from landscape_lab.dynamics import FlowConfig
 from landscape_lab.errors import InputError
 from landscape_lab.knn import (
@@ -82,6 +83,21 @@ def test_knn_k_validation():
         knn_predict(unit_pair(), np.array([0.0]), k=3)
 
 
+def test_predictors_take_one_query():
+    # a (m, d) batch is not a query: knn_predict used to return a
+    # non-distribution for it ({'a': 1.0, 'b': 2.0} here), and
+    # soft_knn_predict raised an uncaught TypeError
+    ms = MemorySet(np.array([[0.0], [1.0], [2.0]]), ("a", "b", "b"))
+    batch = np.array([[0.1], [1.9]])
+    with pytest.raises(InputError, match=r"query must have shape \(1,\), got \(2, 1\)"):
+        knn_predict(ms, batch, k=1)
+    with pytest.raises(InputError, match=r"query must have shape \(1,\), got \(2, 1\)"):
+        soft_knn_predict(ms, batch, tau=0.5)
+    with pytest.raises(InputError, match=r"got \(2,\)"):
+        knn_predict(ms, np.array([0.0, 1.0]), k=1)
+    assert knn_predict(ms, batch[0], k=1) == {"a": 1.0, "b": 0.0}
+
+
 # ---------------------------------------------------------------------------
 # Soft k-NN
 # ---------------------------------------------------------------------------
@@ -128,6 +144,39 @@ def test_soft_weights_are_the_landscape_weights_at_beta_two_over_tau():
         batch = EnergyLandscape(ms, 2.0 / tau).weights(queries)
         for q, w in zip(queries, batch):
             assert np.array_equal(soft_knn_predict(ms, q, tau)[1].weights, w)
+
+
+def test_row_wise_columns_equal_the_one_row_forms():
+    # the knn table's columns for a (rows, n) block of weights: each row's
+    # k_equivalent is bit for bit SoftWeights(w, tau).effective_count and
+    # math.exp of the entropy over the row's positive weights, and each
+    # row's soft class is argmax_class of its one-row prediction. The rows
+    # include exact-zero weights at n >= 8, where the zeros would regroup
+    # numpy's pairwise lanes, and rows whose np.exp and math.exp differ
+    rng = np.random.default_rng(12)
+    blocks = []
+    for n in (3, 8, 20):
+        spaced = MemorySet(np.arange(n, dtype=float)[:, None] * 5.0,
+                           tuple("abc"[i % 3] for i in range(n)))
+        for tau in (0.5, 2.0, 10.0):
+            queries = rng.uniform(-2.0, 5.0 * n + 2.0, size=(400, 1))
+            blocks.append((spaced, tau, EnergyLandscape(spaced, 2.0 / tau).weights(queries)))
+    zero_rows_wide = 0
+    entropies = []
+    for ms, tau, w in blocks:
+        got = knn._effective_counts(w)
+        classes = ms.classes()
+        soft = knn._aggregate(ms, w).argmax(axis=1)
+        for row, k, c in zip(w, got, soft):
+            p = row[row > 0]
+            h = float(-(p * np.log(p)).sum())
+            entropies.append(h)
+            assert k == SoftWeights(row, tau).effective_count == math.exp(h)
+            assert classes[c] == argmax_class(knn._predict_one(ms, row))
+        zero_rows_wide += int((w == 0).any(axis=1).sum()) if ms.n >= 8 else 0
+    assert zero_rows_wide > 0
+    # a vector exp would fail the equality above on these rows
+    assert (np.exp(entropies) != [math.exp(h) for h in entropies]).any()
 
 
 def test_soft_argmax_shift_invariance():
