@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from landscape_lab._seeds import derive_rng
 from landscape_lab.errors import InputError
@@ -319,27 +318,51 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _reflect_correlate(g: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate a 2D grid with a symmetric odd-length kernel along one
+    axis, with the padding and summation order that grid_smooth states."""
+    r = k.size // 2
+    n = g.shape[axis]
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (r, r)
+    p = np.moveaxis(np.pad(g, pad, mode="symmetric"), axis, 0)
+    acc = p[r:r + n] * k[r]
+    pair = np.empty_like(acc)
+    for j in range(r, 0, -1):
+        np.add(p[r + j:r + j + n], p[r - j:r - j + n], out=pair)
+        pair *= k[r - j]
+        acc += pair
+    return np.moveaxis(acc, 0, axis)
+
+
 def grid_smooth(grid_energy: np.ndarray, sigma: float) -> np.ndarray:
     """Truncated-Gaussian smoothing of a 2D energy grid.
 
-    Separable convolution with a normalized kernel of radius ceil(3 sigma)
-    and reflected (edge-symmetric) boundaries. Reflection makes the
-    smoothing commute with the reflected 5-point Laplacian, so the total
-    discrete curvature (see total_curvature) never increases.
+    Separable correlation with a normalized kernel k of radius
+    r = ceil(3 sigma), axis 0 first, then axis 1. Each axis is padded by
+    symmetric reflection, edge cells repeated (d c b a | a b c d | d c b a),
+    and again when the kernel is wider than the axis. Each cell c sums in
+    the order of scipy.ndimage's symmetric-kernel correlate:
+    acc = p[c] * k[r], then acc += (p[c + j] + p[c - j]) * k[r - j] for
+    j = r .. 1, so the result equals scipy.ndimage.convolve1d with
+    mode="reflect" bit for bit. Reflection makes the smoothing commute with
+    the reflected 5-point Laplacian, so the total discrete curvature (see
+    total_curvature) never increases.
     """
     g = np.asarray(grid_energy, dtype=np.float64)
     if g.ndim != 2 or min(g.shape) < 3:
         raise InputError(f"grid must be 2D with >= 3 cells per side, got shape {g.shape}")
-    if not (sigma > 0):
-        raise InputError(f"sigma must be positive, got {sigma}")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise InputError(f"sigma must be positive and finite, got {sigma}")
     k = _gaussian_kernel(sigma)
-    out = convolve1d(g, k, axis=0, mode="reflect")
-    return convolve1d(out, k, axis=1, mode="reflect")
+    return _reflect_correlate(_reflect_correlate(g, k, 0), k, 1)
 
 
 def total_curvature(grid: np.ndarray) -> float:
     """Sum of absolute 5-point Laplacian values, reflected boundary."""
     g = np.asarray(grid, dtype=np.float64)
+    if g.ndim != 2:
+        raise InputError(f"grid must be 2D, got shape {g.shape}")
     p = np.pad(g, 1, mode="symmetric")
     lap = (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * g)
     return float(np.abs(lap).sum())

@@ -15,6 +15,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.ndimage import convolve1d
 from scipy.stats import norm
 
 from landscape_lab import dynamics
@@ -184,6 +185,17 @@ def strict_minima_count(grid):
     c = p[1:-1, 1:-1]
     return int(((c < p[:-2, 1:-1]) & (c < p[2:, 1:-1])
                 & (c < p[1:-1, :-2]) & (c < p[1:-1, 2:])).sum())
+
+
+def grid_smooth_reference(grid, sigma):
+    """Truncated-Gaussian smoothing by scipy: the normalized kernel of
+    radius ceil(3 sigma), convolve1d on axis 0, then axis 1, reflected."""
+    radius = math.ceil(3.0 * sigma)
+    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+    k = np.exp(-0.5 * (offsets / sigma) ** 2)
+    k /= k.sum()
+    g = np.asarray(grid, dtype=np.float64)
+    return convolve1d(convolve1d(g, k, axis=0, mode="reflect"), k, axis=1, mode="reflect")
 
 
 class MixedBlocks(dynamics.Blocks):

@@ -290,6 +290,24 @@ def test_grid_smooth_validation():
         grid_smooth(np.zeros((5, 5)), 0.0)
     with pytest.raises(InputError):
         grid_smooth(np.zeros(5), 1.0)
+    for sigma in (math.inf, math.nan):
+        with pytest.raises(InputError):
+            grid_smooth(np.zeros((5, 5)), sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.8, 1.0, 2.5, 5.0])
+@pytest.mark.parametrize("shape", [(3, 3), (3, 7), (4, 9), (16, 16), (64, 33)])
+def test_grid_smooth_equals_scipy_reference(shape, sigma):
+    # sigma 2.5 and 5 give kernels of radius 8 and 15, wider than the small grids
+    g = np.random.default_rng(shape[0] * 100 + shape[1]).normal(size=shape)
+    assert np.array_equal(grid_smooth(g, sigma), oracles.grid_smooth_reference(g, sigma))
+
+
+def test_total_curvature_takes_a_2d_grid():
+    assert total_curvature(np.zeros((3, 4))) == 0.0
+    for shape in ((5,), (3, 3, 3)):
+        with pytest.raises(InputError):
+            total_curvature(np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
