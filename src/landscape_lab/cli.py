@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from landscape_lab import __version__
 from landscape_lab._seeds import derive_rng, derive_seed
@@ -227,9 +227,9 @@ def _census_config(params: dict, seed: int) -> CensusConfig:
 
 
 # ---------------------------------------------------------------------------
-# Experiments: each returns {table_name: (columns, rows)}, plot data included,
-# and may put run records (timings, never results) into records, which the
-# manifest carries
+# Experiments: each returns {table_name: {column: values}}, plot data
+# included, and may put run records (timings, never results) into records,
+# which the manifest carries
 # ---------------------------------------------------------------------------
 
 _CENSUS_COLUMNS = ["level", "class", "p_data", "p_gen", "amplification",
@@ -241,6 +241,11 @@ _PRIVACY_COLUMNS = ["level", "k", "mean_knn_distance", "diversity",
 _PLOTDATA_COLUMNS = ["series", "x", "y", "stderr"]
 
 
+def _columns(names: list[str], rows: list[tuple]) -> dict:
+    """{name: values} of a few rows, each a tuple in names' order."""
+    return dict(zip(names, map(list, zip(*rows, strict=True)), strict=True))
+
+
 def _experiment_census(cfg: RunConfig, records: dict) -> dict:
     """The census, privacy and census plot-data tables, all from one
     run_census call; records gets each level's phase timings."""
@@ -249,41 +254,26 @@ def _experiment_census(cfg: RunConfig, records: dict) -> dict:
     reports = run_census(landscape, hierarchy, _census_config(cfg.params, cfg.seed),
                          _flow_config(cfg.params), workers=cfg.workers)
     records["phases"] = [{"level": r.level, **r.phases} for r in reports]
-    rows = []
-    for r in reports:
-        for c in sorted(r.p_data):
-            rows.append({
-                "level": r.level, "class": c,
-                "p_data": r.p_data[c], "p_gen": r.p_gen[c],
-                "amplification": r.amplification,
-                "diversity": r.diversity_mean_pairwise,
-                "privacy_k1": r.privacy_knn_distance[1],
-                "privacy_k2": r.privacy_knn_distance[2],
-                "privacy_k5": r.privacy_knn_distance[5],
-                "privacy_k10": r.privacy_knn_distance[10],
-                "n_queries": r.n_queries, "failures": r.failures,
-            })
-    privacy_rows = [{"level": r.level, "k": k,
-                     "mean_knn_distance": r.privacy_knn_distance[k],
-                     "diversity": r.diversity_mean_pairwise,
-                     "n_queries": r.n_queries, "failures": r.failures}
-                    for r in reports for k in sorted(r.privacy_knn_distance)]
-    plot_rows = []
+    census = [(r.level, c, r.p_data[c], r.p_gen[c], r.amplification,
+               r.diversity_mean_pairwise,
+               *(r.privacy_knn_distance[k] for k in (1, 2, 5, 10)),
+               r.n_queries, r.failures)
+              for r in reports for c in sorted(r.p_data)]
+    privacy = [(r.level, k, r.privacy_knn_distance[k], r.diversity_mean_pairwise,
+                r.n_queries, r.failures)
+               for r in reports for k in sorted(r.privacy_knn_distance)]
+    plot = []
     for r in reports:
         # binomial stderr of the share the amplification is measured on:
         # the data-majority class's, over the level's converged queries
         p = r.p_gen[argmax_class(r.p_data)]
         se = (p * (1 - p) / (r.n_queries - r.failures)) ** 0.5
-        plot_rows += [
-            {"series": "amplification", "x": r.level, "y": r.amplification, "stderr": se},
-            {"series": "diversity", "x": r.level, "y": r.diversity_mean_pairwise,
-             "stderr": None},
-            {"series": "privacy_k1", "x": r.level, "y": r.privacy_knn_distance[1],
-             "stderr": None},
-        ]
-    return {"census": (_CENSUS_COLUMNS, rows),
-            "privacy": (_PRIVACY_COLUMNS, privacy_rows),
-            "plotdata_census": (_PLOTDATA_COLUMNS, plot_rows)}
+        plot += [("amplification", r.level, r.amplification, se),
+                 ("diversity", r.level, r.diversity_mean_pairwise, None),
+                 ("privacy_k1", r.level, r.privacy_knn_distance[1], None)]
+    return {"census": _columns(_CENSUS_COLUMNS, census),
+            "privacy": _columns(_PRIVACY_COLUMNS, privacy),
+            "plotdata_census": _columns(_PLOTDATA_COLUMNS, plot)}
 
 
 def _experiment_biasvar(cfg: RunConfig, records: dict) -> dict:
@@ -296,10 +286,9 @@ def _experiment_biasvar(cfg: RunConfig, records: dict) -> dict:
         stratified=bool(cfg.params["stratified"]),
         seed=cfg.seed, levels=cfg.params.get("levels"), workers=cfg.workers,
         phases=records.setdefault("phases", []))
-    rows = [{"level": r["level"], "class": c, "bias": b,
-             "variance_mean": r["variance_mean"]}
+    rows = [(r["level"], c, b, r["variance_mean"])
             for r in results for c, b in sorted(r["bias_per_class"].items())]
-    return {"biasvar": (["level", "class", "bias", "variance_mean"], rows)}
+    return {"biasvar": _columns(["level", "class", "bias", "variance_mean"], rows)}
 
 
 def _experiment_smoothness(cfg: RunConfig, records: dict) -> dict:
@@ -312,17 +301,14 @@ def _experiment_smoothness(cfg: RunConfig, records: dict) -> dict:
         seed=cfg.seed,
         fd_step=float(cfg.params["fd_step"]))
     columns = ["level", "hessian_norm_est", "lipschitz_est", "jacobian_norm_est"]
-    rows = []
-    for r in reports:
-        jac = jacobian_norm_probe(hierarchy, r.level,
-                                  probes=int(cfg.params["jacobian_probes"]),
-                                  seed=cfg.seed)
-        rows.append({"level": r.level, "hessian_norm_est": r.hessian_norm_est,
-                     "lipschitz_est": r.lipschitz_est, "jacobian_norm_est": jac})
-    plot_rows = [{"series": series, "x": row["level"], "y": row[series], "stderr": None}
-                 for row in rows for series in columns[1:]]
-    return {"smoothness": (columns, rows),
-            "plotdata_smoothness": (_PLOTDATA_COLUMNS, plot_rows)}
+    rows = [(r.level, r.hessian_norm_est, r.lipschitz_est,
+             jacobian_norm_probe(hierarchy, r.level,
+                                 probes=int(cfg.params["jacobian_probes"]), seed=cfg.seed))
+            for r in reports]
+    plot = [(series, level, y, None)
+            for level, *ys in rows for series, y in zip(columns[1:], ys)]
+    return {"smoothness": _columns(columns, rows),
+            "plotdata_smoothness": _columns(_PLOTDATA_COLUMNS, plot)}
 
 
 def _experiment_knn(cfg: RunConfig, records: dict) -> dict:
@@ -349,7 +335,9 @@ def _experiment_knn(cfg: RunConfig, records: dict) -> dict:
     landscapes = [tau_landscape(mem, tau) for tau in taus]
     labels = np.array(mem.labels, dtype=object)
     classes = np.array(mem.classes(), dtype=object)
-    rows = []
+    # each column a window at a time: hard 1-NN (window,) blocks, the others
+    # (taus, window) blocks, which the table reads query-major
+    hard, k_eq, soft, basin = [], [], [], []
     flow_s = 0.0
     t_start = time.perf_counter()
     # the queries flow a window at a time, one chunk per worker and one
@@ -362,7 +350,7 @@ def _experiment_knn(cfg: RunConfig, records: dict) -> dict:
         batch = queries[lo:lo + window]
         # the hard 1-NN is the nearest memory, ties to the lower index, as
         # a stable sort of the distances gives it; beta plays no part
-        hard = labels[landscapes[0].nearest_memory(batch)].tolist()
+        hard.append(labels[landscapes[0].nearest_memory(batch)])
         flows = []
         for landscape in landscapes:
             t_flow = time.perf_counter()
@@ -379,65 +367,57 @@ def _experiment_knn(cfg: RunConfig, records: dict) -> dict:
             if failed[i, t]:
                 raise NumericalFlowError(step=int(flows[t]["fail_step"][i]))
             raise InputError("weights must be non-negative and sum to 1")
-        ids = range(lo, lo + batch.shape[0])
-        per_tau = []
-        for tau, landscape, out, w in zip(taus, landscapes, flows, attend):
-            # argmax over the sorted classes: ties to the sorted-first, as
-            # argmax_class breaks them
-            soft = classes[_aggregate(mem, landscape.weights(batch)).argmax(axis=1)].tolist()
-            basin = labels[landscape.nearest_memory(out["terminals"])].tolist()
-            per_tau.append([
-                {"query_id": q, "tau": tau, "k_equivalent": k, "soft_argmax_class": s,
-                 "hard_1nn_class": h, "basin_class": b, "agreement_flag": int(s == b)}
-                for q, k, s, h, b in zip(ids, _effective_counts(w), soft, hard, basin)])
-        for query_rows in zip(*per_tau):
-            rows.extend(query_rows)
+        k_eq.append([_effective_counts(w) for w in attend])
+        # argmax over the sorted classes: ties to the sorted-first, as
+        # argmax_class breaks them
+        soft.append([classes[_aggregate(mem, landscape.weights(batch)).argmax(axis=1)]
+                     for landscape in landscapes])
+        basin.append([labels[landscape.nearest_memory(out["terminals"])]
+                      for landscape, out in zip(landscapes, flows)])
+    k_eq, soft, basin = (np.concatenate(blocks, axis=1).T.ravel()
+                         for blocks in (k_eq, soft, basin))
+    table = {"query_id": np.repeat(np.arange(n_queries), len(taus)),
+             "tau": np.tile(taus, n_queries), "k_equivalent": k_eq,
+             "soft_argmax_class": soft,
+             "hard_1nn_class": np.repeat(np.concatenate(hard), len(taus)),
+             "basin_class": basin, "agreement_flag": (soft == basin).astype(int)}
     records["phases"] = {"flow": flow_s, "table": time.perf_counter() - t_start - flow_s}
-    return {"knn": (["query_id", "tau", "k_equivalent", "soft_argmax_class",
-                     "hard_1nn_class", "basin_class", "agreement_flag"], rows)}
+    return {"knn": table}
 
 
 def _experiment_odds(cfg: RunConfig, records: dict) -> dict:
     scenarios = cfg.params["scenarios"]
     if not scenarios or any(len(scenario) != 3 for scenario in scenarios):
         raise InputError("scenarios must be a non-empty list of [p, q, S] triples")
+    trials = int(cfg.params["trials"])
     rows = []
     for i, (p, q, s) in enumerate(scenarios):
         scenario = MergeScenario(int(p), int(q), int(s))
-        counts = simulate_merge(scenario, int(cfg.params["trials"]),
-                                seed=derive_seed(cfg.seed, "odds", i))
-        rows.append({
-            "p": scenario.majority_minima, "q": scenario.minority_minima,
-            "S": scenario.feature_count,
-            "lambda_init": initial_odds(scenario),
-            "lambda_smooth": smoothed_odds(scenario),
-            "trials": int(cfg.params["trials"]),
-            "pure_A": counts.pure_majority, "pure_B": counts.pure_minority,
-            "mixed": counts.mixed,
-            "empirical_conditional_odds": counts.conditional_odds(),
-        })
-    return {"odds": (["p", "q", "S", "lambda_init", "lambda_smooth", "trials",
-                      "pure_A", "pure_B", "mixed",
-                      "empirical_conditional_odds"], rows)}
+        counts = simulate_merge(scenario, trials, seed=derive_seed(cfg.seed, "odds", i))
+        rows.append((scenario.majority_minima, scenario.minority_minima,
+                     scenario.feature_count, initial_odds(scenario),
+                     smoothed_odds(scenario), trials, counts.pure_majority,
+                     counts.pure_minority, counts.mixed, counts.conditional_odds()))
+    return {"odds": _columns(["p", "q", "S", "lambda_init", "lambda_smooth", "trials",
+                              "pure_A", "pure_B", "mixed",
+                              "empirical_conditional_odds"], rows)}
 
 
 def _experiment_grid(cfg: RunConfig, records: dict) -> dict:
     if not cfg.params["p_red"]:
         raise InputError("p_red must name at least one initial share")
-    rows, plot_rows = [], []
+    rows = []
     side = int(cfg.params["side"])
     levels = int(cfg.params["levels"])
     for i, p in enumerate(cfg.params["p_red"]):
         sub_seed = derive_seed(cfg.seed, "grid", i)
         for level, grid in coarsening_levels(side, float(p), levels, seed=sub_seed):
-            share = grid.red_share
-            rows.append({"p_red_init": float(p), "level": level, "red_share": share})
-            plot_rows.append({"series": f"p_red={float(p)}", "x": level, "y": share,
-                              "stderr": None})
+            rows.append((float(p), level, grid.red_share))
             if cfg.params["dump_bitmaps"]:
                 write_pbm(grid, cfg.out_dir / f"grid_p{p}_level{level}.pbm")
-    return {"grid": (["p_red_init", "level", "red_share"], rows),
-            "plotdata_grid": (_PLOTDATA_COLUMNS, plot_rows)}
+    plot = [(f"p_red={p}", level, share, None) for p, level, share in rows]
+    return {"grid": _columns(["p_red_init", "level", "red_share"], rows),
+            "plotdata_grid": _columns(_PLOTDATA_COLUMNS, plot)}
 
 
 _EXPERIMENT_FNS = {
@@ -454,6 +434,19 @@ _EXPERIMENT_FNS = {
 # Runner
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _scipy_version() -> str | None:
+    """The installed scipy's version, read once a process from its package
+    metadata: scipy is a test dependency, which no module here imports.
+    importlib.metadata is imported here, as importing it costs about 10 ms
+    that a process writing no manifest need not pay."""
+    import importlib.metadata
+    try:
+        return importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
 def _environment() -> dict:
     """The numerical stack a run had, for its manifest only: sqdist's
     speed at d >= 8 rests on numpy's ufunc iterator and its scoped buffer
@@ -463,7 +456,7 @@ def _environment() -> dict:
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):   # numpy < 1.26 has no mode="dicts"
         blas = "unknown"
-    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas,
+    return {"numpy": np.__version__, "scipy": _scipy_version(), "blas": blas,
             "cpu_count": os.cpu_count(),
             "sqdist_ufunc_buffer": _SMALL_BUFFER}
 
@@ -474,8 +467,8 @@ def run(config: RunConfig) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     records = {}
     tables = _EXPERIMENT_FNS[config.experiment](config, records)
-    for name, (columns, rows) in tables.items():
-        write_table(config.out_dir, name, columns, rows, config.format)
+    for name, columns in tables.items():
+        write_table(config.out_dir, name, columns, config.format)
     manifest = {
         "experiment": config.experiment,
         "seed": config.seed,

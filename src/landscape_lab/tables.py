@@ -1,8 +1,11 @@
 """Result-table serialization.
 
-CSV is the interchange format the acceptance tooling diffs: mandatory
-headers, '.' decimals, UTF-8, LF line endings, and floats written with
-repr (shortest round-trip) so repeated runs are byte-identical.
+A table is an ordered mapping of column name to a list or a 1-D array of
+cells; an array is written from .tolist(), and a numpy scalar as the
+Python scalar it holds. CSV is the interchange format the acceptance
+tooling diffs: mandatory headers, '.' decimals, UTF-8, LF line endings,
+and floats written with repr (shortest round-trip) so repeated runs are
+byte-identical. JSON holds the same cells as a list of row objects.
 """
 
 from __future__ import annotations
@@ -11,10 +14,14 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
+
 from landscape_lab.errors import InputError
 
 
 def _cell(value) -> str:
+    if isinstance(value, np.generic):
+        value = value.item()
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -38,31 +45,22 @@ def _column(values: list) -> list[str]:
     return list(map(fmt or _cell, values))
 
 
-def write_csv(path, columns: list[str], rows: list[dict]) -> None:
-    cells = [_column([row.get(c) for row in rows]) for c in columns]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*cells))
-
-
-def write_json(path, columns: list[str], rows: list[dict]) -> None:
-    payload = [{c: row.get(c) for c in columns} for row in rows]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_table(out_dir, name: str, columns: list[str], rows: list[dict],
-                fmt: str = "csv") -> Path:
-    out_dir = Path(out_dir)
-    if fmt == "csv":
-        path = out_dir / f"{name}.csv"
-        write_csv(path, columns, rows)
-    elif fmt == "json":
-        path = out_dir / f"{name}.json"
-        write_json(path, columns, rows)
-    else:
+def write_table(out_dir, name: str, columns: dict, fmt: str = "csv") -> Path:
+    """Write columns, {name: list or 1-D array}, as out_dir/name.csv or
+    name.json and return its path; a ragged table raises ValueError."""
+    if fmt not in ("csv", "json"):
         raise InputError(f"unknown table format {fmt!r}")
+    cells = [v.tolist() if isinstance(v, np.ndarray) else v for v in columns.values()]
+    path = Path(out_dir) / f"{name}.{fmt}"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if fmt == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(zip(*map(_column, cells), strict=True))
+        else:
+            rows = [dict(zip(columns, row)) for row in zip(*cells, strict=True)]
+            # json.dump's fallback for a type it cannot write: a numpy
+            # scalar's item(), a TypeError for anything else
+            json.dump(rows, fh, indent=2, sort_keys=True, default=np.generic.item)
+            fh.write("\n")
     return path
-

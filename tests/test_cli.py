@@ -318,6 +318,39 @@ def test_json_format(tmp_path):
     assert rows[0]["lambda_smooth"] == 4.0
 
 
+@pytest.mark.parametrize("experiment, params, tables", [
+    ("census", {"dim": 1, "n_queries": 100, "depth": 2, "class_counts": [3, 2]},
+     ["census", "privacy", "plotdata_census"]),
+    ("biasvar", {"dim": 1, "class_counts": [2, 1], "beta": 12.0, "depth": 2,
+                 "bootstrap_rounds": 12}, ["biasvar"]),
+    ("smoothness", {"dim": 2, "class_counts": [3, 2], "depth": 2, "probes": 8,
+                    "jacobian_probes": 4}, ["smoothness", "plotdata_smoothness"]),
+    # two windows, so the query-major interleave crosses a window edge
+    ("knn", {"dim": 1, "class_counts": [3, 3], "taus": [0.05, 0.5, 2.0],
+             "n_queries": CHUNK + 5}, ["knn"]),
+    ("odds", {"scenarios": [[2, 1, 2], [9, 1, 3]], "trials": 500}, ["odds"]),
+    ("grid", {"side": 32, "p_red": [0.6, 0.9], "levels": 2}, ["grid", "plotdata_grid"]),
+])
+def test_json_tables_hold_the_csv_tables_cells(tmp_path, experiment, params, tables):
+    # None is an empty CSV cell and a JSON null; every other JSON value is
+    # the number or string its CSV cell spells
+    def spelled(value):
+        return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+    cfg = write_cfg(tmp_path, "c.json", params)
+    for fmt in ("csv", "json"):
+        assert main([experiment, "--config", cfg, "--format", fmt,
+                     "--out-dir", str(tmp_path / fmt)]) == 0
+    for name in tables:
+        csv_rows = read_csv(tmp_path / "csv" / f"{name}.csv")
+        json_rows = json.loads((tmp_path / "json" / f"{name}.json").read_text())
+        assert csv_rows and len(json_rows) == len(csv_rows)
+        for csv_row, json_row in zip(csv_rows, json_rows):
+            assert {k: spelled(v) for k, v in json_row.items()} == csv_row
+        if name.startswith("plotdata"):
+            assert None in [row["stderr"] for row in json_rows]
+
+
 def test_manifest_contents(tmp_path):
     out = tmp_path / "out"
     assert main(["odds", "--seed", "11", "--out-dir", str(out)]) == 0

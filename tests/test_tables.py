@@ -1,34 +1,55 @@
-import csv
+import json
 
 import numpy as np
+import pytest
 
-from landscape_lab.tables import _cell, write_csv
-
-
-def per_cell_csv(path, columns, rows):
-    # the per-cell form write_csv replaced: one _cell call per cell
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row.get(c)) for c in columns])
+from landscape_lab.tables import write_table
 
 
-def test_write_csv_matches_the_per_cell_form(tmp_path):
-    # single-type columns take a type's formatter, mixed ones _cell; numpy
-    # scalars subclass float and int but are not exactly those types
-    columns = ["none", "flag", "count", "x", "name", "mixed", "scalars", "missing"]
-    mixed = [None, True, 3, -0.0, "a,b", 1e-300, float("inf"), False, "q\"uote"]
-    scalars = [np.float64(0.1), np.int64(7), 2.5, np.float64(float("nan"))]
-    rows = [{"none": None, "flag": bool(i % 2), "count": i * 10 ** i - 5,
-             "x": [0.1, -2.0, 1e22, float("nan"), 5e-324, 1 / 3][i % 6],
-             "name": f"class {i}" if i % 4 else "line\nbreak",
-             "mixed": mixed[i % len(mixed)], "scalars": scalars[i % len(scalars)]}
-            for i in range(12)]
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_csv(got, columns, rows)
-    per_cell_csv(want, columns, rows)
-    assert got.read_bytes() == want.read_bytes()
-    write_csv(got, columns, [])
-    per_cell_csv(want, columns, [])
-    assert got.read_bytes() == want.read_bytes()
+def test_write_table_csv_text(tmp_path):
+    # single-type columns take a type's formatter, mixed ones _cell; an
+    # array column is written from its Python scalars
+    columns = {
+        "none": [None] * 9,
+        "flag": [True, False, True, False, False, True, True, False, True],
+        "count": [-5, 0, 7, 10 ** 20, -(2 ** 70), 123456789012345678901234567890, 1, 2, 3],
+        "x": np.array([0.1, -2.0, 1e22, float("nan"), 5e-324, 1 / 3, -0.0, 2.5, 1.0]),
+        "name": ["class 1", "line\nbreak", "", "class 3", "class 4", "class 5", "class 6",
+                 "class 7", "class 8"],
+        "mixed": [None, True, 3, -0.0, "a,b", 1e-300, float("inf"), False, 'q"uote'],
+    }
+    path = write_table(tmp_path, "t", columns)
+    assert path == tmp_path / "t.csv"
+    assert path.read_bytes() == (
+        b'none,flag,count,x,name,mixed\n'
+        b',1,-5,0.1,class 1,\n'
+        b',0,0,-2.0,"line\nbreak",1\n'
+        b',1,7,1e+22,,3\n'
+        b',0,100000000000000000000,nan,class 3,-0.0\n'
+        b',0,-1180591620717411303424,5e-324,class 4,"a,b"\n'
+        b',1,123456789012345678901234567890,0.3333333333333333,class 5,1e-300\n'
+        b',1,1,-0.0,class 6,inf\n'
+        b',0,2,2.5,class 7,0\n'
+        b',1,3,1.0,class 8,"q""uote"\n')
+    empty = {"a": [], "b": np.array([])}
+    assert write_table(tmp_path, "e", empty).read_bytes() == b"a,b\n"
+    assert write_table(tmp_path, "e", empty, "json").read_bytes() == b"[]\n"
+    # a ragged table raises rather than being cut to its shortest column
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValueError):
+            write_table(tmp_path, "r", {"a": [1, 2], "b": [1]}, fmt)
+
+
+@pytest.mark.parametrize("form", [list, np.array])
+def test_numpy_scalars_are_written_as_the_python_scalars_they_hold(tmp_path, form):
+    # np.float64 subclasses float, but its repr is np.float64(0.5); np.bool_
+    # and np.int64 subclass neither bool nor int
+    columns = {"f": form([np.float64(0.5), np.float64(1 / 3)]),
+               "i": form([np.int64(7), np.int64(-2 ** 40)]),
+               "b": form([np.bool_(True), np.bool_(False)])}
+    csv_path = write_table(tmp_path, "t", columns)
+    assert csv_path.read_text() == "f,i,b\n0.5,7,1\n0.3333333333333333,-1099511627776,0\n"
+    rows = json.loads(write_table(tmp_path, "t", columns, "json").read_text())
+    assert [[(type(v), v) for v in row.values()] for row in rows] == [
+        [(bool, True), (float, 0.5), (int, 7)],
+        [(bool, False), (float, 1 / 3), (int, -2 ** 40)]]
