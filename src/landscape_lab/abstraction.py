@@ -260,19 +260,19 @@ def _max_difference_quotient(grads: np.ndarray, z: np.ndarray) -> float:
     are more than 1e-12 apart, else 0.
 
     Pairs are taken over the upper-triangle tiles of pair_tiles: tile
-    [lo, hi) against rows lo on, keeping j > i, so memory is bounded by
-    TILE x m; each pair's quotient has the same bits wherever it is
-    computed, and the max does not depend on the order of the pairs.
+    [lo, hi) against rows lo on, so memory is bounded by TILE x m; each
+    pair's quotient has the same bits wherever it is computed, and the max
+    does not depend on the order of the pairs. A tile's square is bitwise
+    symmetric (sqdist subtracts, then squares) and 0 on its diagonal, so
+    its max is its max over i < j once pairs within 1e-12 divide by inf.
     """
-    m = z.shape[0]
     maxima = []
-    for lo, hi in pair_tiles(m):
+    for lo, hi in pair_tiles(z.shape[0]):
         dg = np.sqrt(sqdist(grads[lo:hi], grads[lo:]))
         dz = np.sqrt(sqdist(z[lo:hi], z[lo:]))
-        # j > i: above the square's diagonal, and the whole strip
-        ok = (dz > 1e-12) & (np.arange(hi - lo)[:, None] < np.arange(m - lo))
-        if ok.any():
-            maxima.append((dg[ok] / dz[ok]).max())
+        dz[dz <= 1e-12] = np.inf
+        dg /= dz
+        maxima.append(dg.max())
     return float(np.max(maxima)) if maxima else 0.0
 
 

@@ -64,12 +64,13 @@ class ClassGrid:
 
 def _draws_below(rng: np.random.Generator, side: int, p: float) -> np.ndarray:
     """rng.random((side, side)) < p as uint8, drawn a block of rows at a
-    time into one reused buffer (the blocks do not change the stream)."""
-    out = np.empty((side, side), dtype=np.uint8)
+    time into one reused buffer (the blocks do not change the stream) and
+    compared into bools that are viewed, not cast, as uint8."""
+    out = np.empty((side, side), dtype=np.bool_)
     buf = np.empty((max(1, min(side, (1 << 16) // side)), side))
     for lo in range(0, side, buf.shape[0]):
         np.less(rng.random(out=buf[:side - lo]), p, out=out[lo:lo + buf.shape[0]])
-    return out
+    return out.view(np.uint8)
 
 
 def init_grid(side: int, p_red: float, seed: int = 0) -> ClassGrid:
@@ -84,19 +85,26 @@ def init_grid(side: int, p_red: float, seed: int = 0) -> ClassGrid:
 def coarsen(grid: ClassGrid, seed: int = 0) -> ClassGrid:
     """One 2x2 majority step; ties flip a per-block seeded coin.
 
-    Block counts are the uint8 sum of four strided views (at most 4, no
-    overflow). Tie bits come from a counter-based stream indexed by block
-    position, so block outcomes are reproducible and independent of
-    evaluation order (parallel and serial coarsenings agree).
+    Block counts are uint8 sums (at most 4, no overflow): whole row pairs
+    into one reused buffer of 2^18 cells, then its column pairs. Tie bits
+    come from a counter-based stream indexed by block position, so block
+    outcomes are reproducible and independent of evaluation order. A tie
+    is never a majority: the draws, kept at ties only, are or-ed with the
+    majorities into the draws' array (a lower peak RSS than the reverse).
     """
     if grid.side < 2:
         raise InputError("cannot coarsen a side-1 grid")
-    c = grid.cells
-    blocks = c[0::2, 0::2] + c[0::2, 1::2] + c[1::2, 0::2] + c[1::2, 1::2]
+    c = grid.cells.reshape(grid.side // 2, 2, grid.side)
+    blocks = np.empty((len(c), len(c)), dtype=np.uint8)
+    pairs = np.empty((max(1, min(len(c), (1 << 18) // grid.side)), grid.side), dtype=np.uint8)
+    for lo in range(0, len(c), len(pairs)):
+        rows = np.add(c[lo:lo + len(pairs), 0], c[lo:lo + len(pairs), 1], out=pairs[:len(c) - lo])
+        np.add(rows[:, 0::2], rows[:, 1::2], out=blocks[lo:lo + len(pairs)])
     out = (blocks > 2).view(np.uint8)
     ties = blocks == 2
     if ties.any():
-        out = np.where(ties, _draws_below(derive_rng(seed, "tie-break"), len(out), 0.5), out)
+        draws = _draws_below(derive_rng(seed, "tie-break"), len(out), 0.5)
+        out = np.bitwise_or(out, np.bitwise_and(draws, ties, out=draws), out=draws)
     return ClassGrid(out)
 
 

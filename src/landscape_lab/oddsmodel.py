@@ -71,11 +71,11 @@ def simulate_merge(scenario: MergeScenario, trials: int, seed: int = 0) -> Merge
     """Monte Carlo draw of S independent feature sources per trial.
 
     A feature comes from the majority class when its draw is below p, so a
-    trial is pure-majority when the largest of its S draws is below p,
-    pure-minority when the smallest is not, otherwise mixed. Trials use a
-    single seeded stream, drawn 2^14 at a time into one reused buffer that
-    stays in cache (the chunk does not change the stream); counts are
-    order-independent sums.
+    trial is pure-majority when all S of its draws are below p, pure-minority
+    when none is, otherwise mixed. Trials use a single seeded stream, drawn
+    2^14 at a time into one reused buffer that stays in cache (the chunk
+    does not change the stream); a block's S columns of draws < p are added
+    as bytes into a per-trial count of a dtype that holds S.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
@@ -83,15 +83,14 @@ def simulate_merge(scenario: MergeScenario, trials: int, seed: int = 0) -> Merge
     p = scenario.majority_prob
     s = scenario.feature_count
     buf = np.empty((min(1 << 14, trials), s))
-    pure_a = 0
-    pure_b = 0
+    below = np.empty(buf.shape, dtype=np.bool_)
+    pure_a = pure_b = 0
     for done in range(0, trials, buf.shape[0]):
         draws = rng.random(out=buf[:trials - done])
-        lo = draws[:, 0].copy()
-        hi = lo.copy()
+        features = np.less(draws, p, out=below[:len(draws)]).view(np.uint8)
+        majority = features[:, 0].astype(np.min_scalar_type(s))
         for k in range(1, s):
-            np.minimum(lo, draws[:, k], out=lo)
-            np.maximum(hi, draws[:, k], out=hi)
-        pure_a += int(np.count_nonzero(hi < p))
-        pure_b += int(np.count_nonzero(lo >= p))
+            majority += features[:, k]
+        pure_a += int(np.count_nonzero(majority == s))
+        pure_b += int(np.count_nonzero(majority == 0))
     return MergeCounts(pure_a, pure_b, trials - pure_a - pure_b)

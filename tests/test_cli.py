@@ -3,10 +3,14 @@ import inspect
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from landscape_lab import cli, dynamics, gridsim, landscape
 from landscape_lab.abstraction import jacobian_norm_probe, smoothness_report
@@ -363,7 +367,51 @@ def test_manifest_contents(tmp_path):
     env = manifest["environment"]
     assert set(env) == {"numpy", "scipy", "blas", "cpu_count", "sqdist_ufunc_buffer"}
     assert env["numpy"] == np.__version__
+    assert env["scipy"] == scipy.__version__
     assert env["sqdist_ufunc_buffer"] == landscape._SMALL_BUFFER
+    # a process that never imports scipy reads the version from its metadata
+    code = ("import importlib.metadata, json, sys\n"
+            "from landscape_lab import cli\n"
+            "env = cli._environment()\n"
+            "assert 'scipy' not in sys.modules\n"
+            "print(json.dumps([env['scipy'], importlib.metadata.version('scipy')]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc_env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=proc_env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    from_metadata, expected = json.loads(out)
+    assert from_metadata == expected
+
+
+def test_main_calls_in_one_process_keep_their_own_arguments(tmp_path, monkeypatch):
+    # the parser is built once a process: no parse may leak into the next
+    monkeypatch.delenv("LANDSCAPE_LAB_SEED", raising=False)
+    params = {"grid": {"side": 8, "levels": 2, "p_red": [0.6]},
+              "odds": {"trials": 100, "scenarios": [[2, 1, 2]]}}
+    grid_cfg = write_cfg(tmp_path, "g.json", params["grid"])
+    odds_cfg = write_cfg(tmp_path, "o.json", params["odds"])
+    runs = [
+        (["grid", "--config", grid_cfg, "--seed", "4", "--workers", "2", "--format", "json"],
+         {"experiment": "grid", "seed": 4, "workers": 2, "format": "json"}),
+        (["odds", "--config", odds_cfg],
+         {"experiment": "odds", "seed": 0, "workers": 1, "format": "csv"}),
+        (["grid", "--config", grid_cfg, "--workers", "3"],
+         {"experiment": "grid", "seed": 0, "workers": 3, "format": "csv"}),
+        (["odds", "--config", odds_cfg, "--seed", "9", "--format", "json"],
+         {"experiment": "odds", "seed": 9, "workers": 1, "format": "json"}),
+        (["grid", "--config", grid_cfg],
+         {"experiment": "grid", "seed": 0, "workers": 1, "format": "csv"}),
+    ]
+    for i, (argv, expected) in enumerate(runs):
+        out = tmp_path / f"run{i}"
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {k: manifest[k] for k in expected} == expected
+        assert manifest["out_dir"] == str(out)
+        assert (out / f"{expected['experiment']}.{expected['format']}").exists()
+        given = params[expected["experiment"]]
+        assert {k: manifest["params"][k] for k in given} == given
 
 
 def test_wide_census_tables_ignore_workers_and_the_environment_stays_out(tmp_path):

@@ -112,7 +112,7 @@ def per_trial_merge(scenario, trials, seed):
     return MergeCounts(pure_a, pure_b, trials - pure_a - pure_b)
 
 
-@pytest.mark.parametrize("s", range(1, 8))
+@pytest.mark.parametrize("s", range(1, 9))
 def test_simulate_merge_matches_per_trial_reductions(s):
     # trial counts on both sides of either chunk size
     scenario = MergeScenario(3, 2, s)
@@ -121,3 +121,17 @@ def test_simulate_merge_matches_per_trial_reductions(s):
             counts = simulate_merge(scenario, trials, seed=seed)
             assert counts == per_trial_merge(scenario, trials, seed)
             assert all(type(v) is int for v in counts)
+
+
+@pytest.mark.parametrize("p, q", [(1000, 1), (6, 1), (1, 1000)])
+def test_simulate_merge_counts_past_a_byte(p, q):
+    # S = 300 majority features do not fit a uint8 count: 300 would wrap
+    # to 44 (no pure-majority) and 256 to 0 (a false pure-minority)
+    scenario = MergeScenario(p, q, 300)
+    for trials in (1, 5000):
+        for seed in (0, 3):
+            counts = simulate_merge(scenario, trials, seed=seed)
+            assert counts == per_trial_merge(scenario, trials, seed)
+    # a pure draw has chance 0.999^300 = 0.74 at 1000:1, below 1e-20 at 6:1
+    counts = simulate_merge(scenario, 5000, seed=0)
+    assert (counts.pure_majority > 0, counts.pure_minority > 0) == (p == 1000, q == 1000)
