@@ -305,64 +305,3 @@ def jacobian_norm_probe(hierarchy: AbstractionHierarchy,
     pts = np.concatenate([np.zeros((1, hierarchy.dim)),
                           rng.standard_normal((probes, hierarchy.dim))])
     return float(_fd_jacobian_norms(hierarchy.decoders[a], pts, h=fd_step).max())
-
-
-# ---------------------------------------------------------------------------
-# Grid-based smoothing family
-# ---------------------------------------------------------------------------
-
-def _gaussian_kernel(sigma: float) -> np.ndarray:
-    radius = math.ceil(3.0 * sigma)
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (offsets / sigma) ** 2)
-    return k / k.sum()
-
-
-def _reflect_correlate(g: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
-    """Correlate a 2D grid with a symmetric odd-length kernel along one
-    axis, with the padding and summation order that grid_smooth states."""
-    r = k.size // 2
-    n = g.shape[axis]
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (r, r)
-    p = np.moveaxis(np.pad(g, pad, mode="symmetric"), axis, 0)
-    acc = p[r:r + n] * k[r]
-    pair = np.empty_like(acc)
-    for j in range(r, 0, -1):
-        np.add(p[r + j:r + j + n], p[r - j:r - j + n], out=pair)
-        pair *= k[r - j]
-        acc += pair
-    return np.moveaxis(acc, 0, axis)
-
-
-def grid_smooth(grid_energy: np.ndarray, sigma: float) -> np.ndarray:
-    """Truncated-Gaussian smoothing of a 2D energy grid.
-
-    Separable correlation with a normalized kernel k of radius
-    r = ceil(3 sigma), axis 0 first, then axis 1. Each axis is padded by
-    symmetric reflection, edge cells repeated (d c b a | a b c d | d c b a),
-    and again when the kernel is wider than the axis. Each cell c sums in
-    the order of scipy.ndimage's symmetric-kernel correlate:
-    acc = p[c] * k[r], then acc += (p[c + j] + p[c - j]) * k[r - j] for
-    j = r .. 1, so the result equals scipy.ndimage.convolve1d with
-    mode="reflect" bit for bit. Reflection makes the smoothing commute with
-    the reflected 5-point Laplacian, so the total discrete curvature (see
-    total_curvature) never increases.
-    """
-    g = np.asarray(grid_energy, dtype=np.float64)
-    if g.ndim != 2 or min(g.shape) < 3:
-        raise InputError(f"grid must be 2D with >= 3 cells per side, got shape {g.shape}")
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise InputError(f"sigma must be positive and finite, got {sigma}")
-    k = _gaussian_kernel(sigma)
-    return _reflect_correlate(_reflect_correlate(g, k, 0), k, 1)
-
-
-def total_curvature(grid: np.ndarray) -> float:
-    """Sum of absolute 5-point Laplacian values, reflected boundary."""
-    g = np.asarray(grid, dtype=np.float64)
-    if g.ndim != 2:
-        raise InputError(f"grid must be 2D, got shape {g.shape}")
-    p = np.pad(g, 1, mode="symmetric")
-    lap = (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * g)
-    return float(np.abs(lap).sum())

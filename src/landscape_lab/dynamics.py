@@ -1,4 +1,4 @@
-"""Gradient-flow retrieval, basin assignment, and merged-minimum detection.
+"""Gradient-flow retrieval, basin assignment, and multistart minima search.
 
 Flows integrate x' = -grad E(x) with explicit Euler steps of length
 step_size and energy backtracking: a step that would raise the energy has
@@ -40,7 +40,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from landscape_lab._seeds import derive_rng
 from landscape_lab.errors import InputError, NumericalFlowError
 from landscape_lab.landscape import chunk_bounds, sqdist
 
@@ -79,25 +78,6 @@ class FlowResult:
     basin_memory_index: int | None = None
     trajectory: np.ndarray | None = None
     energies: np.ndarray | None = None
-
-
-@dataclass
-class MergedMinimum:
-    """Several base minima represented by one minimum of a smoother level.
-
-    Constituents are base minima whose images in the level's space fall
-    within epsilon of the level minimum.
-    """
-
-    center: np.ndarray
-    constituent_indices: tuple
-    epsilon: float
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=np.float64)
-        self.constituent_indices = tuple(int(i) for i in self.constituent_indices)
-        if len(self.constituent_indices) < 2:
-            raise InputError("a merged minimum needs at least 2 constituents")
 
 
 class Blocks:
@@ -405,93 +385,3 @@ def find_minima(target, starts: Sequence[np.ndarray], config: FlowConfig,
             continue
         accepted.append(t)
     return accepted
-
-
-def detect_merged(level_minima: Sequence[np.ndarray],
-                  base_minima: Sequence[np.ndarray],
-                  base_memory_indices: Sequence[int],
-                  pullback: Callable[[np.ndarray], np.ndarray],
-                  epsilon: float) -> list[MergedMinimum]:
-    """Group base minima represented by a single level minimum.
-
-    pullback maps base-space points into the level's space (the encoder
-    direction), so the epsilon comparison happens in the level's own
-    coordinates. Only groups of two or more constituents are reported;
-    epsilon = 0 is allowed and degenerates to no merges.
-    """
-    if epsilon < 0:
-        raise InputError(f"epsilon must be non-negative, got {epsilon}")
-    if len(base_minima) != len(base_memory_indices):
-        raise InputError("base_minima and base_memory_indices must be parallel")
-    merged = []
-    if not len(base_minima):
-        return merged
-    pulled = np.atleast_2d(np.asarray([pullback(np.asarray(b)) for b in base_minima]))
-    for z in level_minima:
-        z = np.asarray(z, dtype=np.float64)
-        dist = np.sqrt(sqdist(z, pulled))
-        hits = np.flatnonzero(dist <= epsilon)
-        if hits.shape[0] >= 2:
-            idx = sorted(int(base_memory_indices[i]) for i in hits)
-            merged.append(MergedMinimum(center=z, constituent_indices=idx,
-                                        epsilon=epsilon))
-    return merged
-
-
-def _project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.flatnonzero(u + (1.0 - css) / np.arange(1, v.shape[0] + 1) > 0)[-1]
-    lam = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + lam, 0.0)
-
-
-def merged_minimum_locate(target, constituents: Sequence[np.ndarray],
-                          iters: int = 200, restarts: int = 8,
-                          seed: int = 0) -> np.ndarray:
-    """Lowest-energy point of the convex hull of the constituents.
-
-    Projected gradient descent on the convex weights with backtracking,
-    restarted from the uniform weights, every vertex, and seeded Dirichlet
-    draws; returns the best combination found.
-    """
-    v = np.atleast_2d(np.asarray(constituents, dtype=np.float64))
-    n = v.shape[0]
-    if n < 2:
-        raise InputError(f"need at least 2 constituents, got {n}")
-    if v.shape[1] != target.dim:
-        raise InputError("constituent dimension mismatch")
-
-    rng = derive_rng(seed, "hull-restarts")
-    inits = [np.full(n, 1.0 / n)]
-    inits.extend(np.eye(n))
-    inits.extend(rng.dirichlet(np.ones(n), size=max(0, int(restarts))))
-
-    def hull_point(alpha):
-        return (alpha[:, None] * v).sum(axis=0)
-
-    best_alpha, best_e = None, np.inf
-    for alpha0 in inits:
-        alpha = np.asarray(alpha0, dtype=np.float64)
-        e = float(target.energy(hull_point(alpha)))
-        t = 1.0
-        for _ in range(int(iters)):
-            x = hull_point(alpha)
-            g = (v * np.asarray(target.grad(x))).sum(axis=1)
-            improved = False
-            for _ in range(40):
-                cand = _project_to_simplex(alpha - t * g)
-                ec = float(target.energy(hull_point(cand)))
-                if ec < e:
-                    alpha, e = cand, ec
-                    t *= 1.5
-                    improved = True
-                    break
-                t *= 0.5
-            if not improved:
-                break
-        if e < best_e:
-            best_alpha, best_e = alpha, e
-    return hull_point(best_alpha)
-

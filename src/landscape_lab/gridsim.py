@@ -108,16 +108,6 @@ def coarsen(grid: ClassGrid, seed: int = 0) -> ClassGrid:
     return ClassGrid(out)
 
 
-def expected_coarse_share(p: float) -> float:
-    """Expected red share after one step on iid Bernoulli(p) cells.
-
-    Enumeration over the 16 block configurations: 4 or 3 red cells win
-    outright, the 6 tied configurations win half the time.
-    """
-    q = 1.0 - p
-    return p ** 4 + 4.0 * p ** 3 * q + 3.0 * p ** 2 * q ** 2
-
-
 def coarsening_levels(side: int, p_red: float, levels: int, seed: int = 0):
     """Yield (level, grid) from the initial grid (level 0) to `levels`."""
     max_levels = int(math.log2(side))
@@ -130,13 +120,6 @@ def coarsening_levels(side: int, p_red: float, levels: int, seed: int = 0):
     for level in range(1, levels + 1):
         grid = coarsen(grid, seed=derive_seed(seed, "coarsen", level))
         yield level, grid
-
-
-def amplification_curve(side: int, p_red: float, levels: int,
-                        seed: int = 0) -> list[tuple[int, float]]:
-    """Red share per coarsening level, including level 0."""
-    return [(level, grid.red_share)
-            for level, grid in coarsening_levels(side, p_red, levels, seed)]
 
 
 def write_pbm(grid: ClassGrid, path) -> None:

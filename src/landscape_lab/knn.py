@@ -1,4 +1,4 @@
-"""Hard and soft k-nearest-neighbor predictors and attendance diagnostics.
+"""Hard and soft k-nearest-neighbor predictors and the effective count of their weights.
 
 The soft predictor weights memories by exp(-||Q - x_i||^2 / tau),
 normalized. These weights are EnergyLandscape(memories, 2 / tau).weights,
@@ -25,8 +25,6 @@ import numpy as np
 
 from landscape_lab.errors import InputError
 from landscape_lab.landscape import EnergyLandscape, MemorySet, sqdist
-
-from landscape_lab import dynamics
 
 
 @dataclass
@@ -145,16 +143,3 @@ def soft_knn_predict(memories: MemorySet, q, tau: float):
     attention weights."""
     w = tau_landscape(memories, tau).weights(_query(memories, q))
     return _predict_one(memories, w), SoftWeights(w, tau)
-
-
-def attendance_profile(landscape: EnergyLandscape, q,
-                       config: "dynamics.FlowConfig") -> SoftWeights:
-    """Attention weights of the landscape at the flow terminal of q.
-
-    Quantifies how many memories the attractor reached from q attends to;
-    the effective_count of the result is the bridge between the soft
-    predictor's temperature and the hard predictor's k.
-    """
-    result = dynamics.flow(landscape, q, config)
-    w = landscape.weights(result.terminal)
-    return SoftWeights(w, tau=2.0 / landscape.beta)

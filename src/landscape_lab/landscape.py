@@ -631,24 +631,14 @@ def _assemble_hessian(values: np.ndarray, d: int, h: float) -> np.ndarray:
     return hess
 
 
-def hessian_fd(target, x, h: float = 1e-4) -> np.ndarray:
-    """Symmetrized central-difference Hessian (H + H^T) / 2 at one point.
-
-    target is anything exposing a batch-capable .energy, so the same code
-    serves the base landscape and every abstraction level.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InputError("hessian_fd expects a single point of shape (d,)")
-    return hessian_fd_batch(target, x[None], h)[0]
-
-
 def hessian_fd_batch(target, points: np.ndarray, h: float = 1e-4) -> np.ndarray:
     """Symmetrized central-difference Hessians at many points, (m, d, d).
 
-    Every point's stencil is built in one broadcast and the stencil rows
-    are evaluated CHUNK at a time, so the energy's memory is bounded by the
-    chunk; energies are row-wise, so the chunking does not move a bit.
+    target is anything with a batch-capable .energy, so the same code
+    serves the base landscape and every abstraction level. Every point's
+    stencil is built in one broadcast and the stencil rows are evaluated
+    CHUNK at a time, so the energy's memory is bounded by the chunk;
+    energies are row-wise, so the chunking does not move a bit.
     """
     if not (h > 0):
         raise InputError(f"finite-difference step must be positive, got {h}")

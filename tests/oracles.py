@@ -2,24 +2,27 @@
 
 Everything here is implemented directly from first principles (plain
 formulas, brute force, enumeration, quadrature) and never calls back into
-the code paths it is used to check. The two exceptions are earlier forms
-of census code kept to check the current ones. flow_batch_reference, the
+the code paths it is used to check. The exceptions are earlier forms of
+census and knn code kept to check the current ones. flow_batch_reference, the
 flow loop, evaluates through the Blocks' energy_grad, so that both loops'
 evaluations can be logged and compared call by call; MixedBlocks, the
 Blocks of several evaluators that tests flow, evaluates them run by run.
 knn_mean_distances_serial, the privacy reduction, takes its distances from
 landscape.sqdist, so that the pooled reduction must match it bit for bit.
+attendance_weights, one query's weights at its own flow terminal, takes
+its flow from dynamics.flow, so that the knn table's batched k_equivalent
+column must match it bit for bit.
 """
 
 import itertools
 import math
 
 import numpy as np
-from scipy.ndimage import convolve1d
 from scipy.stats import norm
 
 from landscape_lab import dynamics
 from landscape_lab.errors import InputError
+from landscape_lab.knn import SoftWeights
 from landscape_lab.landscape import CHUNK, sqdist
 
 
@@ -178,26 +181,6 @@ def merge_outcome_enumeration(p_count, q_count, s_count):
     return pure_a, pure_b, mixed
 
 
-def strict_minima_count(grid):
-    """Strict 4-neighbor local minima; missing border neighbors ignored."""
-    g = np.asarray(grid, dtype=np.float64)
-    p = np.pad(g, 1, mode="constant", constant_values=np.inf)
-    c = p[1:-1, 1:-1]
-    return int(((c < p[:-2, 1:-1]) & (c < p[2:, 1:-1])
-                & (c < p[1:-1, :-2]) & (c < p[1:-1, 2:])).sum())
-
-
-def grid_smooth_reference(grid, sigma):
-    """Truncated-Gaussian smoothing by scipy: the normalized kernel of
-    radius ceil(3 sigma), convolve1d on axis 0, then axis 1, reflected."""
-    radius = math.ceil(3.0 * sigma)
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (offsets / sigma) ** 2)
-    k /= k.sum()
-    g = np.asarray(grid, dtype=np.float64)
-    return convolve1d(convolve1d(g, k, axis=0, mode="reflect"), k, axis=1, mode="reflect")
-
-
 class MixedBlocks(dynamics.Blocks):
     """Blocks of several evaluators, each run of consecutive points whose
     rows share a block index evaluated by one energy_grad call of that
@@ -323,3 +306,10 @@ def knn_mean_distances_serial(points, references, ks=(1, 2, 5, 10)):
             sums[k] += float(d[:, :kk].mean(axis=1).sum())
     m = points.shape[0]
     return {k: (sums[k] / m if m else 0.0) for k in ks}
+
+
+def attendance_weights(ls, q, cfg):
+    """The weights of landscape ls at the flow terminal of query q, as
+    SoftWeights at tau = 2 / beta; their effective_count is the knn
+    table's k_equivalent."""
+    return SoftWeights(ls.weights(dynamics.flow(ls, q, cfg).terminal), 2.0 / ls.beta)

@@ -11,11 +11,9 @@ from landscape_lab.abstraction import (
     _fd_jacobian_norms,
     _max_difference_quotient,
     diagonal_hierarchy,
-    grid_smooth,
     jacobian_norm_probe,
     smoothness_report,
     tanh_hierarchy,
-    total_curvature,
 )
 from landscape_lab.errors import InputError
 from landscape_lab.landscape import CHUNK, TILE, EnergyLandscape, MemorySet, sqdist
@@ -243,71 +241,6 @@ def test_fd_jacobian_norms_match_per_point_norms(d):
         for decoder in hier.decoders:
             assert np.array_equal(_fd_jacobian_norms(decoder, points),
                                   per_point_jacobian_norms(decoder, points))
-
-
-# ---------------------------------------------------------------------------
-# Grid smoothing
-# ---------------------------------------------------------------------------
-
-def test_grid_smooth_constant():
-    g = np.full((9, 9), 3.25)
-    assert np.allclose(grid_smooth(g, 1.0), g, atol=1e-12)
-
-
-def test_grid_smooth_spike_center_weight():
-    # direct kernel computation: normalized 7x7 Gaussian, sigma 1
-    offsets = np.arange(-3, 4, dtype=float)
-    k1 = np.exp(-0.5 * offsets ** 2)
-    k1 /= k1.sum()
-    k2 = np.outer(k1, k1)
-    g = np.zeros((9, 9))
-    g[4, 4] = 1.0
-    s = grid_smooth(g, 1.0)
-    assert s[4, 4] == pytest.approx(k2[3, 3], abs=1e-12)
-    assert s[4, 7] == pytest.approx(k2[3, 6], abs=1e-12)
-
-
-def test_grid_smooth_linearity():
-    rng = np.random.default_rng(6)
-    a, b = rng.normal(size=(12, 12)), rng.normal(size=(12, 12))
-    lhs = grid_smooth(a + b, 0.8)
-    rhs = grid_smooth(a, 0.8) + grid_smooth(b, 0.8)
-    assert np.abs(lhs - rhs).max() < 1e-10
-
-
-def test_grid_smooth_never_creates_minima_and_curvature_drops():
-    for seed in range(50):
-        g = np.random.default_rng(400 + seed).normal(size=(16, 16))
-        s = grid_smooth(g, 1.0)
-        assert oracles.strict_minima_count(s) <= oracles.strict_minima_count(g)
-        assert total_curvature(s) <= total_curvature(g) + 1e-9
-
-
-def test_grid_smooth_validation():
-    with pytest.raises(InputError):
-        grid_smooth(np.zeros((2, 5)), 1.0)
-    with pytest.raises(InputError):
-        grid_smooth(np.zeros((5, 5)), 0.0)
-    with pytest.raises(InputError):
-        grid_smooth(np.zeros(5), 1.0)
-    for sigma in (math.inf, math.nan):
-        with pytest.raises(InputError):
-            grid_smooth(np.zeros((5, 5)), sigma)
-
-
-@pytest.mark.parametrize("sigma", [0.3, 0.8, 1.0, 2.5, 5.0])
-@pytest.mark.parametrize("shape", [(3, 3), (3, 7), (4, 9), (16, 16), (64, 33)])
-def test_grid_smooth_equals_scipy_reference(shape, sigma):
-    # sigma 2.5 and 5 give kernels of radius 8 and 15, wider than the small grids
-    g = np.random.default_rng(shape[0] * 100 + shape[1]).normal(size=shape)
-    assert np.array_equal(grid_smooth(g, sigma), oracles.grid_smooth_reference(g, sigma))
-
-
-def test_total_curvature_takes_a_2d_grid():
-    assert total_curvature(np.zeros((3, 4))) == 0.0
-    for shape in ((5,), (3, 3, 3)):
-        with pytest.raises(InputError):
-            total_curvature(np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------

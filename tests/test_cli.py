@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
+import oracles
 from landscape_lab import cli, dynamics, gridsim, landscape
 from landscape_lab.abstraction import jacobian_norm_probe, smoothness_report
 from landscape_lab._seeds import derive_rng
@@ -25,7 +26,7 @@ from landscape_lab.cli import (
     validate_params,
 )
 from landscape_lab.errors import ConfigError
-from landscape_lab.knn import argmax_class, attendance_profile, knn_predict, soft_knn_predict
+from landscape_lab.knn import argmax_class, knn_predict, soft_knn_predict
 from landscape_lab.landscape import (CHUNK, EnergyLandscape, MemorySet, load_memory_csv,
                                      save_memory_csv)
 
@@ -515,7 +516,8 @@ def test_knn_table_matches_per_row_predictions(tmp_path):
         4, "knn-queries").standard_normal((n_queries, ms.dim))
     expected = []
     for q, tau in itertools.product(queries, taus):
-        attend = attendance_profile(EnergyLandscape(ms, 2.0 / tau), q, default_flow_config())
+        attend = oracles.attendance_weights(EnergyLandscape(ms, 2.0 / tau), q,
+                                            default_flow_config())
         expected.append((argmax_class(soft_knn_predict(ms, q, tau)[0]),
                          attend.effective_count, argmax_class(knn_predict(ms, q, 1))))
     for workers in (1, 2):

@@ -4,8 +4,6 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from landscape_lab import dynamics
@@ -15,14 +13,10 @@ from landscape_lab.census import _bootstrap_landscape
 from landscape_lab.dynamics import (
     Blocks,
     FlowConfig,
-    MergedMinimum,
-    _project_to_simplex,
-    detect_merged,
     find_minima,
     flow,
     flow_batch,
     flow_chunked,
-    merged_minimum_locate,
 )
 from landscape_lab.errors import InputError, NumericalFlowError
 from landscape_lab.landscape import CHUNK, EnergyLandscape, MemorySet, gaussian_blobs
@@ -639,76 +633,3 @@ def test_terminals_inside_convex_hull():
     for t in out["terminals"][ok]:
         w = ls.weights(t)
         assert np.linalg.norm(t - (w[:, None] * pts).sum(axis=0)) < 1e-6
-
-
-# ---------------------------------------------------------------------------
-# Merged-minimum detection
-# ---------------------------------------------------------------------------
-
-def test_detect_merged_none_when_sharp():
-    base = [np.array([-0.999]), np.array([0.999])]
-    merged = detect_merged(base, base, [0, 1], lambda x: x, epsilon=0.05)
-    assert merged == []
-
-
-def test_detect_merged_two_constituents():
-    base = oracles.minima_1d([-1.0, 1.0], 4.0)
-    level_min = oracles.minima_1d([-1.0, 1.0], 0.5)
-    out = detect_merged([np.array(level_min)],
-                        [np.array([b]) for b in base], [0, 1],
-                        lambda x: x, epsilon=1.5)
-    assert len(out) == 1
-    assert out[0].constituent_indices == (0, 1)
-
-
-def test_detect_merged_zero_epsilon_empty():
-    base = [np.array([-1.0]), np.array([1.0])]
-    assert detect_merged([np.array([0.0])], base, [0, 1], lambda x: x, 0.0) == []
-    with pytest.raises(InputError):
-        detect_merged([np.array([0.0])], base, [0, 1], lambda x: x, -0.1)
-
-
-def test_merged_minimum_invariants():
-    with pytest.raises(InputError):
-        MergedMinimum(np.zeros(1), (3,), 0.5)   # needs >= 2 constituents
-
-
-# ---------------------------------------------------------------------------
-# Convex-hull minimization
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(-100, 100), min_size=2, max_size=6))
-def test_simplex_projection_properties(values):
-    v = np.array(values)
-    p = _project_to_simplex(v)
-    assert (p >= 0).all()
-    assert abs(p.sum() - 1.0) < 1e-9
-    assert np.abs(_project_to_simplex(p) - p).max() < 1e-12
-
-
-def test_merged_locate_symmetric_midpoint():
-    ls = two_memory_1d(0.5)
-    x = merged_minimum_locate(ls, [np.array([-1.0]), np.array([1.0])],
-                              iters=300, restarts=8, seed=0)
-    assert abs(x[0]) < 1e-3
-
-
-def test_merged_locate_requires_two():
-    with pytest.raises(InputError):
-        merged_minimum_locate(two_memory_1d(1.0), [np.array([0.0])])
-
-
-def test_merged_locate_beats_random_simplex_samples():
-    rng = np.random.default_rng(21)
-    pts = rng.normal(size=(7, 2))
-    ls = EnergyLandscape(MemorySet(pts, tuple(range(7))), 1.0)
-    hull = [pts[0], pts[3], pts[5]]
-    best = merged_minimum_locate(ls, hull, iters=300, restarts=16, seed=1)
-    e_best = ls.energy(best)
-    for v in hull:
-        assert e_best <= ls.energy(v) + 1e-12
-    alphas = rng.dirichlet(np.ones(3), size=10000)
-    samples = alphas @ np.array(hull)
-    assert e_best <= float(np.min(ls.energy(samples))) + 1e-9
-

@@ -2,18 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from landscape_lab._seeds import derive_rng
 from landscape_lab.errors import InputError
 from landscape_lab.gridsim import (
     ClassGrid,
-    amplification_curve,
     coarsen,
     coarsening_levels,
-    expected_coarse_share,
     init_grid,
     write_pbm,
 )
@@ -83,13 +79,6 @@ def test_coarsen_deterministic_tie_stream():
     assert not np.array_equal(a.cells, c.cells)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.floats(0.0, 1.0))
-def test_expected_share_matches_enumeration(p):
-    assert expected_coarse_share(p) == pytest.approx(
-        oracles.coarse_share_enumeration(p), abs=1e-12)
-
-
 def test_enumeration_map_amplifies_bias():
     assert oracles.coarse_share_enumeration(0.5) == pytest.approx(0.5)
     for p in (0.55, 0.6, 0.7, 0.8, 0.9, 0.99):
@@ -109,16 +98,15 @@ def test_coarsen_matches_enumeration_map():
 
 
 def test_amplification_curve_balanced_flat():
-    curve = amplification_curve(512, 0.5, 3, seed=2)
+    curve = [(a, g.red_share) for a, g in coarsening_levels(512, 0.5, 3, seed=2)]
+    # per-level cell counts shrink; use the last level's count for all
+    sigma = math.sqrt(0.25 / (512 / 2 ** 3) ** 2)
     for _, share in curve:
-        sigma = math.sqrt(0.25 / 256 ** 2)   # loosest level has 256^2 cells... see below
-        # per-level cell counts shrink; use the last level's count for all
-        sigma = math.sqrt(0.25 / (512 / 2 ** 3) ** 2)
         assert abs(share - 0.5) < 3 * sigma
 
 
 def test_amplification_curve_iterated_map():
-    curve = dict(amplification_curve(512, 0.9, 3, seed=11))
+    curve = {a: g.red_share for a, g in coarsening_levels(512, 0.9, 3, seed=11)}
     m1 = oracles.coarse_share_enumeration(0.9)
     m2 = oracles.coarse_share_enumeration(m1)
     assert curve[1] == pytest.approx(m1, abs=0.005)
@@ -128,7 +116,7 @@ def test_amplification_curve_iterated_map():
 
 
 def test_amplification_curve_ordering_preserved():
-    curves = {p: dict(amplification_curve(512, p, 3, seed=13))
+    curves = {p: {a: g.red_share for a, g in coarsening_levels(512, p, 3, seed=13)}
               for p in (0.6, 0.7, 0.8, 0.9)}
     for level in range(4):
         shares = [curves[p][level] for p in (0.6, 0.7, 0.8, 0.9)]
@@ -136,10 +124,10 @@ def test_amplification_curve_ordering_preserved():
 
 
 def test_amplification_curve_determinism_and_bounds():
-    a = amplification_curve(256, 0.7, 2, seed=21)
-    assert a == amplification_curve(256, 0.7, 2, seed=21)
+    curve = [(a, g.red_share) for a, g in coarsening_levels(256, 0.7, 2, seed=21)]
+    assert curve == [(a, g.red_share) for a, g in coarsening_levels(256, 0.7, 2, seed=21)]
     with pytest.raises(InputError):
-        amplification_curve(64, 0.7, 7, seed=0)   # exceeds log2(side)
+        list(coarsening_levels(64, 0.7, 7, seed=0))   # exceeds log2(side)
 
 
 def test_write_pbm(tmp_path):
@@ -196,4 +184,3 @@ def test_coarsening_levels_is_the_curve():
     grids = list(coarsening_levels(64, 0.7, 3, seed=5))
     assert [level for level, _ in grids] == [0, 1, 2, 3]
     assert [g.side for _, g in grids] == [64, 32, 16, 8]
-    assert amplification_curve(64, 0.7, 3, seed=5) == [(a, g.red_share) for a, g in grids]

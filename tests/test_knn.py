@@ -10,7 +10,6 @@ from landscape_lab.errors import InputError
 from landscape_lab.knn import (
     SoftWeights,
     argmax_class,
-    attendance_profile,
     knn_predict,
     soft_knn_predict,
 )
@@ -234,14 +233,14 @@ def test_soft_to_hard_tail_monotone_generic():
 
 def test_attendance_single_memory():
     ls = EnergyLandscape(MemorySet(np.array([[0.5]]), ("m",)), 2.0)
-    w = attendance_profile(ls, np.array([3.0]), CFG)
+    w = oracles.attendance_weights(ls, np.array([3.0]), CFG)
     assert np.allclose(w.weights, [1.0])
     assert w.effective_count == pytest.approx(1.0)
 
 
 def test_attendance_merged_attends_to_both():
     ls = EnergyLandscape(MemorySet(np.array([[-1.0], [1.0]]), ("a", "b")), 0.5)
-    w = attendance_profile(ls, np.array([0.3]), CFG)
+    w = oracles.attendance_weights(ls, np.array([0.3]), CFG)
     assert np.allclose(w.weights, [0.5, 0.5], atol=1e-6)
     assert w.effective_count == pytest.approx(2.0, abs=1e-5)
     assert w.tau == pytest.approx(2.0 / 0.5)
@@ -249,7 +248,7 @@ def test_attendance_merged_attends_to_both():
 
 def test_attendance_sharp_attends_to_one():
     ls = EnergyLandscape(MemorySet(np.array([[-1.0], [1.0]]), ("a", "b")), 8.0)
-    w = attendance_profile(ls, np.array([0.3]), CFG)
+    w = oracles.attendance_weights(ls, np.array([0.3]), CFG)
     assert w.weights.max() > 0.99
     assert w.effective_count == pytest.approx(1.0, abs=1e-2)
 
@@ -262,6 +261,6 @@ def test_attendance_monotone_as_beta_drops():
         pts = rng.normal(size=(8, 2))
         ms = MemorySet(pts, tuple(range(8)))
         q = ms.centroid + 0.5 * rng.normal(size=2)
-        counts = [attendance_profile(EnergyLandscape(ms, b), q, cfg).effective_count
-                  for b in betas]
+        counts = [oracles.attendance_weights(EnergyLandscape(ms, b), q, cfg)
+                  .effective_count for b in betas]
         assert (np.diff(counts) >= -1e-6).all(), f"seed {seed}: {counts}"

@@ -16,7 +16,6 @@ from landscape_lab.landscape import (
     _assemble_hessian,
     _hessian_stencil,
     gaussian_blobs,
-    hessian_fd,
     hessian_fd_batch,
     load_memory_csv,
     save_memory_csv,
@@ -604,14 +603,14 @@ def test_critical_points_in_convex_hull():
 def test_hessian_single_memory_identity():
     rng = np.random.default_rng(2)
     ls = EnergyLandscape(MemorySet(rng.normal(size=(1, 3)), ("m",)), 2.0)
-    h = hessian_fd(ls, rng.normal(size=3))
+    h = hessian_fd_batch(ls, rng.normal(size=3)[None])[0]
     assert np.abs(h - np.eye(3)).max() < 1e-4
 
 
 def test_hessian_merged_regime_flattened():
     # analytic oracle: E''(x) = 1 - beta Var_w; at 0 with memories +-1, 1 - beta
     ls = two_memory_1d(0.5)
-    h = hessian_fd(ls, np.array([0.0]))[0, 0]
+    h = hessian_fd_batch(ls, np.array([[0.0]]))[0, 0, 0]
     assert h < 1.0
     assert h == pytest.approx(0.5, abs=1e-5)
     assert oracles.analytic_hessian([[-1.0], [1.0]], 0.5, [0.0])[0, 0] == pytest.approx(0.5)
@@ -623,7 +622,8 @@ def test_hessian_matches_analytic_random():
         pts = rng.normal(size=(5, 2))
         ls = EnergyLandscape(MemorySet(pts, tuple(range(5))), 3.0)
         x = rng.normal(size=2)
-        assert np.abs(hessian_fd(ls, x) - oracles.analytic_hessian(pts, 3.0, x)).max() < 1e-5
+        assert np.abs(hessian_fd_batch(ls, x[None])[0]
+                      - oracles.analytic_hessian(pts, 3.0, x)).max() < 1e-5
 
 
 def test_hessian_asymmetry_tiny():
@@ -705,21 +705,9 @@ def test_hessian_fd_batch_memory_is_bounded_by_the_chunk():
     assert peak < 40e6
 
 
-def test_hessian_fd_is_the_batch_row():
-    rng = np.random.default_rng(6)
-    for d in (1, 2, 5):
-        ls = EnergyLandscape(MemorySet(rng.normal(size=(7, d)), tuple(range(7))), 3.0)
-        pts = rng.normal(size=(3, d))
-        batch = hessian_fd_batch(ls, pts)
-        for x, h in zip(pts, batch):
-            assert np.array_equal(hessian_fd(ls, x), h)
-    with pytest.raises(InputError):
-        hessian_fd(ls, pts)     # one point only
-
-
 def test_hessian_step_validation():
     with pytest.raises(InputError):
-        hessian_fd(two_memory_1d(1.0), np.array([0.0]), h=0.0)
+        hessian_fd_batch(two_memory_1d(1.0), np.array([[0.0]]), h=0.0)
 
 
 # ---------------------------------------------------------------------------

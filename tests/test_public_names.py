@@ -2,10 +2,14 @@
 
 labbench/tracer.py wraps landscape_lab functions and methods by name when a
 traced benchmark run starts; a deleted or renamed one would otherwise
-surface only there. Importing the package loads no scipy submodule.
+surface only there. Every public name is read by the library, the
+benchmark or the acceptance suite. Importing the package loads no scipy
+submodule.
 """
 
+import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -14,7 +18,8 @@ from pathlib import Path
 
 import landscape_lab
 
-TRACER = Path(__file__).resolve().parents[1] / "labbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "labbench" / "tracer.py"
 
 
 def _tracer_targets():
@@ -39,6 +44,48 @@ def test_tracer_targets_resolve():
 def test_public_names_exist():
     missing = [name for name in landscape_lab.__all__ if not hasattr(landscape_lab, name)]
     assert missing == []
+
+
+def _loads(path: Path) -> set[tuple[tuple[Path, str | None], str]]:
+    """((path, top-level definition or None), name) of every name and
+    attribute the file loads."""
+    out = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = (path, getattr(stmt, "name", None))
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add((owner, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                out.add((owner, node.attr))
+    return out
+
+
+def _unread_public_names() -> list[str]:
+    """Public names that no library module but __init__, no labbench
+    script (labbench/twin is a frozen copy) and no acceptance test reads
+    outside the name's own definition. A read inside the definition of
+    another unread public name does not count, so a class that only an
+    unread function builds is unread too."""
+    package = Path(landscape_lab.__file__).parent
+    readers = ([p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+               + sorted((ROOT / "labbench").glob("*.py"))
+               + [ROOT / "tests" / "test_acceptance.py"])
+    loads = set().union(*map(_loads, readers))
+    home = {name: (Path(inspect.getsourcefile(getattr(landscape_lab, name))), name)
+            for name in landscape_lab.__all__}
+    unread: set[str] = set()
+    while True:
+        dead = {home[name] for name in unread}
+        read = {name for owner, name in loads if owner != home.get(name) and owner not in dead}
+        now = set(landscape_lab.__all__) - read
+        if now == unread:
+            return sorted(unread)
+        unread = now
+
+
+def test_every_public_name_is_read():
+    unread = _unread_public_names()
+    assert not unread, f"public names that nothing reads: {', '.join(unread)}"
 
 
 def test_import_loads_no_scipy_submodule():

@@ -111,12 +111,45 @@ def test_only_landscape_references_the_softmax_helper():
 
 def test_only_the_softmax_helper_calls_exp():
     # energy, weights and energy_grad share one max-shifted softmax, and
-    # the soft k-NN weights are EnergyLandscape.weights at beta = 2 / tau;
-    # the Gaussian smoothing kernel is not a softmax
-    allowed = {("landscape.py", "_softmax"), ("abstraction.py", "_gaussian_kernel")}
+    # the soft k-NN weights are EnergyLandscape.weights at beta = 2 / tau
+    allowed = {("landscape.py", "_softmax")}
     offenders = [f"{name}:{line} in {func}"
                  for name, func, line in _package_sites(_is_np_exp)
                  if (name, func) not in allowed]
+    assert offenders == []
+
+
+def _imported_names(tree: ast.AST) -> list[tuple[str, int]]:
+    """(bound name, line) of every import but __future__'s; `import a.b`
+    binds a."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [(a.asname or a.name, node.lineno) for a in node.names]
+    return names
+
+
+def _unread_imports(tree: ast.AST) -> list[tuple[str, int]]:
+    """Imports whose name the module never loads."""
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(name, line) for name, line in _imported_names(tree) if name not in loaded]
+
+
+def test_scan_detects_unread_imports():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+                     "from typing import Callable, Sequence\nfrom m import a as b\n"
+                     "def f(x: Sequence) -> None:\n    return np.sum(os.path.sep)\n")
+    assert _unread_imports(tree) == [("Callable", 4), ("b", 5)]
+
+
+def test_every_import_is_read():
+    # __init__ imports to re-export; every other module reads what it imports
+    offenders = [f"{path.name}:{line} {name}"
+                 for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+                 for name, line in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))]
     assert offenders == []
 
 
