@@ -18,7 +18,10 @@ minima are compared; class assignment always happens in base space.
 
 Determinism: all draws derive from (seed, purpose, index) streams, query
 noise is shared across levels (common random numbers), flows run in
-fixed-size chunks, diversity sums fixed TILE-row pair tiles, added in
+chunks that depend on the batch's shape alone (dynamics.flow_chunked: a
+first CHUNK-row chunk, then chunks sized to the memories a score pass
+spans, all of the landscape's for the bootstrap rounds' one-pass
+evaluator), diversity sums fixed TILE-row pair tiles, added in
 tile order, and classification and privacy run over fixed CHUNK-row blocks
 of the terminals, the privacy block sums added in block order, so reports
 are bit-identical for any worker count. The worker threads run the flow
@@ -360,6 +363,11 @@ class _RoundBlocks(Blocks):
         self.log_counts = np.full((len(self.evaluators), landscape.memories.n), -np.inf)
         for b, t in enumerate(self.evaluators):
             self.log_counts[b, t.base.drawn] = t.base.log_counts
+
+    @property
+    def score_memories(self) -> int:
+        """Every memory of landscape: each score pass spans them all."""
+        return self.landscape.memories.n
 
     def energy_grad(self, z: np.ndarray, rows: np.ndarray) -> tuple:
         e, g = self.landscape.multiset_energy_grad(self.decoder.decode(z),

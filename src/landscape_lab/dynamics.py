@@ -10,8 +10,11 @@ active set: the active rows' state sits in contiguous arrays, and a row
 is written back to the outputs when it leaves. Every per-row decision
 (step halving, convergence, termination) uses only that row's state, so a
 row's result is bit-identical no matter how starts are grouped.
-flow_chunked uses that to cut a batch into fixed CHUNK-row chunks, flowed
-on a thread pool when asked, and stops once a failure budget is passed.
+flow_chunked uses that to cut a batch into chunks whose bounds depend on
+the batch's shape alone (flow_bounds: a first CHUNK-row chunk, then
+chunks sized to a cell budget over the memories a score pass spans and
+the coordinates), flowed on a thread pool when asked, and stops once a
+failure budget is passed.
 ordered_map is the package's one thread pool: it runs flow_chunked's
 chunks and the census's classification blocks, diversity pair tiles and
 privacy blocks, and yields results in order.
@@ -41,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from landscape_lab.errors import InputError, NumericalFlowError
-from landscape_lab.landscape import chunk_bounds, sqdist
+from landscape_lab.landscape import flow_bounds, sqdist
 
 logger = logging.getLogger(__name__)
 
@@ -100,6 +103,12 @@ class Blocks:
         if isinstance(target, cls):
             return target
         return cls((target,), np.zeros(m, dtype=np.intp))
+
+    @property
+    def score_memories(self) -> int:
+        """The memories one energy_grad call's score pass spans: the most
+        of any evaluator's."""
+        return max(t.memories.n for t in self.evaluators)
 
     def __getitem__(self, rows: slice) -> "Blocks":
         part = copy.copy(self)
@@ -290,23 +299,27 @@ def ordered_map(fn: Callable, items: Sequence, workers: int = 1,
 
 def flow_chunked(target, starts: np.ndarray, config: FlowConfig,
                  workers: int = 1, max_failures: float = math.inf) -> tuple:
-    """flow_batch over fixed-size chunks, optionally on a thread pool.
+    """flow_batch over chunks of the batch, optionally on a thread pool.
 
     target is an evaluator or Blocks with one block index per start; each
     chunk gets the slice of it for its rows. Returns (out, ok): out holds
     flow_batch's arrays for the rows flowed, and ok marks the rows that
-    converged without failing. Chunk boundaries are constants, so the
-    arithmetic is identical at any worker count; threads (ordered_map)
-    only change scheduling. Results are taken in chunk order. Once more
-    than max_failures rows are not ok, the chunks not yet started are
-    cancelled, those still running are told to stop, and the arrays
-    returned end with the chunk that passed the budget, so where a run
-    stops does not depend on workers.
+    converged without failing. The chunks are flow_bounds(m, n, d) of the
+    batch's m rows, the n memories its score pass spans
+    (Blocks.score_memories) and its d coordinates: a first CHUNK-row
+    chunk, then chunks sized to a fixed cell budget. They depend on the
+    batch's shape alone and a row's result does not depend on its chunk,
+    so the arithmetic is identical at any worker count; threads
+    (ordered_map) only change scheduling. Results are taken in chunk
+    order. Once more than max_failures rows are not ok, the chunks not
+    yet started are cancelled, those still running are told to stop, and
+    the arrays returned end with the chunk that passed the budget, so
+    where a run stops does not depend on workers.
     """
     m = starts.shape[0]
     blocks = Blocks.of(target, m)
     # an empty batch still flows one (empty) chunk, for its empty arrays
-    bounds = chunk_bounds(max(m, 1))
+    bounds = flow_bounds(max(m, 1), blocks.score_memories, blocks.dim)
     stop = threading.Event()
 
     def chunk(bound):

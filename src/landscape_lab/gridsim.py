@@ -32,7 +32,9 @@ class ClassGrid:
     """Square grid of class ids {0, 1}; side is a power of two.
 
     Side 1 is allowed only as the terminal result of repeated coarsening;
-    fresh grids and coarsening inputs must have side >= 2.
+    fresh grids and coarsening inputs must have side >= 2. The cells are a
+    read-only uint8 copy of the caller's array; the module's own
+    constructors hand over the arrays they just made (_adopt), uncopied.
     """
 
     cells: np.ndarray
@@ -52,6 +54,16 @@ class ClassGrid:
         cells = np.array(cells, dtype=np.uint8)    # the caller's array stays theirs
         cells.setflags(write=False)
         self.cells = cells
+
+    @classmethod
+    def _adopt(cls, cells: np.ndarray) -> "ClassGrid":
+        """A grid that takes ownership of cells, a square uint8 array of
+        class ids that no one else holds: made read-only, not checked or
+        copied."""
+        cells.setflags(write=False)
+        grid = cls.__new__(cls)
+        grid.cells = cells
+        return grid
 
     @property
     def side(self) -> int:
@@ -79,7 +91,7 @@ def init_grid(side: int, p_red: float, seed: int = 0) -> ClassGrid:
         raise InputError(f"side must be a power of two >= 2, got {side}")
     if not (0.0 <= p_red <= 1.0):
         raise InputError(f"p_red must be in [0, 1], got {p_red}")
-    return ClassGrid(_draws_below(derive_rng(seed, "grid-init"), side, p_red))
+    return ClassGrid._adopt(_draws_below(derive_rng(seed, "grid-init"), side, p_red))
 
 
 def coarsen(grid: ClassGrid, seed: int = 0) -> ClassGrid:
@@ -105,7 +117,7 @@ def coarsen(grid: ClassGrid, seed: int = 0) -> ClassGrid:
     if ties.any():
         draws = _draws_below(derive_rng(seed, "tie-break"), len(out), 0.5)
         out = np.bitwise_or(out, np.bitwise_and(draws, ties, out=draws), out=draws)
-    return ClassGrid(out)
+    return ClassGrid._adopt(out)
 
 
 def coarsening_levels(side: int, p_red: float, levels: int, seed: int = 0):

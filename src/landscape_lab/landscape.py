@@ -58,6 +58,7 @@ from landscape_lab.errors import InputError
 _NUMERIC_TYPES = (int, float, np.integer, np.floating)
 
 CHUNK = 1024            # rows per work item of every chunked batch routine
+_FLOW_CELLS = 256 * CHUNK  # (row, memory or coordinate) cells per later flow chunk
 TILE = 32               # rows per tile of every upper-triangle pair walk
 _BLOCK_CELLS = 65536    # (row, memory) cells per sqdist block, d >= 8
 _PAIRWISE_BLOCK = 128   # numpy's pairwise_sum splits ranges longer than this
@@ -302,6 +303,20 @@ def chunk_bounds(m: int) -> list:
     """Row bounds (lo, hi) of the fixed CHUNK-row blocks of m rows, which
     depend on m alone, never on a worker count."""
     return [(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
+
+
+def flow_bounds(m: int, n: int, d: int) -> list:
+    """Row bounds (lo, hi) of flow_chunked's chunks of m rows, each scored
+    against n memories in d coordinates. The first chunk is min(m, CHUNK)
+    rows, so a batch whose flows fail stops as early as on CHUNK-row
+    chunks; each later one is max(CHUNK, _FLOW_CELLS // (n + d)) rows, so
+    a few-memory batch flows in few chunks, each paying the flow loop's
+    per-iteration costs once, while its (rows, n) and (rows, d) arrays
+    stay within the cell budget. The bounds depend on (m, n, d) alone,
+    never on a worker count."""
+    first = min(m, CHUNK)
+    size = max(CHUNK, _FLOW_CELLS // (n + d))
+    return [(0, first)] + [(lo, min(lo + size, m)) for lo in range(first, m, size)]
 
 
 def pair_tiles(m: int) -> list:

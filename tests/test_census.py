@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from landscape_lab.census import (
 )
 from landscape_lab.dynamics import FlowConfig
 from landscape_lab.errors import CensusFailureError, InputError
-from landscape_lab.landscape import CHUNK, TILE, EnergyLandscape, MemorySet, gaussian_blobs
+from landscape_lab.landscape import (CHUNK, TILE, EnergyLandscape, MemorySet, flow_bounds,
+                                     gaussian_blobs)
 
 
 def biased_1d_landscape(beta=40.0):
@@ -399,19 +401,25 @@ def test_biasvar_flows_each_level_in_chunks(monkeypatch):
     assert len(calls) <= levels * math.ceil(rounds * ls.memories.n / CHUNK)
 
 
-def test_census_fails_after_the_chunk_that_passes_the_budget(monkeypatch):
-    # the same tanh config: level 1 fails, and at its failure rate the 1 %
-    # budget is passed within the first CHUNK rows, so the level's other
-    # chunks never run; results are checked in chunk order, so the count
-    # in the message does not depend on the worker count
+def failing_tanh_census():
+    """(landscape, hierarchy, census config, flow config) of a census whose
+    level 1 fails: 3 of its 8 memories lie outside the decoder's range."""
     ms = gaussian_blobs(dim=2, class_counts=[6, 2], spread=0.2,
                         seed=derive_seed(0, "landscape"), center_scale=1.0,
                         labels=["c0", "c1"])
-    ls = EnergyLandscape(ms, 10.0)
-    hierarchy = tanh_hierarchy([0.9, 0.81], dim=2)
-    cfg = CensusConfig(n_queries=5000, seed=0)
-    flow_cfg = FlowConfig(step_size=1.0, grad_tol=1e-5, max_steps=500)
-    chunks = -(-cfg.n_queries // CHUNK)
+    return (EnergyLandscape(ms, 10.0), tanh_hierarchy([0.9, 0.81], dim=2),
+            CensusConfig(n_queries=5000, seed=0),
+            FlowConfig(step_size=1.0, grad_tol=1e-5, max_steps=500))
+
+
+def test_census_fails_after_the_chunk_that_passes_the_budget(monkeypatch):
+    # level 1 fails, and at its failure rate the 1 % budget is passed
+    # within the first chunk, CHUNK rows, so the level's other chunks
+    # never run; results are checked in chunk order, so the count in the
+    # message does not depend on the worker count
+    ls, hierarchy, cfg, flow_cfg = failing_tanh_census()
+    bounds = flow_bounds(cfg.n_queries, ls.memories.n, ls.dim)
+    assert bounds[0] == (0, CHUNK) and len(bounds) > 1
     calls = []
     real = dynamics.flow_batch
 
@@ -427,9 +435,65 @@ def test_census_fails_after_the_chunk_that_passes_the_budget(monkeypatch):
         messages.append(str(err.value))
         if workers == 1:
             # level 0 passes in full, level 1 stops after its first chunk
-            assert len(calls) == chunks + 1
+            assert len(calls) == len(bounds) + 1
     assert messages[0] == messages[1]
     assert messages[0].startswith("level 1: ") and f"/{CHUNK} flows" in messages[0]
+
+
+# ---------------------------------------------------------------------------
+# Flow chunk schedules: a row's result does not depend on its chunk
+# ---------------------------------------------------------------------------
+
+def on_chunk_rows(monkeypatch, fn):
+    """fn() with flow_chunked cutting every batch into CHUNK-row chunks."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "flow_bounds", lambda m, n, d: landscape.chunk_bounds(m))
+        return fn()
+
+
+@pytest.mark.parametrize("dim, beta", [(1, 40.0), (2, 30.0)])
+def test_census_reports_do_not_depend_on_the_flow_schedule(monkeypatch, dim, beta):
+    # a 90/10 set of 10 memories, levels 0-4: the 3000 queries flow in two
+    # chunks, against three on CHUNK rows
+    ms = gaussian_blobs(dim=dim, class_counts=[9, 1], spread=0.3, seed=4000 + dim,
+                        center_scale=1.0, labels=["maj", "min"])
+    ls = EnergyLandscape(ms, beta)
+    hierarchy = diagonal_hierarchy([0.9 ** a for a in range(1, 5)], dim=dim)
+    cfg = CensusConfig(n_queries=3000, seed=11)
+    assert len(flow_bounds(3000, ms.n, dim)) == 2
+    for workers in (1, 2):
+        reports = run_census(ls, hierarchy, cfg, workers=workers)
+        assert [r.level for r in reports] == [0, 1, 2, 3, 4]
+        assert reports == on_chunk_rows(
+            monkeypatch, lambda: run_census(ls, hierarchy, cfg, workers=workers))
+
+
+def test_biasvar_results_do_not_depend_on_the_flow_schedule(monkeypatch):
+    # 300 rounds of 10 probes: each level's 3000 rows flow in two chunks
+    # sized by all 10 memories, against three on CHUNK rows
+    ls = biased_1d_landscape(12.0)
+    hierarchy = hierarchy_1d(2)
+    assert len(flow_bounds(3000, ls.memories.n, 1)) == 2
+    for workers in (1, 2):
+        def probes():
+            return bias_variance_probes(ls, hierarchy, seed=3, bootstrap_rounds=300,
+                                        workers=workers)
+        assert probes() == on_chunk_rows(monkeypatch, probes)
+
+
+def test_failing_census_message_does_not_depend_on_the_flow_schedule(monkeypatch):
+    # the failing tanh census stops after level 1's first chunk, CHUNK
+    # rows on either schedule, with the same message
+    ls, hierarchy, cfg, flow_cfg = failing_tanh_census()
+
+    def message(workers):
+        with pytest.raises(CensusFailureError) as err:
+            run_census(ls, hierarchy, cfg, flow_cfg, workers=workers)
+        return str(err.value)
+
+    expected = message(1)
+    for workers in (1, 2):
+        assert on_chunk_rows(monkeypatch, partial(message, workers)) == expected
 
 
 # ---------------------------------------------------------------------------

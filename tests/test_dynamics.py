@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -19,7 +20,8 @@ from landscape_lab.dynamics import (
     flow_chunked,
 )
 from landscape_lab.errors import InputError, NumericalFlowError
-from landscape_lab.landscape import CHUNK, EnergyLandscape, MemorySet, gaussian_blobs
+from landscape_lab.landscape import (_FLOW_CELLS, CHUNK, EnergyLandscape, MemorySet,
+                                     chunk_bounds, flow_bounds, gaussian_blobs)
 
 
 def two_memory_1d(beta):
@@ -537,6 +539,82 @@ def test_flow_basin_index_level_energy():
 
 
 # ---------------------------------------------------------------------------
+# flow_chunked's chunk bounds
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, d", [(1, 1), (10, 1), (10, 2), (6, 16), (250, 16), (2000, 32),
+                                  (_FLOW_CELLS, 1)])
+def test_flow_bounds_cover_the_rows_within_the_cell_budget(n, d):
+    size = max(CHUNK, _FLOW_CELLS // (n + d))
+    for m in (1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 5000, 50_000, size + CHUNK + 1):
+        bounds = flow_bounds(m, n, d)
+        # every row lies in exactly one chunk, in order, and none is empty
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == m and all(lo < hi for lo, hi in bounds)
+        assert bounds[0] == (0, min(m, CHUNK))
+        assert max(hi - lo for lo, hi in bounds) <= size
+        # a function of (m, n, d) alone
+        assert flow_bounds(m, n, d) == bounds
+    # wide retrieval (250 memories in 16-D) keeps its CHUNK-row chunks
+    assert flow_bounds(2048, 250, 16) == chunk_bounds(2048) == [(0, CHUNK), (CHUNK, 2 * CHUNK)]
+    assert flow_bounds(5000, 10, 2) == [(0, CHUNK), (CHUNK, 5000)]
+
+
+def test_flow_chunked_flows_the_bounds_of_its_shape_at_any_worker_count(monkeypatch):
+    # the chunks flowed are flow_bounds of the batch's rows, the memories
+    # of its score pass and its coordinates, at 1 and 2 workers and for an
+    # evaluator or Blocks of it
+    rng = np.random.default_rng(9)
+    ls = EnergyLandscape(MemorySet(rng.normal(size=(100, 2)), tuple(range(100))), 6.0)
+    starts = rng.standard_normal((CHUNK + 2 * (_FLOW_CELLS // 102) + 7, 2))
+    real = dynamics.flow_batch
+    sizes = []
+
+    def counting(target, rows, *args, **kwargs):
+        sizes.append(rows.shape[0])
+        return real(target, rows, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "flow_batch", counting)
+    expected = sorted(hi - lo for lo, hi in flow_bounds(starts.shape[0], 100, 2))
+    assert len(expected) == 4
+    for target in (ls, Blocks.of(ls, starts.shape[0])):
+        for workers in (1, 2):
+            sizes.clear()
+            flow_chunked(target, starts, FlowConfig(max_steps=20), workers)
+            assert sorted(sizes) == expected
+
+
+def test_flow_chunked_memory_is_bounded_by_the_cell_budget(monkeypatch):
+    # numpy reports its buffers to tracemalloc. A chunk of r rows against
+    # n memories in d coordinates has r (n + d) <= _FLOW_CELLS, and the
+    # flow loop holds a few (r, n) score arrays and (r, d) state arrays at
+    # once, allowed 5 _FLOW_CELLS float64s together. Beside them lie the m
+    # rows' outputs, twice: the chunks' parts and their concatenation.
+    # One chunk of all 50 000 rows (m x n cells) peaks above that bound.
+    rng = np.random.default_rng(10)
+    ls = EnergyLandscape(MemorySet(rng.normal(size=(10, 2)), tuple(range(10))), 4.0)
+    starts = ls.memories.centroid + 1.5 * rng.standard_normal((50_000, 2))
+    cfg = FlowConfig(step_size=1.0, grad_tol=1e-5, max_steps=500)
+    flow_chunked(ls, starts[:100], cfg)
+
+    def peak_of_flow():
+        tracemalloc.start()
+        try:
+            out, ok = flow_chunked(ls, starts, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ok.all()
+        return peak, sum(a.nbytes for a in out.values()) + ok.nbytes
+
+    peak, outputs = peak_of_flow()
+    bound = 5 * _FLOW_CELLS * 8 + 2 * outputs
+    assert peak <= bound
+    monkeypatch.setattr(dynamics, "flow_bounds", lambda m, n, d: [(0, m)])
+    assert peak_of_flow()[0] > bound
+
+
+# ---------------------------------------------------------------------------
 # find_minima
 # ---------------------------------------------------------------------------
 
@@ -561,8 +639,9 @@ def test_find_minima_sharp_and_merged_counts():
 
 
 def test_find_minima_flows_a_chunk_at_a_time(monkeypatch):
-    # 2 CHUNK + 1 starts flow in chunks of at most CHUNK rows, and give the
-    # minima of one unchunked flow_batch over all of them
+    # 2 CHUNK + 1 starts flow a chunk at a time, in flow_bounds' chunks
+    # (here a first CHUNK-row chunk and one more), and give the minima of
+    # one unchunked flow_batch over all of them
     rng = np.random.default_rng(8)
     ls = EnergyLandscape(MemorySet(rng.normal(size=(6, 2)), tuple(range(6))), 6.0)
     starts = ls.memories.centroid + 1.5 * rng.standard_normal((2 * CHUNK + 1, 2))
@@ -582,7 +661,8 @@ def test_find_minima_flows_a_chunk_at_a_time(monkeypatch):
         expected = find_minima(ls, starts, CFG, dedup_radius=0.05)
     monkeypatch.setattr(dynamics, "flow_batch", counting)
     found = find_minima(ls, starts, CFG, dedup_radius=0.05)
-    assert calls == [CHUNK, CHUNK, 1]
+    bounds = flow_bounds(starts.shape[0], ls.memories.n, ls.dim)
+    assert calls == [hi - lo for lo, hi in bounds] and len(calls) > 1
     assert len(found) == len(expected) > 1
     for a, b in zip(found, expected):
         assert np.array_equal(a, b)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,24 @@ def test_grid_validation():
     assert grid.cells is not a and a.flags.writeable
     a[0, 0] = 1
     assert grid.cells[0, 0] == 0 and not grid.cells.flags.writeable
+
+
+def test_fresh_grids_are_not_copied():
+    # numpy reports its buffers to tracemalloc. init_grid hands its draws,
+    # bools viewed as uint8, to the grid uncopied: its peak is the grid
+    # plus one block of float draws, under 1.5x the grid's bytes (a copy
+    # made it 2x). Grids from init_grid and coarsen are read-only uint8
+    init_grid(4, 0.7)
+    tracemalloc.start()
+    try:
+        grid = init_grid(2048, 0.7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.cells.shape == (2048, 2048)
+    assert peak < 1.5 * grid.cells.nbytes
+    for g in (grid, coarsen(grid)):
+        assert g.cells.dtype == np.uint8 and not g.cells.flags.writeable
 
 
 def test_init_extremes_and_lln():
