@@ -16,14 +16,19 @@ Diversity and proximity are measured in the level's own coordinates
 (terminals against pulled-back memories), consistent with how merged
 minima are compared; class assignment always happens in base space.
 
+bias_variance_probes reflows probes under bootstrap resamples of the
+memory set, each a row of log(count) offsets on the memories' scores
+(-inf where not drawn); a level's rounds flow as one batch keyed by round
+(_Rounds), with no per-round landscape.
+
 Determinism: all draws derive from (seed, purpose, index) streams, query
 noise is shared across levels (common random numbers), flows run in
 chunks that depend on the batch's shape alone (dynamics.flow_chunked: a
 first CHUNK-row chunk, then chunks sized to the memories a score pass
-spans, all of the landscape's for the bootstrap rounds' one-pass
-evaluator), diversity sums fixed TILE-row pair tiles, added in
-tile order, and classification and privacy run over fixed CHUNK-row blocks
-of the terminals, the privacy block sums added in block order, so reports
+spans, all of the landscape's for the bootstrap rounds), diversity sums
+fixed TILE-row pair tiles, added in tile order, and classification and
+privacy run over fixed CHUNK-row blocks of the terminals, the privacy
+block sums added in block order, so reports
 are bit-identical for any worker count. The worker threads run the flow
 chunks, the classification blocks, the diversity tiles and the privacy
 blocks.
@@ -42,7 +47,7 @@ import numpy as np
 
 from landscape_lab._seeds import derive_rng
 from landscape_lab.abstraction import AbstractionHierarchy
-from landscape_lab.dynamics import Blocks, FlowConfig, flow_chunked, ordered_map
+from landscape_lab.dynamics import FlowConfig, flow_chunked, ordered_map
 from landscape_lab.errors import CensusFailureError, InputError
 from landscape_lab.knn import argmax_class
 from landscape_lab.landscape import (TILE, EnergyLandscape, MemorySet, chunk_bounds,
@@ -310,26 +315,11 @@ def run_census(landscape: EnergyLandscape,
 # Bias and variance probes (bootstrap over training-set resamples)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _ResampledLandscape(EnergyLandscape):
-    """Energy of a bootstrap multiset: duplicate draws become log-count
-    offsets on the scores, which is exactly the multiset log-sum-exp.
-    drawn holds the distinct memories' indices in the set drawn from, in
-    ascending order, the order of memories. nearest_memory is inherited:
-    a basin's class ignores the draw counts."""
-
-    log_counts: np.ndarray = field(default=None)
-    drawn: np.ndarray = field(default=None)
-
-    def _scores(self, x, by_memory=False):
-        s = super()._scores(x, by_memory)
-        s += self.log_counts[:, None] if by_memory else self.log_counts
-        return s
-
-
-def _bootstrap_landscape(landscape: EnergyLandscape, rng: np.random.Generator,
-                         stratified: bool) -> _ResampledLandscape:
-    mem = landscape.memories
+def _bootstrap_log_counts(mem: MemorySet, rng: np.random.Generator,
+                          stratified: bool) -> np.ndarray:
+    """One bootstrap round as an (n,) row: log(count) on each memory drawn,
+    -inf on the others. Its multiset's log-sum-exp is the full set's with
+    the row added to the scores (Efron & Tibshirani 1993)."""
     labels = np.array(mem.labels, dtype=object)
     if stratified:
         chosen = []
@@ -339,39 +329,25 @@ def _bootstrap_landscape(landscape: EnergyLandscape, rng: np.random.Generator,
         chosen = np.concatenate(chosen)
     else:
         chosen = rng.integers(0, mem.n, size=mem.n)
-    uniq, counts = np.unique(chosen, return_counts=True)
-    sub = MemorySet(mem.points[uniq], tuple(mem.labels[i] for i in uniq))
-    return _ResampledLandscape(sub, landscape.beta, log_counts=np.log(counts), drawn=uniq)
+    counts = np.bincount(chosen, minlength=mem.n)
+    return np.log(counts, out=np.full(mem.n, -np.inf), where=counts > 0)
 
 
-class _RoundBlocks(Blocks):
-    """The bootstrap rounds of one level as Blocks, evaluated in one pass.
-
-    Each evaluator is a LevelEnergy at one level over a _ResampledLandscape
-    of landscape. An energy_grad call decodes its rows once and hands them
-    to landscape.multiset_energy_grad with each row's round's log-counts,
-    so every row gets the bits of its round's own LevelEnergy.energy_grad
-    from one score pass, with one softmax for all rows below 8 memories
-    and one per distinct subset size from 8 on.
+class _Rounds:
+    """The bootstrap rounds of one level, evaluated in one pass:
+    energy_grad(z, rounds) decodes its rows once and hands them to
+    landscape.multiset_energy_grad with their rounds' log_counts rows, so
+    each row gets the bits of its own round's level energy from one score
+    pass. memories is the full landscape's: each score pass spans them all.
     """
 
-    def __init__(self, evaluators, block: np.ndarray, landscape: EnergyLandscape):
-        super().__init__(evaluators, block)
-        self.landscape = landscape
-        self.decoder = self.evaluators[0].decoder
-        # row b: round b's log-counts on its drawn memories, -inf elsewhere
-        self.log_counts = np.full((len(self.evaluators), landscape.memories.n), -np.inf)
-        for b, t in enumerate(self.evaluators):
-            self.log_counts[b, t.base.drawn] = t.base.log_counts
+    def __init__(self, landscape: EnergyLandscape, decoder, log_counts: np.ndarray):
+        self.landscape, self.decoder, self.log_counts = landscape, decoder, log_counts
+        self.dim, self.memories = landscape.dim, landscape.memories
 
-    @property
-    def score_memories(self) -> int:
-        """Every memory of landscape: each score pass spans them all."""
-        return self.landscape.memories.n
-
-    def energy_grad(self, z: np.ndarray, rows: np.ndarray) -> tuple:
+    def energy_grad(self, z: np.ndarray, rounds: np.ndarray) -> tuple:
         e, g = self.landscape.multiset_energy_grad(self.decoder.decode(z),
-                                                   self.log_counts[self.block[rows]])
+                                                   self.log_counts[rounds])
         return e, self.decoder.jacobian_diag(z) * g
 
 
@@ -405,18 +381,19 @@ def bias_variance_probes(landscape: EnergyLandscape,
     One probe per memory: x_i plus isotropic noise of scale probe_sigma.
     Each bootstrap round resamples the memory set with replacement
     (class-stratified by default, which keeps class proportions fixed),
-    rebuilds the landscape, and reflows the same probes. Per level, every
-    round's probes flow as one batch, and each evaluation of its rows is
-    one score pass against the full memory set, which gives each row the
-    bits of its own round's landscape (see _RoundBlocks); the converged
-    terminals of all rounds are then classified in one pass
-    (_nearest_drawn). The bootstrap expectation over
-    rounds gives, per probe, the mean one-hot prediction p. Bias is the
-    mean of (p - true one-hot) over probes, per class; variance is the
-    mean of (1 - ||p||^2), the one-hot shortcut for the expected squared
-    deviation from the mean prediction. seed draws the probe noise and the
-    resamples; levels defaults to every hierarchy level. phases, if given,
-    receives each level's flow and classification seconds, never results.
+    a row of log-counts on the memories' scores, and reflows the same
+    probes. Per level, every round's probes flow as one batch keyed by
+    round, and each evaluation of its rows is one score pass against the
+    full memory set, which gives each row the bits of its own round's
+    landscape (see _Rounds); the converged terminals of all rounds are
+    then classified in one pass (_nearest_drawn). The bootstrap
+    expectation over rounds gives, per probe, the mean one-hot prediction
+    p. Bias is the mean of (p - true one-hot) over probes, per class;
+    variance is the mean of (1 - ||p||^2), the one-hot shortcut for the
+    expected squared deviation from the mean prediction. seed draws the
+    probe noise and the resamples; levels defaults to every hierarchy
+    level. phases, if given, receives each level's flow and classification
+    seconds, never results.
     """
     if not (probe_sigma > 0 and math.isfinite(probe_sigma)):
         raise InputError(f"probe_sigma must be a positive finite real, got {probe_sigma}")
@@ -435,12 +412,11 @@ def bias_variance_probes(landscape: EnergyLandscape,
     # counts[level][probe, class] accumulated over rounds
     counts = {a: np.zeros((mem.n, n_classes)) for a in levels}
     valid = {a: np.zeros(mem.n) for a in levels}
-    resampled = [_bootstrap_landscape(landscape, derive_rng(seed, "bootstrap", b), stratified)
-                 for b in range(bootstrap_rounds)]
-    undrawn = np.ones((bootstrap_rounds, mem.n), dtype=bool)
-    for b, r in enumerate(resampled):
-        undrawn[b, r.drawn] = False
-    # the rounds' probes are stacked round-major, each round one block
+    log_counts = np.array([_bootstrap_log_counts(mem, derive_rng(seed, "bootstrap", b),
+                                                 stratified)
+                           for b in range(bootstrap_rounds)])
+    undrawn = np.isinf(log_counts)
+    # the rounds' probes are stacked round-major, each row keyed by its round
     block = np.repeat(np.arange(bootstrap_rounds), mem.n)
     # failures only grow and every planned flow runs unless this raises,
     # so checking after each level gives the end-of-run outcome early
@@ -448,12 +424,11 @@ def bias_variance_probes(landscape: EnergyLandscape,
     budget = _MAX_FAILURE_RATE * planned
     failures = 0
     for a in levels:
-        lvls = [hierarchy.level_energy(r, a) for r in resampled]
-        starts = np.tile(np.asarray(hierarchy.decoders[a].encode(probes)),
-                         (bootstrap_rounds, 1))
+        decoder = hierarchy.decoders[a]
+        starts = np.tile(np.asarray(decoder.encode(probes)), (bootstrap_rounds, 1))
         t_flow = time.perf_counter()
-        out, ok = flow_chunked(_RoundBlocks(lvls, block, landscape), starts,
-                               flow_config, workers, budget - failures)
+        out, ok = flow_chunked(_Rounds(landscape, decoder, log_counts), starts,
+                               flow_config, workers, budget - failures, keys=block)
         failures += int((~ok).sum())
         if failures > budget:
             raise CensusFailureError(
@@ -462,7 +437,7 @@ def bias_variance_probes(landscape: EnergyLandscape,
         t_class = time.perf_counter()
         hit = np.flatnonzero(ok)
         nearest = _nearest_drawn(mem.points, undrawn, block[hit],
-                                 hierarchy.decoders[a].decode(out["terminals"][hit]))
+                                 decoder.decode(out["terminals"][hit]))
         probe = hit % mem.n
         np.add.at(counts[a], (probe, true_idx[nearest]), 1.0)
         valid[a] += np.bincount(probe, minlength=mem.n)

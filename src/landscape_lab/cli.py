@@ -43,6 +43,7 @@ from landscape_lab.abstraction import (
     tanh_hierarchy,
 )
 from landscape_lab.census import (
+    _PRIVACY_KS,
     CensusConfig,
     bias_variance_probes,
     default_flow_config,
@@ -232,9 +233,8 @@ def _census_config(params: dict, seed: int) -> CensusConfig:
 # which the manifest carries
 # ---------------------------------------------------------------------------
 
-_CENSUS_COLUMNS = ["level", "class", "p_data", "p_gen", "amplification",
-                   "diversity", "privacy_k1", "privacy_k2", "privacy_k5",
-                   "privacy_k10", "n_queries", "failures"]
+_CENSUS_COLUMNS = ["level", "class", "p_data", "p_gen", "amplification", "diversity",
+                   *(f"privacy_k{k}" for k in _PRIVACY_KS), "n_queries", "failures"]
 _PRIVACY_COLUMNS = ["level", "k", "mean_knn_distance", "diversity",
                     "n_queries", "failures"]
 # long format: one (series, x, y, stderr) row per point of a figure-ready curve
@@ -256,7 +256,7 @@ def _experiment_census(cfg: RunConfig, records: dict) -> dict:
     records["phases"] = [{"level": r.level, **r.phases} for r in reports]
     census = [(r.level, c, r.p_data[c], r.p_gen[c], r.amplification,
                r.diversity_mean_pairwise,
-               *(r.privacy_knn_distance[k] for k in (1, 2, 5, 10)),
+               *(r.privacy_knn_distance[k] for k in _PRIVACY_KS),
                r.n_queries, r.failures)
               for r in reports for c in sorted(r.p_data)]
     privacy = [(r.level, k, r.privacy_knn_distance[k], r.diversity_mean_pairwise,

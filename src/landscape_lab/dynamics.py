@@ -21,16 +21,15 @@ privacy blocks, and yields results in order.
 Each trial is evaluated once, by its evaluator's energy_grad, and an
 accepted trial's gradient drives the next step.
 
-Given Blocks, row r is evaluated by evaluators[block[r]]; a Blocks
-subclass that mixes evaluators gives each row its own evaluator's bits,
-as census's bootstrap rounds do in one pass, so a row's result equals
-that of a flow_batch on its own evaluator and many small flows run as
-one loop. Every row ends with a reason code.
+Given keys, one value per start, each evaluation passes the evaluator the
+keys of the rows it evaluates, energy_grad(x, keys[rows]); an evaluator
+that reads them can give each row the bits of its own landscape, as
+census's bootstrap rounds do in one pass, so many small flows run as one
+loop. Every row ends with a reason code.
 """
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 import threading
@@ -83,44 +82,15 @@ class FlowResult:
     energies: np.ndarray | None = None
 
 
-class Blocks:
-    """Per-row evaluators of one batch: row r is evaluated by
-    evaluators[block[r]]. Slicing selects rows, as a chunk of the batch
-    does, and keeps the evaluators and the class: a subclass that mixes
-    evaluators keeps evaluating its way chunk by chunk."""
-
-    def __init__(self, evaluators: Sequence, block: np.ndarray):
-        self.evaluators = tuple(evaluators)
-        self.block = np.asarray(block, dtype=np.intp)
-        dims = {t.dim for t in self.evaluators}
-        if len(dims) != 1:
-            raise InputError(f"evaluators must share one dimension, got {sorted(dims)}")
-        self.dim = dims.pop()
-
-    @classmethod
-    def of(cls, target, m: int) -> "Blocks":
-        """target itself if it is Blocks, else the one block of m rows."""
-        if isinstance(target, cls):
-            return target
-        return cls((target,), np.zeros(m, dtype=np.intp))
-
-    @property
-    def score_memories(self) -> int:
-        """The memories one energy_grad call's score pass spans: the most
-        of any evaluator's."""
-        return max(t.memories.n for t in self.evaluators)
-
-    def __getitem__(self, rows: slice) -> "Blocks":
-        part = copy.copy(self)
-        part.block = self.block[rows]
-        return part
-
-    def energy_grad(self, x: np.ndarray, rows: np.ndarray) -> tuple:
-        """Energies and gradients at x, whose i-th point is batch row
-        rows[i], from one energy_grad call by the lone evaluator."""
-        (evaluator,) = self.evaluators
-        e, g = evaluator.energy_grad(x)
-        return np.asarray(e, dtype=np.float64).reshape(-1), g
+def _keys_for(keys, m: int) -> np.ndarray | None:
+    """keys as an array of one value per start, or None; any other length
+    raises InputError."""
+    if keys is None:
+        return None
+    keys = np.asarray(keys)
+    if keys.shape != (m,):
+        raise InputError(f"keys of shape {keys.shape} for {m} starts")
+    return keys
 
 
 def _coordinate_rows(d: int) -> float:
@@ -154,15 +124,16 @@ def _rows_differ(a: np.ndarray, b: np.ndarray, by_coordinate: bool) -> np.ndarra
 
 
 def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
+               keys: np.ndarray | None = None,
                record: bool = False,
                stop: threading.Event | None = None) -> dict:
     """Flow every row of starts to a stationary point.
 
-    target is an evaluator (an EnergyLandscape or a LevelEnergy, or any
-    object with dim and a batch energy_grad) or Blocks of them, one block
-    index per row of starts; a row's result is the same bits either way.
-    Each evaluation of a set of rows (the starts, each iteration's trials,
-    each halving's retries) is one Blocks.energy_grad call on those rows.
+    target is an evaluator: an EnergyLandscape or a LevelEnergy, or any
+    object with dim and a batch energy_grad. Each evaluation of a set of
+    rows (the starts, each iteration's trials, each halving's retries) is
+    one target.energy_grad(x) call on those rows, or, given keys (one
+    value per start, else InputError), target.energy_grad(x, keys[rows]).
     Returns arrays: terminals (m, d), steps (m,), converged (m,), failed
     (m,), fail_step (m,) and reason (m,), each row's int8 reason code.
     Rows that hit non-finite values are marked failed and frozen rather
@@ -187,14 +158,16 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
     if x.ndim == 1:
         x = x[None, :]
     m = x.shape[0]
-    blocks = Blocks.of(target, m)
-    if x.shape[1] != blocks.dim:
+    if x.shape[1] != target.dim:
         raise InputError(
-            f"start dimension {x.shape[1]} != energy dimension {blocks.dim}")
-    if blocks.block.shape != (m,):
-        raise InputError(f"{blocks.block.shape[0]} block indices for {m} starts")
+            f"start dimension {x.shape[1]} != energy dimension {target.dim}")
+    keys = _keys_for(keys, m)
 
-    e, g = blocks.energy_grad(x, np.arange(m))
+    def energy_grad(x: np.ndarray, rows: np.ndarray) -> tuple:
+        e, g = target.energy_grad(x) if keys is None else target.energy_grad(x, keys[rows])
+        return np.asarray(e, dtype=np.float64).reshape(-1), g
+
+    e, g = energy_grad(x, np.arange(m))
     steps = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
     failed = ~np.isfinite(e)
@@ -224,14 +197,14 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
 
         h = config.step_size
         trial = xa - h * ga
-        et, gt = blocks.energy_grad(trial, act)
+        et, gt = energy_grad(trial, act)
         todo = np.flatnonzero(~(np.isfinite(et) & (et <= ea)))
         for _ in range(_MAX_HALVINGS - 1):
             if not todo.size:
                 break
             h *= 0.5
             xh = xa[todo] - h * ga[todo]
-            eh, gh = blocks.energy_grad(xh, act[todo])
+            eh, gh = energy_grad(xh, act[todo])
             hit = np.isfinite(eh) & (eh <= ea[todo])
             rows = todo[hit]
             trial[rows], et[rows], gt[rows] = xh[hit], eh[hit], gh[hit]
@@ -298,15 +271,15 @@ def ordered_map(fn: Callable, items: Sequence, workers: int = 1,
 
 
 def flow_chunked(target, starts: np.ndarray, config: FlowConfig,
-                 workers: int = 1, max_failures: float = math.inf) -> tuple:
+                 workers: int = 1, max_failures: float = math.inf, *,
+                 keys: np.ndarray | None = None) -> tuple:
     """flow_batch over chunks of the batch, optionally on a thread pool.
 
-    target is an evaluator or Blocks with one block index per start; each
-    chunk gets the slice of it for its rows. Returns (out, ok): out holds
-    flow_batch's arrays for the rows flowed, and ok marks the rows that
-    converged without failing. The chunks are flow_bounds(m, n, d) of the
-    batch's m rows, the n memories its score pass spans
-    (Blocks.score_memories) and its d coordinates: a first CHUNK-row
+    Given keys, one value per start, each chunk gets the keys of its rows.
+    Returns (out, ok): out holds flow_batch's arrays for the rows flowed,
+    and ok marks the rows that converged without failing. The chunks are
+    flow_bounds(m, n, d) of the batch's m rows, the n memories its score
+    pass spans (target.memories) and its d coordinates: a first CHUNK-row
     chunk, then chunks sized to a fixed cell budget. They depend on the
     batch's shape alone and a row's result does not depend on its chunk,
     so the arithmetic is identical at any worker count; threads
@@ -317,14 +290,15 @@ def flow_chunked(target, starts: np.ndarray, config: FlowConfig,
     where a run stops does not depend on workers.
     """
     m = starts.shape[0]
-    blocks = Blocks.of(target, m)
+    keys = _keys_for(keys, m)
     # an empty batch still flows one (empty) chunk, for its empty arrays
-    bounds = flow_bounds(max(m, 1), blocks.score_memories, blocks.dim)
+    bounds = flow_bounds(max(m, 1), target.memories.n, target.dim)
     stop = threading.Event()
 
     def chunk(bound):
         lo, hi = bound
-        return flow_batch(blocks[lo:hi], starts[lo:hi], config, stop=stop)
+        return flow_batch(target, starts[lo:hi], config, stop=stop,
+                          keys=None if keys is None else keys[lo:hi])
 
     parts, failures = [], 0
     # every chunk up to the last one read has finished when the map is

@@ -391,7 +391,9 @@ class MemorySet:
     """Labeled points in d-dimensional space: the stored training data.
 
     points is (n, dim) float64 and is made read-only at construction;
-    duplicate rows are rejected so per-class counts stay well defined.
+    duplicate rows are rejected so per-class counts stay well defined, and
+    so are labels that classes() cannot sort or that are NaN, which equals
+    no label.
     """
 
     points: np.ndarray
@@ -411,6 +413,14 @@ class MemorySet:
                 f"labels length {len(labels)} != number of points {pts.shape[0]}")
         if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
             raise InputError("duplicate memory points are not allowed")
+        distinct = set(labels)
+        try:
+            bad = any(y != y for y in sorted(distinct))
+        except TypeError:
+            bad = True
+        if bad:
+            raise InputError("labels must be mutually orderable and not NaN, got "
+                             + ", ".join(sorted(set(map(repr, distinct)))))
         pts.setflags(write=False)
         self.points = pts
         self.labels = labels

@@ -4,9 +4,12 @@ Everything here is implemented directly from first principles (plain
 formulas, brute force, enumeration, quadrature) and never calls back into
 the code paths it is used to check. The exceptions are earlier forms of
 census and knn code kept to check the current ones. flow_batch_reference, the
-flow loop, evaluates through the Blocks' energy_grad, so that both loops'
-evaluations can be logged and compared call by call; MixedBlocks, the
-Blocks of several evaluators that tests flow, evaluates them run by run.
+flow loop, evaluates through its target's energy_grad, with keys the way
+flow_batch passes them, so that both loops' evaluations can be logged and
+compared call by call; KeyedEvaluators, the keyed evaluator that tests
+flow, runs each run of equal keys through that key's own evaluator.
+ResampledLandscape, one bootstrap round's own landscape and the per-round
+reference for census's one-pass rounds, overrides the landscape's scores.
 knn_mean_distances_serial, the privacy reduction, takes its distances from
 landscape.sqdist, so that the pooled reduction must match it bit for bit.
 attendance_weights, one query's weights at its own flow terminal, takes
@@ -16,6 +19,7 @@ column must match it bit for bit.
 
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import norm
@@ -23,7 +27,7 @@ from scipy.stats import norm
 from landscape_lab import dynamics
 from landscape_lab.errors import InputError
 from landscape_lab.knn import SoftWeights
-from landscape_lab.landscape import CHUNK, sqdist
+from landscape_lab.landscape import CHUNK, EnergyLandscape, MemorySet, sqdist
 
 
 def lse_energy_1d(points, beta, x):
@@ -181,22 +185,57 @@ def merge_outcome_enumeration(p_count, q_count, s_count):
     return pure_a, pure_b, mixed
 
 
-class MixedBlocks(dynamics.Blocks):
-    """Blocks of several evaluators, each run of consecutive points whose
-    rows share a block index evaluated by one energy_grad call of that
-    block's evaluator on that slice of the points alone."""
+@dataclass
+class ResampledLandscape(EnergyLandscape):
+    """Energy of a bootstrap multiset: duplicate draws become log-count
+    offsets on the scores, which is exactly the multiset log-sum-exp.
+    drawn holds the distinct memories' indices in the set drawn from, in
+    ascending order, the order of memories. nearest_memory is inherited:
+    a basin's class ignores the draw counts."""
 
-    def energy_grad(self, x, rows):
-        b = self.block[rows]
-        edges = np.flatnonzero(np.diff(b, prepend=-1, append=-1))
+    log_counts: np.ndarray = field(default=None)
+    drawn: np.ndarray = field(default=None)
+
+    def _scores(self, x, by_memory=False):
+        s = super()._scores(x, by_memory)
+        s += self.log_counts[:, None] if by_memory else self.log_counts
+        return s
+
+
+def round_landscape(landscape, log_counts):
+    """The ResampledLandscape of one bootstrap round, from its (n,) row of
+    log-counts on landscape's memories (-inf where not drawn)."""
+    drawn = np.flatnonzero(np.isfinite(log_counts))
+    mem = landscape.memories
+    sub = MemorySet(mem.points[drawn], tuple(mem.labels[i] for i in drawn))
+    return ResampledLandscape(sub, landscape.beta, log_counts=log_counts[drawn], drawn=drawn)
+
+
+class KeyedEvaluators:
+    """A keyed evaluator over several evaluators: energy_grad(x, keys)
+    evaluates each run of consecutive points with equal keys by one
+    energy_grad call of evaluators[key] on that slice of the points alone.
+    memories are those of the evaluator with the most, which a score pass
+    of one call spans."""
+
+    def __init__(self, evaluators):
+        self.evaluators = tuple(evaluators)
+        self.dim = self.evaluators[0].dim
+
+    @property
+    def memories(self):
+        return max((t.memories for t in self.evaluators), key=lambda ms: ms.n)
+
+    def energy_grad(self, x, keys):
+        edges = np.flatnonzero(np.diff(keys, prepend=-1, append=-1))
         e = np.empty(x.shape[0])
         g = np.empty_like(x)
         for lo, hi in zip(edges[:-1], edges[1:]):
-            e[lo:hi], g[lo:hi] = self.evaluators[b[lo]].energy_grad(x[lo:hi])
+            e[lo:hi], g[lo:hi] = self.evaluators[keys[lo]].energy_grad(x[lo:hi])
         return e, g
 
 
-def flow_batch_reference(target, starts, config, *, record=False, stop=None):
+def flow_batch_reference(target, starts, config, *, keys=None, record=False, stop=None):
     """The flow loop over full-batch state that flow_batch replaced: each
     iteration finds the active rows again (idx, rows, sub[ok], good) and
     fills an xt/et/gt scratch trio for the accepted trials. Same arguments
@@ -206,14 +245,18 @@ def flow_batch_reference(target, starts, config, *, record=False, stop=None):
     if x.ndim == 1:
         x = x[None, :]
     m = x.shape[0]
-    blocks = dynamics.Blocks.of(target, m)
-    if x.shape[1] != blocks.dim:
+    if x.shape[1] != target.dim:
         raise InputError(
-            f"start dimension {x.shape[1]} != energy dimension {blocks.dim}")
-    if blocks.block.shape != (m,):
-        raise InputError(f"{blocks.block.shape[0]} block indices for {m} starts")
+            f"start dimension {x.shape[1]} != energy dimension {target.dim}")
+    keys = None if keys is None else np.asarray(keys)
+    if keys is not None and keys.shape != (m,):
+        raise InputError(f"keys of shape {keys.shape} for {m} starts")
 
-    e, g = blocks.energy_grad(x, np.arange(m))
+    def energy_grad(x, rows):
+        e, g = target.energy_grad(x) if keys is None else target.energy_grad(x, keys[rows])
+        return np.asarray(e, dtype=np.float64).reshape(-1), g
+
+    e, g = energy_grad(x, np.arange(m))
     steps = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
     failed = ~np.isfinite(e)
@@ -256,7 +299,7 @@ def flow_batch_reference(target, starts, config, *, record=False, stop=None):
         for _ in range(60):
             todo = ~accepted
             trial = xa[todo] - scale[todo, None] * gm[todo]
-            etrial, gtrial = blocks.energy_grad(trial, rows[todo])
+            etrial, gtrial = energy_grad(trial, rows[todo])
             ok = np.isfinite(etrial) & (etrial <= ea[todo])
             sub = np.flatnonzero(todo)
             xt[sub[ok]] = trial[ok]

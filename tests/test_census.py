@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -370,7 +371,7 @@ def test_biasvar_fails_before_running_every_round(monkeypatch):
     real = dynamics.flow_batch
 
     def counting(target, starts, *args, **kwargs):
-        level = target.evaluators[0].level
+        level = hierarchy.decoders.index(target.decoder)
         flowed[level] = flowed.get(level, 0) + starts.shape[0]
         return real(target, starts, *args, **kwargs)
 
@@ -500,23 +501,32 @@ def test_failing_census_message_does_not_depend_on_the_flow_schedule(monkeypatch
 # The bootstrap rounds' one-pass evaluator
 # ---------------------------------------------------------------------------
 
+def bootstrap_log_counts(ms, rounds, seed, stratified=True):
+    """The (rounds, n) log-count rows bias_variance_probes draws."""
+    return np.array([census._bootstrap_log_counts(ms, derive_rng(seed, "bootstrap", b),
+                                                  stratified)
+                     for b in range(rounds)])
+
+
 def round_blocks(dim, class_counts, decoder, level, rounds, seed=0):
     """A level's bootstrap rounds, as bias_variance_probes flows them: the
-    one-pass _RoundBlocks and the MixedBlocks of the same per-round
-    LevelEnergy evaluators, plus the stacked probes with three NaN rows."""
+    one-pass _Rounds and the KeyedEvaluators of the same rounds' own
+    LevelEnergy evaluators, each row's round, the stacked probes with three
+    NaN rows, and the rounds' subset sizes."""
     ms = gaussian_blobs(dim=dim, class_counts=class_counts, spread=0.3, seed=seed,
                         center_scale=0.5)
     ls = EnergyLandscape(ms, 12.0)
     hierarchy = decoder([0.9, 0.81], dim=dim)
-    lvls = [hierarchy.level_energy(census._bootstrap_landscape(
-                ls, derive_rng(seed, "bootstrap", b), True), level)
-            for b in range(rounds)]
+    log_counts = bootstrap_log_counts(ms, rounds, seed)
+    lvls = [hierarchy.level_energy(oracles.round_landscape(ls, row), level)
+            for row in log_counts]
     block = np.repeat(np.arange(rounds), ms.n)
     probes = ms.points + 0.4 * np.random.default_rng(seed).standard_normal(ms.points.shape)
     starts = np.tile(np.asarray(hierarchy.decoders[level].encode(probes)), (rounds, 1))
     starts[[0, starts.shape[0] // 2, -1]] = np.nan
-    sizes = {lvl.base.drawn.size for lvl in lvls}
-    return census._RoundBlocks(lvls, block, ls), oracles.MixedBlocks(lvls, block), starts, sizes
+    sizes = set(np.isfinite(log_counts).sum(axis=1).tolist())
+    return (census._Rounds(ls, hierarchy.decoders[level], log_counts),
+            oracles.KeyedEvaluators(lvls), block, starts, sizes)
 
 
 ROUND_CASES = {
@@ -535,10 +545,10 @@ ROUND_CASES = {
 @pytest.mark.parametrize("name", ROUND_CASES)
 def test_round_blocks_give_each_row_its_rounds_bits(name):
     # every flow output of the one-pass evaluator equals, bit for bit, that
-    # of MixedBlocks, which calls each row's own round's evaluator
+    # of KeyedEvaluators, which calls each row's own round's evaluator
     dim, class_counts, decoder, level, rounds = ROUND_CASES[name]
-    one_pass, per_round, starts, sizes = round_blocks(dim, class_counts, decoder, level,
-                                                      rounds)
+    one_pass, per_round, block, starts, sizes = round_blocks(dim, class_counts, decoder,
+                                                             level, rounds)
     if "small" in name:
         assert max(sizes) < 8
     if "large" in name:
@@ -550,8 +560,9 @@ def test_round_blocks_give_each_row_its_rounds_bits(name):
         assert starts.shape[0] > CHUNK and CHUNK % sum(class_counts)
     cfg = FlowConfig(step_size=1.0, grad_tol=1e-5, max_steps=150)
     for workers in (1, 2):
-        out, ok = dynamics.flow_chunked(one_pass, starts, cfg, workers)
-        expected, expected_ok = dynamics.flow_chunked(per_round, starts, cfg, workers)
+        out, ok = dynamics.flow_chunked(one_pass, starts, cfg, workers, keys=block)
+        expected, expected_ok = dynamics.flow_chunked(per_round, starts, cfg, workers,
+                                                      keys=block)
         assert ok.any() and out["failed"].sum() == 3
         assert np.array_equal(ok, expected_ok)
         for key in expected:
@@ -573,21 +584,16 @@ def test_multiset_energy_grad_equals_each_rows_own_landscape(n, dim, rows):
     # drew a single memory and for a NaN row too
     ms = gaussian_blobs(dim=dim, class_counts=[n], spread=0.3, seed=n, center_scale=0.5)
     ls = EnergyLandscape(ms, 12.0)
-    rounds = [census._bootstrap_landscape(ls, derive_rng(2, "bootstrap", b), False)
-              for b in range(5)]
-    j = n // 2
-    rounds.append(census._ResampledLandscape(
-        MemorySet(ms.points[[j]], ms.labels[j:j + 1]), 12.0,
-        log_counts=np.log([float(n)]), drawn=np.array([j])))
+    rows_of = np.full((6, n), -np.inf)
+    rows_of[:5] = bootstrap_log_counts(ms, 5, 2, stratified=False)
+    rows_of[5, n // 2] = np.log(float(n))
+    rounds = [oracles.round_landscape(ls, row) for row in rows_of]
     if n > 2:
         assert len({r.drawn.size for r in rounds}) > 2
     x = ms.centroid + np.random.default_rng(3).standard_normal((rows, dim))
     x[rows // 2] = np.nan
     which = np.arange(rows) % len(rounds)
-    log_counts = np.full((rows, ms.n), -np.inf)
-    for row, b in enumerate(which):
-        log_counts[row, rounds[b].drawn] = rounds[b].log_counts
-    e, g = ls.multiset_energy_grad(x, log_counts)
+    e, g = ls.multiset_energy_grad(x, rows_of[which])
     for b, r in enumerate(rounds):
         own_e, own_g = r.energy_grad(x[which == b])
         assert np.array_equal(e[which == b], own_e, equal_nan=True)
@@ -601,11 +607,9 @@ def test_one_pass_classification_equals_each_rounds_nearest_memory():
     ms = gaussian_blobs(dim=2, class_counts=[6, 4], spread=0.3, seed=5, center_scale=0.5)
     ls = EnergyLandscape(ms, 12.0)
     hierarchy = tanh_hierarchy([0.9], dim=2)
-    rounds = [census._bootstrap_landscape(ls, derive_rng(5, "bootstrap", b), True)
-              for b in range(12)]
-    undrawn = np.ones((len(rounds), ms.n), dtype=bool)
-    for b, r in enumerate(rounds):
-        undrawn[b, r.drawn] = False
+    log_counts = bootstrap_log_counts(ms, 12, 5)
+    rounds = [oracles.round_landscape(ls, row) for row in log_counts]
+    undrawn = np.isinf(log_counts)
     z = np.random.default_rng(6).standard_normal((CHUNK + 50, 2))
     which = np.arange(z.shape[0]) % len(rounds)
     for a in (0, 1):
@@ -637,12 +641,12 @@ def test_bootstrap_flows_take_one_score_pass_per_evaluation(monkeypatch):
 
         monkeypatch.setattr(landscape, name, counted)
     per_call = []
-    real_energy_grad = census._RoundBlocks.energy_grad
+    real_energy_grad = census._Rounds.energy_grad
 
-    def logged(blocks, z, rows):
+    def logged(evaluator, z, rounds):
         before = dict(calls)
-        out = real_energy_grad(blocks, z, rows)
-        sizes = {blocks.evaluators[b].base.drawn.size for b in blocks.block[rows]}
+        out = real_energy_grad(evaluator, z, rounds)
+        sizes = set(np.isfinite(evaluator.log_counts[rounds]).sum(axis=1).tolist())
         per_call.append((calls["sqdist"] - before["sqdist"],
                          calls["_softmax"] - before["_softmax"], len(sizes)))
         return out
@@ -650,10 +654,28 @@ def test_bootstrap_flows_take_one_score_pass_per_evaluation(monkeypatch):
     def per_round(*args):
         raise AssertionError("a per-round evaluator was called")
 
-    monkeypatch.setattr(census._RoundBlocks, "energy_grad", logged)
+    monkeypatch.setattr(census._Rounds, "energy_grad", logged)
     monkeypatch.setattr(LevelEnergy, "energy_grad", per_round)
     bias_variance_probes(ls, diagonal_hierarchy([0.9], dim=2), seed=0, bootstrap_rounds=20)
     assert len(per_call) > 20
     assert any(distinct > 1 for _, _, distinct in per_call)
     for sqdist_calls, softmax_calls, distinct in per_call:
         assert sqdist_calls == 1 and softmax_calls == distinct
+
+
+def test_biasvar_builds_no_per_round_landscape(monkeypatch):
+    # each round is a row of log-counts, so once called, a 20-round,
+    # 2-level run constructs no MemorySet, EnergyLandscape or LevelEnergy
+    ls = EnergyLandscape(gaussian_blobs(dim=2, class_counts=[6, 4], spread=0.3, seed=1,
+                                        center_scale=0.5), 12.0)
+    hierarchy = diagonal_hierarchy([0.9], dim=2)
+    built = Counter()
+    for cls in (MemorySet, EnergyLandscape, LevelEnergy):
+        def counting(self, *args, _cls=cls, _real=cls.__init__, **kwargs):
+            built[_cls.__name__] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    results = bias_variance_probes(ls, hierarchy, seed=0, bootstrap_rounds=20)
+    assert [r["level"] for r in results] == [0, 1]
+    assert not built, built

@@ -651,6 +651,23 @@ def test_memories_csv_input(tmp_path):
     assert {r["class"] for r in rows} == {"L", "R"}
 
 
+@pytest.mark.parametrize("labels", ["a,1,1", "a,nan,nan", "nan,nan,1"])
+@pytest.mark.parametrize("experiment", ["census", "biasvar", "knn"])
+def test_unorderable_or_nan_labels_exit_2(tmp_path, capsys, experiment, labels):
+    # mixed text and numbers cannot be sorted into classes, and a NaN
+    # label matches no memory: rejected as input, not a traceback
+    mem_path = tmp_path / "mem.csv"
+    mem_path.write_text("x_0,label\n" + "".join(
+        f"{x},{y}\n" for x, y in zip((-1.0, 0.0, 1.0), labels.split(","))),
+        encoding="utf-8")
+    cfg = write_cfg(tmp_path, "c.json", {"memories_csv": str(mem_path)})
+    out = tmp_path / "out"
+    assert main([experiment, "--config", cfg, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: labels must be mutually orderable and not NaN, got ")
+    assert not list(out.glob("*.csv"))
+
+
 def test_numerical_failure_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, "c.json",
                     {"n_queries": 200, "grad_tol": 1e-14, "max_steps": 1})

@@ -23,7 +23,6 @@ from landscape_lab.landscape import (
     weighted_sum,
 )
 from landscape_lab.abstraction import diagonal_hierarchy, tanh_hierarchy
-from landscape_lab.census import _ResampledLandscape
 
 
 def two_memory_1d(beta):
@@ -44,6 +43,20 @@ def test_memoryset_validation():
     ms = MemorySet(np.array([[0.0, 1.0], [1.0, 0.0]]), ("a", "b"))
     assert ms.n == 2 and ms.dim == 2
     assert not ms.points.flags.writeable
+
+
+@pytest.mark.parametrize("labels, named", [
+    (("a", 1, 1), "'a', 1"),
+    (("a", math.nan, math.nan), "'a', nan"),
+    ((math.nan, math.nan, 1), "1, nan"),
+    ((np.float64(2.0), np.float64(math.nan), 1), "1, np.float64(2.0), np.float64(nan)"),
+], ids=["text-and-int", "text-and-nan", "nan-and-int", "numpy-nan"])
+def test_memoryset_rejects_unorderable_and_nan_labels(labels, named):
+    # classes() sorts the labels, and a NaN label equals no label, its own
+    # neither; the message names the distinct labels
+    with pytest.raises(InputError) as err:
+        MemorySet(np.array([[-1.0], [0.0], [1.0]]), labels)
+    assert str(err.value) == f"labels must be mutually orderable and not NaN, got {named}"
 
 
 def test_memoryset_stats():
@@ -428,12 +441,12 @@ def test_sqdist_scopes_the_small_buffer_to_its_squares(monkeypatch, workers):
 
 
 def score_targets(n, dim, seed):
-    """An EnergyLandscape, a _ResampledLandscape and a tanh LevelEnergy on
+    """An EnergyLandscape, a ResampledLandscape and a tanh LevelEnergy on
     n memories in dim coordinates."""
     rng = np.random.default_rng(seed)
     ls = EnergyLandscape(MemorySet(rng.standard_normal((n, dim)), tuple(range(n))), 4.0)
-    resampled = _ResampledLandscape(ls.memories, 30.0,
-                                    log_counts=np.log(rng.integers(1, 4, n)))
+    resampled = oracles.ResampledLandscape(ls.memories, 30.0,
+                                           log_counts=np.log(rng.integers(1, 4, n)))
     return ls, resampled, tanh_hierarchy([0.8], dim).level_energy(ls, 1)
 
 
@@ -531,7 +544,7 @@ def test_energy_grad_equals_energy_and_reference_grad(dim):
     # _scores override
     ls, x = rechunking_case(dim)
     log_counts = np.log(np.random.default_rng(dim).integers(1, 4, ls.memories.n))
-    resampled = _ResampledLandscape(ls.memories, ls.beta, log_counts=log_counts)
+    resampled = oracles.ResampledLandscape(ls.memories, ls.beta, log_counts=log_counts)
     for target in (ls, resampled):
         for pts in (x[:300], x[5]):
             e, g = target.energy_grad(pts)
