@@ -262,7 +262,6 @@ def run_census(landscape: EnergyLandscape,
     classes = mem.classes()
     p_data = mem.class_proportions()
     c_maj = argmax_class(p_data)
-    labels = np.array([classes.index(y) for y in mem.labels])
 
     unit = derive_rng(config.seed, "census-queries").standard_normal(
         (config.n_queries, mem.dim))
@@ -284,7 +283,7 @@ def run_census(landscape: EnergyLandscape,
         terminals = out["terminals"][ok]
 
         t_class = time.perf_counter()
-        basin_class = labels[_nearest_in_blocks(lvl, terminals, workers)]
+        basin_class = mem.class_index[_nearest_in_blocks(lvl, terminals, workers)]
         m_ok = terminals.shape[0]
         p_gen = {c: float((basin_class == i).sum()) / m_ok
                  for i, c in enumerate(classes)}
@@ -320,11 +319,10 @@ def _bootstrap_log_counts(mem: MemorySet, rng: np.random.Generator,
     """One bootstrap round as an (n,) row: log(count) on each memory drawn,
     -inf on the others. Its multiset's log-sum-exp is the full set's with
     the row added to the scores (Efron & Tibshirani 1993)."""
-    labels = np.array(mem.labels, dtype=object)
     if stratified:
         chosen = []
-        for c in mem.classes():
-            idx = np.flatnonzero(labels == c)
+        for j in range(len(mem.classes())):
+            idx = np.flatnonzero(mem.class_index == j)
             chosen.append(idx[rng.integers(0, idx.shape[0], size=idx.shape[0])])
         chosen = np.concatenate(chosen)
     else:
@@ -403,14 +401,12 @@ def bias_variance_probes(landscape: EnergyLandscape,
     flow_config = flow_config or default_flow_config()
     mem = landscape.memories
     classes = mem.classes()
-    n_classes = len(classes)
-    true_idx = np.array([classes.index(y) for y in mem.labels])
 
     noise = derive_rng(seed, "probe-noise").standard_normal((mem.n, mem.dim))
     probes = mem.points + probe_sigma * noise
 
     # counts[level][probe, class] accumulated over rounds
-    counts = {a: np.zeros((mem.n, n_classes)) for a in levels}
+    counts = {a: np.zeros((mem.n, len(classes))) for a in levels}
     valid = {a: np.zeros(mem.n) for a in levels}
     log_counts = np.array([_bootstrap_log_counts(mem, derive_rng(seed, "bootstrap", b),
                                                  stratified)
@@ -439,7 +435,7 @@ def bias_variance_probes(landscape: EnergyLandscape,
         nearest = _nearest_drawn(mem.points, undrawn, block[hit],
                                  decoder.decode(out["terminals"][hit]))
         probe = hit % mem.n
-        np.add.at(counts[a], (probe, true_idx[nearest]), 1.0)
+        np.add.at(counts[a], (probe, mem.class_index[nearest]), 1.0)
         valid[a] += np.bincount(probe, minlength=mem.n)
         if phases is not None:
             phases.append({"level": int(a), "flow": t_class - t_flow,
@@ -451,7 +447,7 @@ def bias_variance_probes(landscape: EnergyLandscape,
             raise CensusFailureError(f"level {a}: a probe has no valid rounds")
         p = counts[a] / valid[a][:, None]
         onehot = np.zeros_like(p)
-        onehot[np.arange(mem.n), true_idx] = 1.0
+        onehot[np.arange(mem.n), mem.class_index] = 1.0
         bias_vec = (p - onehot).mean(axis=0)
         variance = float((1.0 - (p ** 2).sum(axis=1)).mean())
         results.append({

@@ -313,9 +313,6 @@ def _experiment_smoothness(cfg: RunConfig, records: dict) -> dict:
 
 def _experiment_knn(cfg: RunConfig, records: dict) -> dict:
     mem = _build_memories(cfg.params, cfg.seed)
-    if mem.labels_numeric():
-        # this table compares class outcomes, so labels act as identifiers
-        mem = MemorySet(mem.points, tuple(str(y) for y in mem.labels))
     sigma = cfg.params.get("query_sigma")
     if sigma is None:
         sigma = default_query_sigma(mem)
@@ -333,8 +330,9 @@ def _experiment_knn(cfg: RunConfig, records: dict) -> dict:
     flow_cfg = _flow_config(cfg.params)
     taus = [float(tau) for tau in cfg.params["taus"]]
     landscapes = [tau_landscape(mem, tau) for tau in taus]
-    labels = np.array(mem.labels, dtype=object)
+    # each memory's class, as the census reads it, for every label type
     classes = np.array(mem.classes(), dtype=object)
+    memory_class = classes[mem.class_index]
     # each column a window at a time: hard 1-NN (window,) blocks, the others
     # (taus, window) blocks, which the table reads query-major
     hard, k_eq, soft, basin = [], [], [], []
@@ -350,7 +348,7 @@ def _experiment_knn(cfg: RunConfig, records: dict) -> dict:
         batch = queries[lo:lo + window]
         # the hard 1-NN is the nearest memory, ties to the lower index, as
         # a stable sort of the distances gives it; beta plays no part
-        hard.append(labels[landscapes[0].nearest_memory(batch)])
+        hard.append(memory_class[landscapes[0].nearest_memory(batch)])
         flows = []
         for landscape in landscapes:
             t_flow = time.perf_counter()
@@ -372,7 +370,7 @@ def _experiment_knn(cfg: RunConfig, records: dict) -> dict:
         # argmax_class breaks them
         soft.append([classes[_aggregate(mem, landscape.weights(batch)).argmax(axis=1)]
                      for landscape in landscapes])
-        basin.append([labels[landscape.nearest_memory(out["terminals"])]
+        basin.append([memory_class[landscape.nearest_memory(out["terminals"])]
                       for landscape, out in zip(landscapes, flows)])
     k_eq, soft, basin = (np.concatenate(blocks, axis=1).T.ravel()
                          for blocks in (k_eq, soft, basin))

@@ -7,8 +7,10 @@ read from that landscape itself: tau_landscape builds it, so the
 correspondence between temperature-weighted attention and basin attendance
 is an identity here, to the bit, rather than an analogy.
 
-Numeric labels give numeric predictions (weighted means); categorical
-labels are one-hot encoded and predictions are class distributions.
+Numeric labels give the public predictors a weighted mean, other labels a
+class distribution over MemorySet.classes(). The knn experiment reads the
+class distribution for every label type, so its class columns hold classes()
+entries: labels equal in Python (1, 1.0) name one class, sorted by value.
 
 The predictions, their argmax class and exp(entropy) are computed row-wise
 over (rows, n) weights, so that the knn experiment takes each column for a
@@ -87,25 +89,20 @@ def tau_landscape(memories: MemorySet, tau: float) -> EnergyLandscape:
 
 
 def _aggregate(memories: MemorySet, weights: np.ndarray) -> np.ndarray:
-    """Weighted label mean (numeric), (rows,), or class distribution over
-    memories.classes() (categorical), (rows, classes), of each row of
-    weights (rows, n); a class adds its memories' weights in memory order."""
-    if memories.labels_numeric():
-        y = np.array([float(v) for v in memories.labels])
-        return (weights * y).sum(axis=1)
-    column = {c: j for j, c in enumerate(memories.classes())}
-    dist = np.zeros((weights.shape[0], len(column)))
-    for i, label in enumerate(memories.labels):
-        dist[:, column[label]] += weights[:, i]
+    """Class distribution over memories.classes(), (rows, classes), of each
+    row of weights (rows, n): a class adds its memories' weights, found by
+    memories.class_index, in memory order from 0.0."""
+    dist = np.zeros((weights.shape[0], len(memories.classes())))
+    for i, j in enumerate(memories.class_index.tolist()):
+        dist[:, j] += weights[:, i]
     return dist
 
 
 def _predict_one(memories: MemorySet, w: np.ndarray):
-    """_aggregate of one weight vector: a float or a {class: p} dict."""
-    pred = _aggregate(memories, w[None])[0]
+    """One weight vector's label mean (numeric labels) or {class: p} dict."""
     if memories.labels_numeric():
-        return float(pred)
-    return dict(zip(memories.classes(), map(float, pred)))
+        return float((w * np.array([float(v) for v in memories.labels])).sum())
+    return dict(zip(memories.classes(), map(float, _aggregate(memories, w[None])[0])))
 
 
 def argmax_class(prediction: dict):

@@ -393,7 +393,9 @@ class MemorySet:
     points is (n, dim) float64 and is made read-only at construction;
     duplicate rows are rejected so per-class counts stay well defined, and
     so are labels that classes() cannot sort or that are NaN, which equals
-    no label.
+    no label. Labels equal in Python (1 and 1.0) name one class, the first
+    seen: classes() is sorted(set(labels)), and the read-only (n,) integer
+    class_index holds each memory's position in it, for every table to read.
     """
 
     points: np.ndarray
@@ -415,15 +417,21 @@ class MemorySet:
             raise InputError("duplicate memory points are not allowed")
         distinct = set(labels)
         try:
-            bad = any(y != y for y in sorted(distinct))
+            classes = sorted(distinct)
+            bad = any(y != y for y in classes)
         except TypeError:
             bad = True
         if bad:
             raise InputError("labels must be mutually orderable and not NaN, got "
                              + ", ".join(sorted(set(map(repr, distinct)))))
+        position = {c: j for j, c in enumerate(classes)}
+        index = np.array([position[y] for y in labels], dtype=np.intp)
         pts.setflags(write=False)
+        index.setflags(write=False)
         self.points = pts
         self.labels = labels
+        self._classes = tuple(classes)
+        self.class_index = index
 
     @property
     def n(self) -> int:
@@ -452,11 +460,11 @@ class MemorySet:
                              for lo, hi in pair_tiles(self.n)))
 
     def classes(self) -> list:
-        return sorted(set(self.labels))
+        return list(self._classes)
 
     def class_proportions(self) -> dict:
-        n = self.n
-        return {c: sum(1 for y in self.labels if y == c) / n for c in self.classes()}
+        shares = np.bincount(self.class_index) / self.n
+        return dict(zip(self._classes, shares.tolist()))
 
     def labels_numeric(self) -> bool:
         return all(_is_numeric_label(y) for y in self.labels)

@@ -529,6 +529,50 @@ def test_knn_table_matches_per_row_predictions(tmp_path):
                 for r in rows] == expected
 
 
+def _labelled_csv(path, xs, labels):
+    path.write_text("x_0,label\n" + "".join(f"{x},{y}\n" for x, y in zip(xs, labels)),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_census_biasvar_and_knn_name_one_class_set(tmp_path, workers):
+    # 1 and 1.0 are equal labels, so they name one class in every table,
+    # written as its first label; knn's class columns hold only classes
+    memories = _labelled_csv(tmp_path / "m.csv", (-2.0, -1.5, -1.0, 1.0, 1.5, 2.0),
+                             ("1", "1.0", "1", "2", "2", "1.0"))
+    runs = {"census": ({"n_queries": 300, "depth": 2}, "census", ["class"]),
+            "biasvar": ({"bootstrap_rounds": 10, "depth": 2}, "biasvar", ["class"]),
+            "knn": ({"n_queries": 300, "taus": [0.1, 2.0]}, "knn",
+                    ["soft_argmax_class", "hard_1nn_class", "basin_class"])}
+    named = {}
+    for experiment, (params, table, columns) in runs.items():
+        cfg = write_cfg(tmp_path, f"{experiment}.json", {"memories_csv": memories, **params})
+        out = tmp_path / experiment
+        assert main([experiment, "--config", cfg, "--workers", str(workers),
+                     "--out-dir", str(out)]) == 0
+        named[experiment] = {r[c] for r in read_csv(out / f"{table}.csv") for c in columns}
+    assert named == {"census": {"1", "2"}, "biasvar": {"1", "2"}, "knn": {"1", "2"}}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_knn_numeric_classes_sort_by_value(tmp_path, fmt):
+    # every query sits at the midpoint of the memories labelled 10 and 2:
+    # the soft weights tie, and the soft argmax takes the first class in
+    # numeric order, 2; the hard and basin classes take the lower memory
+    # index, 10. JSON writes the classes as numbers
+    memories = _labelled_csv(tmp_path / "m.csv", (-1.0, 1.0), ("10", "2"))
+    cfg = write_cfg(tmp_path, "k.json", {"memories_csv": memories, "query_sigma": 0.0,
+                                         "taus": [0.5], "n_queries": 2})
+    assert main(["knn", "--config", cfg, "--format", fmt,
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    path = tmp_path / "out" / f"knn.{fmt}"
+    rows = read_csv(path) if fmt == "csv" else json.loads(path.read_text(encoding="utf-8"))
+    two, ten = ("2", "10") if fmt == "csv" else (2, 10)
+    assert [(r["soft_argmax_class"], r["hard_1nn_class"], r["basin_class"])
+            for r in rows] == [(two, ten, ten)] * 2
+
+
 @pytest.mark.parametrize("tau", [0.0, -1.0])
 def test_knn_nonpositive_tau_exits_2(tmp_path, capsys, tau):
     cfg = write_cfg(tmp_path, "k.json", {"taus": [0.5, tau], "n_queries": 3})

@@ -59,6 +59,26 @@ def test_memoryset_rejects_unorderable_and_nan_labels(labels, named):
     assert str(err.value) == f"labels must be mutually orderable and not NaN, got {named}"
 
 
+@pytest.mark.parametrize("labels, classes", [
+    (("b", "a", "c", "a", "b", "a", "c"), ["a", "b", "c"]),
+    ((10, 2, 2, 10, 7, 2, 10), [2, 7, 10]),
+    ((0.5, -1.5, 0.5, 2.25, -1.5, 0.5, 0.5), [-1.5, 0.5, 2.25]),
+    # 1 == 1.0 names one class, written as the first label seen
+    ((1.0, 2, 1, 1.0, 2, 1, 1), [1.0, 2]),
+], ids=["text", "int", "float", "mixed-1-and-1.0"])
+def test_memoryset_class_index(labels, classes):
+    ms = MemorySet(np.arange(len(labels), dtype=float)[:, None], labels)
+    assert ms.classes() == classes
+    assert [type(c) for c in ms.classes()] == [type(c) for c in classes]
+    assert ms.class_index.tolist() == [classes.index(y) for y in labels]
+    assert not ms.class_index.flags.writeable
+    # the shares bit for bit as a per-class count loop gives them
+    counts = {c: sum(1 for y in labels if y == c) / len(labels) for c in classes}
+    shares = ms.class_proportions()
+    assert list(shares) == classes and shares == counts
+    assert all(type(p) is float for p in shares.values())
+
+
 def test_memoryset_stats():
     ms = MemorySet(np.array([[-1.0], [1.0], [3.0]]), ("a", "a", "b"))
     assert np.allclose(ms.centroid, [1.0])

@@ -119,6 +119,31 @@ def test_only_the_softmax_helper_calls_exp():
     assert offenders == []
 
 
+def _is_labels_read(node: ast.AST) -> bool:
+    """True for a load of an attribute named labels."""
+    return (isinstance(node, ast.Attribute) and node.attr == "labels"
+            and isinstance(node.ctx, ast.Load))
+
+
+def test_scan_detects_labels_reads():
+    # a planted private class map, beside a store and a bare name
+    tree = ast.parse("def f(mem):\n    column = {c: j for j, c in enumerate(mem.classes())}\n"
+                     "    return [column[y] for y in mem.labels]\n"
+                     "def g(mem, y, labels):\n    mem.labels = y\n    return labels\n")
+    assert _sites(tree, _is_labels_read) == [("f", 3)]
+
+
+def test_only_the_numeric_mean_reads_labels_outside_landscape():
+    # MemorySet decides once which labels name a class: every other module
+    # reads classes() and class_index, and only knn's weighted label mean
+    # reads the labels themselves
+    allowed = {("knn.py", "_predict_one")}
+    offenders = [f"{name}:{line} in {func}"
+                 for name, func, line in _package_sites(_is_labels_read)
+                 if name != "landscape.py" and (name, func) not in allowed]
+    assert offenders == []
+
+
 def _imported_names(tree: ast.AST) -> list[tuple[str, int]]:
     """(bound name, line) of every import but __future__'s; `import a.b`
     binds a."""
