@@ -1,9 +1,13 @@
 """Gradient-flow retrieval, basin assignment, and multistart minima search.
 
 Flows integrate x' = -grad E(x) with explicit Euler steps of length
-step_size and energy backtracking: a step that would raise the energy has
-its length halved until it does not, so accepted trajectories are
-non-increasing in energy by construction.
+step_size and energy backtracking: a step that would raise the energy
+takes the longest of its halved lengths, step_size 2^-k for k = 1..59,
+that does not, so accepted trajectories are non-increasing in energy by
+construction. The rejected rows try those lengths in rounds, each round
+the next few lengths of every such row in one evaluation: twice as many
+as the round before, up to _ROUND_ROWS rows a round. A row's first
+length that descends is the one a halving at a time would accept.
 
 flow_batch advances many starts at once, in one loop over a compacted
 active set: the active rows' state sits in contiguous arrays, and a row
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -48,6 +53,12 @@ from landscape_lab.landscape import flow_bounds, sqdist
 logger = logging.getLogger(__name__)
 
 _MAX_HALVINGS = 60
+# a round of halvings evaluates at most this many rows, or one length of
+# each rejected row where those are more.
+# Against 8-10 memories in 1-2 coordinates a 32-row energy_grad call costs
+# 1.3-1.6x a 1-row call (64 rows 1.7-2.0x; BENCH_minima_rounds.json,
+# round_cap), so a round of up to 32 rows costs less than the call it saves.
+_ROUND_ROWS = 32
 
 CONVERGED = 0   # flow_batch's reason codes: |grad| fell below grad_tol
 NONFINITE = 1   # a non-finite energy or gradient (the row failed)
@@ -66,8 +77,11 @@ class FlowConfig:
 
     def __post_init__(self):
         for name in ("step_size", "grad_tol"):
-            if not (getattr(self, name) > 0):
-                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise InputError(f"{name} must be positive and finite, got {value}")
+        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral):
+            raise InputError(f"max_steps must be an integer, got {self.max_steps!r}")
         if self.max_steps < 1:
             raise InputError(f"max_steps must be >= 1, got {self.max_steps}")
 
@@ -131,9 +145,13 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
 
     target is an evaluator: an EnergyLandscape or a LevelEnergy, or any
     object with dim and a batch energy_grad. Each evaluation of a set of
-    rows (the starts, each iteration's trials, each halving's retries) is
+    rows (the starts, each iteration's trials, each round of halvings) is
     one target.energy_grad(x) call on those rows, or, given keys (one
     value per start, else InputError), target.energy_grad(x, keys[rows]).
+    A round of halvings evaluates span lengths of each rejected row, the
+    row repeated span times with its keys; span doubles from 1 each
+    round, but is cut to _ROUND_ROWS // rows, and at least 1, so a round
+    where many rows halve evaluates one length of each.
     Returns arrays: terminals (m, d), steps (m,), converged (m,), failed
     (m,), fail_step (m,) and reason (m,), each row's int8 reason code.
     Rows that hit non-finite values are marked failed and frozen rather
@@ -176,6 +194,8 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
     xa, ea, ga = x[act], e[act], g[act]
     n = 0
     coordinate_rows = _coordinate_rows(x.shape[1])
+    # step_size halved 1 .. _MAX_HALVINGS - 1 times, one halving at a time
+    lengths = np.cumprod(np.r_[config.step_size, np.full(_MAX_HALVINGS - 1, 0.5)])[1:]
 
     snapshots = [x.copy()] if record else None
 
@@ -195,20 +215,31 @@ def flow_batch(target, starts: np.ndarray, config: FlowConfig, *,
             if not act.size:
                 break
 
-        h = config.step_size
-        trial = xa - h * ga
+        trial = xa - config.step_size * ga
         et, gt = energy_grad(trial, act)
         todo = np.flatnonzero(~(np.isfinite(et) & (et <= ea)))
-        for _ in range(_MAX_HALVINGS - 1):
-            if not todo.size:
-                break
-            h *= 0.5
-            xh = xa[todo] - h * ga[todo]
-            eh, gh = energy_grad(xh, act[todo])
-            hit = np.isfinite(eh) & (eh <= ea[todo])
-            rows = todo[hit]
-            trial[rows], et[rows], gt[rows] = xh[hit], eh[hit], gh[hit]
+        k, span = 0, 1
+        while todo.size and k < lengths.size:
+            # this round's lengths, lengths[k:k + span], for every row of
+            # todo: each takes its first hit, the longest length that
+            # descends, and the rows with none go on to the next round
+            span = min(span, lengths.size - k, max(1, _ROUND_ROWS // todo.size))
+            if span == 1:   # skips the candidates' bookkeeping, ~15 us a round
+                xh = xa[todo] - lengths[k] * ga[todo]
+                eh, gh = energy_grad(xh, act[todo])
+                hit = np.isfinite(eh) & (eh <= ea[todo])
+                rows, first = todo[hit], hit
+            else:
+                cand = np.repeat(todo, span)
+                xh = xa[cand] - np.tile(lengths[k:k + span], todo.size)[:, None] * ga[cand]
+                eh, gh = energy_grad(xh, act[cand])
+                grid = (np.isfinite(eh) & (eh <= ea[cand])).reshape(todo.size, span)
+                hit = grid.any(axis=1)
+                rows = todo[hit]
+                first = np.flatnonzero(hit) * span + grid[hit].argmax(axis=1)
+            trial[rows], et[rows], gt[rows] = xh[first], eh[first], gh[first]
             todo = todo[~hit]
+            k, span = k + span, 2 * span
 
         # rows at float resolution end here, not converged: those that
         # cannot descend at any step length (still in todo), and those
@@ -344,7 +375,9 @@ def find_minima(target, starts: Sequence[np.ndarray], config: FlowConfig,
     chunk at a time so memory is bounded by the chunk.
 
     Converged terminals are ordered by energy (coordinates break ties) and
-    greedily merged when within dedup_radius of an already accepted point.
+    greedily merged when within dedup_radius of an already accepted point:
+    the first candidate left is accepted, and one sqdist pass drops every
+    candidate left within dedup_radius of it, until none is left.
     Failed or non-converged starts are skipped and counted in the log; so
     are starts stalled at float resolution, even when their gradient is
     just above grad_tol.
@@ -365,10 +398,10 @@ def find_minima(target, starts: Sequence[np.ndarray], config: FlowConfig,
     energies = np.asarray(target.energy(terminals), dtype=np.float64).reshape(-1)
     order = np.lexsort(tuple(terminals[:, k] for k in range(terminals.shape[1] - 1, -1, -1))
                        + (energies,))
+    rest = terminals[order]
     accepted: list[np.ndarray] = []
-    for i in order:
-        t = terminals[i]
-        if accepted and np.sqrt(sqdist(t, np.array(accepted)).min()) < dedup_radius:
-            continue
+    while rest.shape[0]:
+        t, rest = rest[0], rest[1:]
         accepted.append(t)
+        rest = rest[~(np.sqrt(sqdist(rest, t[None])[:, 0]) < dedup_radius)]
     return accepted

@@ -3,11 +3,13 @@
 Everything here is implemented directly from first principles (plain
 formulas, brute force, enumeration, quadrature) and never calls back into
 the code paths it is used to check. The exceptions are earlier forms of
-census and knn code kept to check the current ones. flow_batch_reference, the
-flow loop, evaluates through its target's energy_grad, with keys the way
+census, dynamics and knn code kept to check the current ones.
+flow_batch_reference, the flow loop, evaluates through its target's energy_grad, with keys the way
 flow_batch passes them, so that both loops' evaluations can be logged and
 compared call by call; KeyedEvaluators, the keyed evaluator that tests
 flow, runs each run of equal keys through that key's own evaluator.
+merged_minima, find_minima's earlier merge, takes its distances from
+landscape.sqdist, so that the one-pass merge must match it bit for bit.
 ResampledLandscape, one bootstrap round's own landscape and the per-round
 reference for census's one-pass rounds, overrides the landscape's scores.
 knn_mean_distances_serial, the privacy reduction, takes its distances from
@@ -235,12 +237,21 @@ class KeyedEvaluators:
         return e, g
 
 
-def flow_batch_reference(target, starts, config, *, keys=None, record=False, stop=None):
+def flow_batch_reference(target, starts, config, *, keys=None, record=False, stop=None,
+                         rounds=True):
     """The flow loop over full-batch state that flow_batch replaced: each
-    iteration finds the active rows again (idx, rows, sub[ok], good) and
-    fills an xt/et/gt scratch trio for the accepted trials. Same arguments
-    and outputs as dynamics.flow_batch; a row still active when stop ends
-    the loop keeps the reason STOPPED."""
+    iteration finds the active rows again (idx, rows, sub, good) and fills
+    an xt/et/gt scratch trio for the accepted trials. Same arguments and
+    outputs as dynamics.flow_batch; a row still active when stop ends the
+    loop keeps the reason STOPPED.
+
+    After a step's first trial, the rejected rows halve it. With rounds,
+    they take their halvings in flow_batch's rounds: each round evaluates
+    the next lengths of every row still rejected in one call, twice as
+    many as the last round, but no more than fit in dynamics._ROUND_ROWS
+    rows and at least one, and each row takes its first length that
+    descends. rounds=False is the schedule flow_batch had before: one
+    halving per call."""
     x = np.array(starts, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -296,19 +307,33 @@ def flow_batch_reference(target, starts, config, *, keys=None, record=False, sto
         xt = np.empty_like(xa)
         et = np.empty_like(ea)
         gt = np.empty_like(xa)
-        for _ in range(60):
-            todo = ~accepted
-            trial = xa[todo] - scale[todo, None] * gm[todo]
-            etrial, gtrial = energy_grad(trial, rows[todo])
-            ok = np.isfinite(etrial) & (etrial <= ea[todo])
-            sub = np.flatnonzero(todo)
-            xt[sub[ok]] = trial[ok]
-            et[sub[ok]] = etrial[ok]
-            gt[sub[ok]] = gtrial[ok]
-            accepted[sub[ok]] = True
-            scale[sub[~ok]] *= 0.5
-            if accepted.all():
-                break
+
+        def evaluate(sub, scales):
+            # one call for rows sub, each at its own row of scales; a row
+            # takes the first of its scales whose trial descends
+            cand = np.repeat(sub, scales.shape[1])
+            trial = xa[cand] - scales.reshape(-1, 1) * gm[cand]
+            etrial, gtrial = energy_grad(trial, rows[cand])
+            ok = (np.isfinite(etrial) & (etrial <= ea[cand])).reshape(scales.shape)
+            for i, r in enumerate(sub):
+                if ok[i].any():
+                    c = i * scales.shape[1] + int(np.flatnonzero(ok[i])[0])
+                    xt[r], et[r], gt[r] = trial[c], etrial[c], gtrial[c]
+                    accepted[r] = True
+
+        evaluate(np.arange(rows.shape[0]), scale[:, None])
+        tried, span = 0, 1
+        while tried < 59 and not accepted.all():
+            sub = np.flatnonzero(~accepted)
+            lengths = 1
+            if rounds:
+                lengths = min(span, 59 - tried, max(1, dynamics._ROUND_ROWS // sub.shape[0]))
+            scales = np.empty((sub.shape[0], lengths))
+            for j in range(lengths):
+                scale[sub] *= 0.5
+                scales[:, j] = scale[sub]
+            evaluate(sub, scales)
+            tried, span = tried + lengths, 2 * lengths
 
         moved = accepted & (xt != xa).any(axis=1)
         stalled = ~moved
@@ -333,6 +358,22 @@ def flow_batch_reference(target, starts, config, *, keys=None, record=False, sto
     if record:
         out["trajectory"] = np.array(snapshots)
     return out
+
+
+def merged_minima(terminals, energies, dedup_radius):
+    """The candidate-by-candidate merge that find_minima's one pass per
+    accepted minimum replaced: the terminals ordered by energy, then
+    coordinates, each accepted unless within dedup_radius of a point
+    accepted before it."""
+    order = np.lexsort(tuple(terminals[:, k] for k in range(terminals.shape[1] - 1, -1, -1))
+                       + (energies,))
+    accepted = []
+    for i in order:
+        t = terminals[i]
+        if accepted and np.sqrt(sqdist(t, np.array(accepted)).min()) < dedup_radius:
+            continue
+        accepted.append(t)
+    return accepted
 
 
 def knn_mean_distances_serial(points, references, ks=(1, 2, 5, 10)):

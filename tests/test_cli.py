@@ -144,6 +144,24 @@ def test_infinite_sigmas_and_repeated_levels_exit_2(tmp_path, capsys, experiment
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("experiment", ["census", "privacy", "biasvar", "knn"])
+@pytest.mark.parametrize("text, message", [
+    # an infinite grad_tol ended every flow converged at its start, and an
+    # infinite step_size failed every flow on inf - inf
+    ('{"grad_tol": Infinity}', "grad_tol must be positive and finite, got inf"),
+    ('{"grad_tol": NaN}', "grad_tol must be positive and finite, got nan"),
+    ('{"step_size": Infinity}', "step_size must be positive and finite, got inf"),
+    ('{"step_size": 1e400}', "step_size must be positive and finite, got inf"),
+])
+def test_non_finite_flow_settings_exit_2(tmp_path, capsys, experiment, text, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(out.glob("*.csv"))
+
+
 _TRIPLES = "scenarios must be a non-empty list of [p, q, S] triples"
 
 

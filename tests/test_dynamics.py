@@ -2,6 +2,7 @@ import math
 import threading
 import tracemalloc
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +42,28 @@ def test_flow_config_validation():
         FlowConfig(grad_tol=-1.0)
     with pytest.raises(InputError):
         FlowConfig(max_steps=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    # an infinite grad_tol would end every row converged at its start, and
+    # an infinite step_size would fail every row on inf - inf
+    ({"grad_tol": math.inf}, "grad_tol must be positive and finite, got inf"),
+    ({"grad_tol": math.nan}, "grad_tol must be positive and finite, got nan"),
+    ({"step_size": math.inf}, "step_size must be positive and finite, got inf"),
+    ({"step_size": math.nan}, "step_size must be positive and finite, got nan"),
+    ({"step_size": -math.inf}, "step_size must be positive and finite, got -inf"),
+    ({"max_steps": 2.5}, "max_steps must be an integer, got 2.5"),
+    ({"max_steps": 100.0}, "max_steps must be an integer, got 100.0"),
+    ({"max_steps": True}, "max_steps must be an integer, got True"),
+    ({"max_steps": math.inf}, "max_steps must be an integer, got inf"),
+])
+def test_flow_config_rejects_non_finite_and_non_integer_settings(kwargs, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        FlowConfig(**kwargs)
+
+
+def test_flow_config_takes_numpy_integers():
+    assert FlowConfig(max_steps=np.int64(7)).max_steps == 7
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +521,41 @@ def test_reference_cases_reach_every_ending():
     assert out["converged"].all() and len(sizes) - 1 > out["steps"].max()
 
 
+def minima_sweep_case(beta):
+    # the merging test's seed-0 instance, whose batches at beta 1 and 0.5
+    # each hold a row that stalls at float resolution
+    target, starts, cfg, kwargs = stall_case()
+    return EnergyLandscape(target.memories, beta), starts, FlowConfig(1.0, 1e-8, 500), kwargs
+
+
+ROUND_CASES = {
+    **REFERENCE_CASES,
+    "step16-tanh": partial(census_case, 2, 100, 1, tanh_hierarchy, step_size=16.0),
+    "step50-tanh": partial(census_case, 2, 64, 1, tanh_hierarchy, step_size=50.0),
+    "stall-beta0.5": partial(minima_sweep_case, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", [pytest.param(name, marks=_INF_STARTS)
+                                  if name == "nonfinite" else name
+                                  for name in ROUND_CASES])
+def test_halving_rounds_accept_what_one_halving_per_call_accepts(name):
+    # each rejected row takes the first length that descends, in rounds
+    # of lengths or one length per call alike: every output array bit for
+    # bit. Where rows halve many times the rounds take fewer calls
+    case = ROUND_CASES[name]
+    out, sizes = logged_flow(flow_batch, case)
+    single = partial(oracles.flow_batch_reference, rounds=False)
+    expected, single_sizes = logged_flow(single, case)
+    assert out.keys() == expected.keys()
+    for key in expected:
+        assert np.array_equal(out[key], expected[key], equal_nan=True), key
+    assert len(sizes) <= len(single_sizes)
+    if name in ("step50", "stall", "stall-record", "step16-tanh", "step50-tanh",
+                "stall-beta0.5"):
+        assert len(sizes) < len(single_sizes)
+
+
 @pytest.mark.parametrize("dim", range(1, 10))
 def test_flow_row_reductions_equal_numpys(dim):
     # below 8 coordinates the flow loop's per-row reductions run one
@@ -668,6 +726,43 @@ def test_find_minima_flows_a_chunk_at_a_time(monkeypatch):
     assert len(found) == len(expected) > 1
     for a, b in zip(found, expected):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 8, 16])
+@pytest.mark.parametrize("terminals", ["distinct", "repeated"])
+@pytest.mark.parametrize("energy", ["ties", "distinct"])
+def test_find_minima_merges_as_the_candidate_loop_does(monkeypatch, dim, terminals, energy):
+    # the one pass per accepted minimum against the loop over candidates
+    # it replaced, on terminals in clusters of widths 1e-4 to 0.3: the same
+    # points, bit for bit, at radii from 1e-3 diameters to inf. The flows
+    # are replaced: each start is its own terminal, of energy fn
+    rng = np.random.default_rng(dim)
+    centers = rng.normal(size=(6, dim))
+    widths = 10.0 ** rng.uniform(-4, math.log10(0.3), size=(240, 1))
+    points = centers[rng.integers(6, size=240)] + widths * rng.normal(size=(240, dim))
+    if terminals == "repeated":
+        points = np.concatenate([points, points[rng.integers(240, size=60)]])
+        rng.shuffle(points)
+    assert np.unique(points, axis=0).shape[0] == 240
+    if energy == "ties":
+        def fn(x):
+            return np.round(x[:, 0], 1)              # about 40 energy levels
+    else:
+        def fn(x):
+            return (x * x).sum(axis=1)
+    monkeypatch.setattr(dynamics, "flow_chunked",
+                        lambda target, starts, config: ({"terminals": starts},
+                                                        np.ones(starts.shape[0], bool)))
+    diameter = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2)).max()
+    counts = []
+    for radius in [diameter * f for f in (1e-3, 1e-2, 0.05, 0.2, 1.0)] + [math.inf]:
+        found = find_minima(SimpleNamespace(energy=fn), points, CFG, dedup_radius=radius)
+        expected = oracles.merged_minima(points, fn(points), radius)
+        assert len(found) == len(expected)
+        for a, b in zip(found, expected):
+            assert np.array_equal(a, b)
+        counts.append(len(found))
+    assert counts[0] > counts[2] > counts[-1] == 1
 
 
 def test_find_minima_validation():
