@@ -29,6 +29,9 @@ from landscape_lab.landscape import (EnergyLandscape, default_probe_radius,
                                      sqdist)
 
 _ATANH_CLIP = 1.0 - 1e-12
+_JACOBIAN_FD_STEP = 1e-6   # central-difference step of every decoder Jacobian norm
+_CHECK_PROBES = 16         # Gaussian points, beside the origin, of the construction check
+_CHECK_TOL = 1e-6          # slack of that check's bound: sampled norm <= c + _CHECK_TOL
 
 
 class DiagonalDecoder:
@@ -106,13 +109,13 @@ class AbstractionHierarchy:
                     f"{self.factors[a - 1]} -> {c}")
         self._check_jacobian_bounds()
 
-    def _check_jacobian_bounds(self, probes: int = 16, tol: float = 1e-6):
+    def _check_jacobian_bounds(self):
         rng = derive_rng(0, "hierarchy-check")
         z = np.concatenate([np.zeros((1, self.dim)),
-                            2.0 * rng.standard_normal((probes, self.dim))])
+                            2.0 * rng.standard_normal((_CHECK_PROBES, self.dim))])
         for a, (dec, c) in enumerate(zip(self.decoders, self.factors)):
             norms = _fd_jacobian_norms(dec, z)
-            if norms.max() > c + tol:
+            if norms.max() > c + _CHECK_TOL:
                 raise InputError(
                     f"decoder at level {a} exceeds its contraction factor: "
                     f"sampled Jacobian norm {norms.max():.6g} > {c}")
@@ -276,9 +279,10 @@ def _max_difference_quotient(grads: np.ndarray, z: np.ndarray) -> float:
     return float(np.max(maxima)) if maxima else 0.0
 
 
-def _fd_jacobian_norms(decoder, points: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def _fd_jacobian_norms(decoder, points: np.ndarray) -> np.ndarray:
     """Finite-difference Jacobian operator norms at each point, from one
-    decode of every shifted point and one batched SVD."""
+    decode of every point shifted by _JACOBIAN_FD_STEP and one batched SVD."""
+    h = _JACOBIAN_FD_STEP
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     eye = h * np.eye(points.shape[1])
     cols = (np.asarray(decoder.decode(points[:, None] + eye))
@@ -289,8 +293,7 @@ def _fd_jacobian_norms(decoder, points: np.ndarray, h: float = 1e-6) -> np.ndarr
 def jacobian_norm_probe(hierarchy: AbstractionHierarchy,
                         a: int,
                         probes: int = 64,
-                        seed: int = 0,
-                        fd_step: float = 1e-6) -> float:
+                        seed: int = 0) -> float:
     """Max finite-difference Jacobian norm of the level-a decoder.
 
     The probe set is the origin plus seeded Gaussian draws, shared across
@@ -304,4 +307,4 @@ def jacobian_norm_probe(hierarchy: AbstractionHierarchy,
     rng = derive_rng(seed, "jacobian-probes")
     pts = np.concatenate([np.zeros((1, hierarchy.dim)),
                           rng.standard_normal((probes, hierarchy.dim))])
-    return float(_fd_jacobian_norms(hierarchy.decoders[a], pts, h=fd_step).max())
+    return float(_fd_jacobian_norms(hierarchy.decoders[a], pts).max())

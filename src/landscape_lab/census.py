@@ -19,7 +19,9 @@ minima are compared; class assignment always happens in base space.
 bias_variance_probes reflows probes under bootstrap resamples of the
 memory set, each a row of log(count) offsets on the memories' scores
 (-inf where not drawn); a level's rounds flow as one batch keyed by round
-(_Rounds), with no per-round landscape.
+(_Rounds), with no per-round landscape: each evaluation adds every row's
+offsets to its full row of scores and takes one softmax, so a row gets
+the bits of the full landscape with its round's offsets.
 
 Determinism: all draws derive from (seed, purpose, index) streams, query
 noise is shared across levels (common random numbers), flows run in
@@ -334,9 +336,10 @@ def _bootstrap_log_counts(mem: MemorySet, rng: np.random.Generator,
 class _Rounds:
     """The bootstrap rounds of one level, evaluated in one pass:
     energy_grad(z, rounds) decodes its rows once and hands them to
-    landscape.multiset_energy_grad with their rounds' log_counts rows, so
-    each row gets the bits of its own round's level energy from one score
-    pass. memories is the full landscape's: each score pass spans them all.
+    landscape.energy_grad with their rounds' log_counts rows, so each row
+    gets the bits of the full landscape with its own round's offsets on
+    the scores, composed with the level's decoder, from one score pass.
+    memories is the full landscape's: each score pass spans them all.
     """
 
     def __init__(self, landscape: EnergyLandscape, decoder, log_counts: np.ndarray):
@@ -344,8 +347,8 @@ class _Rounds:
         self.dim, self.memories = landscape.dim, landscape.memories
 
     def energy_grad(self, z: np.ndarray, rounds: np.ndarray) -> tuple:
-        e, g = self.landscape.multiset_energy_grad(self.decoder.decode(z),
-                                                   self.log_counts[rounds])
+        e, g = self.landscape.energy_grad(self.decoder.decode(z),
+                                          log_counts=self.log_counts[rounds])
         return e, self.decoder.jacobian_diag(z) * g
 
 
@@ -382,8 +385,8 @@ def bias_variance_probes(landscape: EnergyLandscape,
     a row of log-counts on the memories' scores, and reflows the same
     probes. Per level, every round's probes flow as one batch keyed by
     round, and each evaluation of its rows is one score pass against the
-    full memory set, which gives each row the bits of its own round's
-    landscape (see _Rounds); the converged terminals of all rounds are
+    full memory set with each row's round offsets on its scores (see
+    _Rounds); the converged terminals of all rounds are
     then classified in one pass (_nearest_drawn). The bootstrap
     expectation over rounds gives, per probe, the mean one-hot prediction
     p. Bias is the mean of (p - true one-hot) over probes, per class;

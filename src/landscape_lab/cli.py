@@ -464,7 +464,11 @@ def _environment() -> dict:
 def run(config: RunConfig) -> int:
     """Execute one experiment and write its artifacts."""
     t0 = time.monotonic()
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make out_dir {config.out_dir} a directory: "
+                          f"{exc.strerror or exc}") from None
     records = {}
     tables = _EXPERIMENT_FNS[config.experiment](config, records)
     for name, columns in tables.items():
@@ -493,6 +497,10 @@ def _load_config_file(path) -> dict:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} must be UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -122,6 +122,8 @@ def coarsen(grid: ClassGrid, seed: int = 0) -> ClassGrid:
 
 def coarsening_levels(side: int, p_red: float, levels: int, seed: int = 0):
     """Yield (level, grid) from the initial grid (level 0) to `levels`."""
+    if not _is_power_of_two(side) or side < 2:
+        raise InputError(f"side must be a power of two >= 2, got {side}")
     max_levels = int(math.log2(side))
     if levels > max_levels:
         raise InputError(f"levels {levels} exceeds log2(side) = {max_levels}")

@@ -519,91 +519,33 @@ class EnergyLandscape:
             return np.divide(ex.T, z[:, None], out=np.empty(ex.T.shape))
         return ex / z[..., None]
 
-    def energy_grad(self, x) -> tuple:
+    def energy_grad(self, x, *, log_counts: np.ndarray | None = None) -> tuple:
         """Energy and analytic gradient from one score pass.
 
         The softmax weights that normalise the log-sum-exp also give the
         gradient x - sum_i w_i x_i, so both come from the same exp. Each
         is bit-identical to what energy and weights compute alone.
+
+        log_counts (m, n), if given, puts each row x_r (of x (m, d)) on its
+        own bootstrap multiset of the memories: row r is added to x_r's
+        scores, log(count) on each memory drawn and -inf on the others,
+        which is the multiset's log-sum-exp, and an undrawn memory's
+        weight is an exact zero. A row gets the bits of the full landscape
+        with its offsets on the scores, in either score layout, from the
+        same one score pass. It is keyword-only, so flow_batch's keys,
+        passed positionally, never reach it.
         """
         x = self._check_dim(x)
         by_memory = _by_memory(x, len(self.memories.points))
-        e, g = self._energy_grad_of(x, _softmax(self._scores(x, by_memory), by_memory),
-                                    by_memory)
-        return (float(e) if e.ndim == 0 else e), g
-
-    def _energy_grad_of(self, x: np.ndarray, softmax: tuple, by_memory: bool) -> tuple:
-        """Energy and gradient of x from the _softmax (m, ex, z) of its scores
-        in either layout: the tail of energy_grad and of multiset_energy_grad
-        below 8 memories. It takes the softmax, not the scores, so that the
-        scores are freed before the weighted sum."""
-        m, ex, z = softmax
+        s = self._scores(x, by_memory)
+        if log_counts is not None:
+            s += log_counts.T if by_memory else log_counts
+        m, ex, z = _softmax(s, by_memory)
+        del s    # freed before the weighted sum
         e = -(m + np.log(z)) / self.beta
         w = ex / z if by_memory else ex / z[..., None]
-        return e, x - weighted_sum(w, self.memories.points, by_memory)
-
-    def multiset_energy_grad(self, x: np.ndarray, log_counts: np.ndarray) -> tuple:
-        """Energies and gradients of rows x (m, d), each on its own multiset
-        of the memories: log_counts (m, n) adds log(count) to row r's score
-        of each memory drawn for it, at least one, and is -inf for the
-        others. Row r gets the bits of energy_grad on a landscape of only
-        its drawn memories, in memory order, with those offsets added to
-        their scores. One score pass covers every row, as cell (r, i)
-        depends only on x_r and memory i.
-
-        Below 8 memories every sum over the memories runs left to right
-        from 0.0, in either layout, so the exact zeros of the undrawn
-        memories change no bit: the offsets are added to the scores and
-        all rows take energy_grad's one softmax (_energy_grad_of).
-
-        From 8 memories on, numpy sums pairwise and a zero would regroup
-        its lanes, so the rows are ordered by their multiset's size k, and
-        each size's rows take their drawn (rows, k) scores through one
-        _softmax. The weighted sum is weighted_sum's at d = 1, the row sum
-        of the (rows, k) product with the drawn memories; at d >= 2 the
-        weights are put in zeroed (m, n) rows for one weighted_sum, whose
-        einsum adds the memories' terms in order, and the exact zeros it
-        adds leave each sum as it was.
-        """
-        x = self._check_dim(x)
-        points = self.memories.points
-        if len(points) < 8:
-            by_memory = _by_memory(x, len(points))
-            s = self._scores(x, by_memory)
-            s += log_counts.T if by_memory else log_counts
-            return self._energy_grad_of(x, _softmax(s, by_memory), by_memory)
-        drawn = np.isfinite(log_counts)
-        size = drawn.sum(axis=1)
-        order = np.argsort(size, kind="stable")
-        drawn = drawn[order]
-        # each row's drawn scores in memory order, rows in order of size
-        scores = (self._scores(x[order]) + log_counts[order])[drawn]
-        one_d = x.shape[1] == 1
-        if one_d:
-            coords = np.broadcast_to(points[:, 0], drawn.shape)[drawn]
-        else:
-            weights = np.empty_like(scores)
-        e = np.empty(x.shape[0])
-        mean = np.empty_like(x)
-        groups = np.bincount(size)
-        r0 = lo = 0
-        for k in np.flatnonzero(groups):
-            rows = groups[k]
-            hi = lo + k * rows
-            sel = order[r0:r0 + rows]
-            m, ex, z = _softmax(scores[lo:hi].reshape(rows, k))
-            e[sel] = -(m + np.log(z)) / self.beta
-            w = ex / z[:, None]
-            if one_d:
-                mean[sel, 0] = (w * coords[lo:hi].reshape(rows, k)).sum(axis=-1)
-            else:
-                weights[lo:hi] = w.ravel()
-            r0, lo = r0 + rows, hi
-        if not one_d:
-            spread = np.zeros(drawn.shape)
-            spread[drawn] = weights
-            mean[order] = weighted_sum(spread, points)
-        return e, x - mean
+        g = x - weighted_sum(w, self.memories.points, by_memory)
+        return (float(e) if e.ndim == 0 else e), g
 
     def grad(self, x) -> np.ndarray:
         """Analytic gradient: x minus the weight-averaged memory."""
@@ -707,26 +649,38 @@ def _parse_label(text: str):
 
 
 def load_memory_csv(path) -> MemorySet:
-    """Load a memory set from CSV with columns x_0..x_{d-1}, label."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, header required") from None
-        expected = [f"x_{i}" for i in range(len(header) - 1)] + ["label"]
-        if header != expected:
-            raise InputError(
-                f"{path}: header must be x_0..x_{{d-1}},label, got {header}")
-        dim = len(header) - 1
-        points, labels = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise InputError(f"{path}: row has {len(row)} fields, expected {dim + 1}")
-            points.append([float(v) for v in row[:dim]])
-            labels.append(_parse_label(row[dim]))
+    """Load a memory set from CSV with columns x_0..x_{d-1}, label. A file
+    that cannot be read as UTF-8 text, or a coordinate that is not a
+    number, raises InputError naming the path (and the line)."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise InputError(f"{path}: empty file, header required") from None
+            expected = [f"x_{i}" for i in range(len(header) - 1)] + ["label"]
+            if header != expected:
+                raise InputError(
+                    f"{path}: header must be x_0..x_{{d-1}},label, got {header}")
+            dim = len(header) - 1
+            points, labels = [], []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != dim + 1:
+                    raise InputError(f"{path}, line {reader.line_num}: row has "
+                                     f"{len(row)} fields, expected {dim + 1}")
+                try:
+                    points.append([float(v) for v in row[:dim]])
+                except ValueError:
+                    raise InputError(f"{path}, line {reader.line_num}: coordinates "
+                                     f"must be numbers, got {row[:dim]}") from None
+                labels.append(_parse_label(row[dim]))
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read memories: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: memories must be UTF-8 text") from None
     if not points:
         raise InputError(f"{path}: no data rows")
     return MemorySet(np.array(points), tuple(labels))
@@ -746,9 +700,9 @@ def gaussian_blobs(dim: int,
                    spread: float = 0.25,
                    seed: int = 0,
                    center_scale: float = 2.0,
-                   labels: Sequence | None = None,
-                   centers: np.ndarray | None = None) -> MemorySet:
-    """Synthesize Gaussian class blobs with configurable per-class counts."""
+                   labels: Sequence | None = None) -> MemorySet:
+    """Synthesize Gaussian class blobs with configurable per-class counts:
+    class centers drawn at scale center_scale, members at scale spread."""
     from landscape_lab._seeds import derive_rng
 
     if dim < 1 or any(c < 1 for c in class_counts):
@@ -760,10 +714,7 @@ def gaussian_blobs(dim: int,
     if len(labels) != len(class_counts):
         raise InputError("labels must parallel class_counts")
     rng = derive_rng(seed, "blobs")
-    if centers is None:
-        centers = center_scale * rng.standard_normal((len(class_counts), dim))
-    else:
-        centers = np.asarray(centers, dtype=np.float64)
+    centers = center_scale * rng.standard_normal((len(class_counts), dim))
     points, ys = [], []
     for center, count, label in zip(centers, class_counts, labels):
         points.append(center + spread * rng.standard_normal((count, dim)))

@@ -730,6 +730,59 @@ def test_unorderable_or_nan_labels_exit_2(tmp_path, capsys, experiment, labels):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("case, message", [
+    ("missing", ": cannot read memories: No such file or directory"),
+    ("directory", ": cannot read memories: Is a directory"),
+    ("not-a-number", ", line 3: coordinates must be numbers, got ['foo']"),
+    ("latin-1", ": memories must be UTF-8 text"),
+])
+def test_unreadable_memories_csv_exits_2(tmp_path, capsys, case, message):
+    # a memories file that is missing, is a directory, holds a coordinate
+    # that is not a number or bytes that are not UTF-8 is an input error
+    # that names the file (and the line), not a traceback
+    mem_path = tmp_path / "mem.csv"
+    if case == "directory":
+        mem_path.mkdir()
+    elif case == "not-a-number":
+        mem_path.write_text("x_0,label\n1.0,a\nfoo,b\n", encoding="utf-8")
+    elif case == "latin-1":
+        mem_path.write_bytes("x_0,label\n1.0,\u00e9\n".encode("latin-1"))
+    cfg = write_cfg(tmp_path, "c.json", {"memories_csv": str(mem_path)})
+    assert main(["census", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {mem_path}{message}\n"
+
+
+@pytest.mark.parametrize("case, message", [
+    ("missing", "config file not found: {}"),
+    ("directory", "cannot read config file {}: Is a directory"),
+    ("latin-1", "config file {} must be UTF-8 text"),
+])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, case, message):
+    path = tmp_path / "c.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "latin-1":
+        path.write_bytes('{"title": "é"}'.encode("latin-1"))
+    assert main(["census", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path)}\n"
+
+
+@pytest.mark.parametrize("side", [0, -4])
+def test_nonpositive_grid_side_exits_2(tmp_path, capsys, side):
+    cfg = write_cfg(tmp_path, "g.json", {"side": side})
+    assert main(["grid", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: side must be a power of two >= 2, got {side}\n"
+
+
+def test_out_dir_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept", encoding="utf-8")
+    assert main(["odds", "--out-dir", str(taken)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot make out_dir {taken} a directory: "
+                                       "File exists\n")
+    assert taken.read_text(encoding="utf-8") == "kept"
+
+
 def test_numerical_failure_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, "c.json",
                     {"n_queries": 200, "grad_tol": 1e-14, "max_steps": 1})

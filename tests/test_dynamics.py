@@ -299,6 +299,15 @@ def test_blocks_validation():
                 loop(keyed, np.zeros((2, 2)), CFG, keys=np.array(keys))
 
 
+def test_keyed_flow_on_a_bare_landscape_raises():
+    # EnergyLandscape.energy_grad takes log_counts by keyword only, so the
+    # keys a keyed flow passes positionally are never read as offsets
+    ls = EnergyLandscape(gaussian_blobs(dim=2, class_counts=[5, 3], seed=4), 12.0)
+    for loop in (flow_batch, flow_chunked):
+        with pytest.raises(TypeError):
+            loop(ls, np.zeros((2, 2)), CFG, keys=np.zeros(2, dtype=int))
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_ordered_map_yields_in_order_with_few_calls_ahead(workers):
     # the pool keeps at most 2 * workers calls submitted beyond the results
