@@ -240,8 +240,9 @@ def smoothness_report(hierarchy: AbstractionHierarchy,
         raise InputError(f"probes must be >= 2, got {probes}")
     if probe_radius is None:
         probe_radius = default_probe_radius(base.memories)
-    if not (probe_radius > 0):
-        raise InputError(f"probe_radius must be positive, got {probe_radius}")
+    for name, value in (("probe_radius", probe_radius), ("fd_step", fd_step)):
+        if not (0 < value < math.inf):
+            raise InputError(f"{name} must be positive and finite, got {value}")
 
     rng = derive_rng(seed, "smoothness-probes")
     base_pts = base.memories.centroid + probe_radius * _ball_samples(rng, probes, base.dim)

@@ -471,8 +471,6 @@ def run(config: RunConfig) -> int:
                           f"{exc.strerror or exc}") from None
     records = {}
     tables = _EXPERIMENT_FNS[config.experiment](config, records)
-    for name, columns in tables.items():
-        write_table(config.out_dir, name, columns, config.format)
     manifest = {
         "experiment": config.experiment,
         "seed": config.seed,
@@ -483,11 +481,16 @@ def run(config: RunConfig) -> int:
         "artifact_version": __version__,
         "environment": _environment(),
         **records,
-        "wall_time_s": time.monotonic() - t0,
     }
-    with open(config.out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        for name, columns in tables.items():
+            write_table(config.out_dir, name, columns, config.format)
+        manifest["wall_time_s"] = time.monotonic() - t0
+        with open(config.out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror or exc}") from None
     return 0
 
 

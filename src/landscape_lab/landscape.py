@@ -569,61 +569,32 @@ def default_probe_radius(memories: MemorySet) -> float:
     return 2.0 * memories.radius if memories.radius > 0 else 1.0
 
 
-def _hessian_stencil(points: np.ndarray, h: float) -> np.ndarray:
-    """Evaluation points of central-difference Hessians, shape (m, k, d).
-
-    Layout per point x: [x, x +- h e_i (2d points), then for each unordered
-    pair i<j the four corners x +- h e_i +- h e_j in the order (++, +-, -+,
-    --)]. Each row is (x + first) + second with signed offsets, where a
-    missing offset is -0.0, so every coordinate (signed zeros included)
-    equals x + h e_i + h e_j computed in that operand order.
-    """
-    d = points.shape[1]
-    eye = h * np.eye(d)
-    i, j = np.triu_indices(d, 1)
-    first = np.concatenate([np.full((1, d), -0.0), np.stack([eye, -eye], 1).reshape(-1, d),
-                            np.stack([eye[i], eye[i], -eye[i], -eye[i]], 1).reshape(-1, d)])
-    second = np.concatenate([np.full((1 + 2 * d, d), -0.0),
-                             np.stack([eye[j], -eye[j], eye[j], -eye[j]], 1).reshape(-1, d)])
-    stencil = points[:, None] + first
-    stencil += second
-    return stencil
-
-
-def _assemble_hessian(values: np.ndarray, d: int, h: float) -> np.ndarray:
-    """Raw (unsymmetrized) Hessians from stencil energies, (m, k) -> (m, d, d)."""
-    f0 = values[:, :1]
-    hess = np.empty((values.shape[0], d, d))
-    idx = np.arange(d)
-    hess[:, idx, idx] = (values[:, 1:1 + 2 * d:2] - 2.0 * f0 + values[:, 2:2 + 2 * d:2]) / (h * h)
-    i, j = np.triu_indices(d, 1)
-    corners = values[:, 1 + 2 * d:].reshape(values.shape[0], len(i), 4)
-    fpp, fpm, fmp, fmm = (corners[..., c] for c in range(4))
-    # both orders assembled from the same evaluations; any asymmetry is
-    # summation-order roundoff, which the symmetry check bounds
-    hess[:, i, j] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-    hess[:, j, i] = (fpp - fmp - fpm + fmm) / (4.0 * h * h)
-    return hess
-
-
 def hessian_fd_batch(target, points: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Symmetrized central-difference Hessians at many points, (m, d, d).
+    """Symmetrized central differences of the gradient at many points, (m, d, d).
 
-    target is anything with a batch-capable .energy, so the same code
-    serves the base landscape and every abstraction level. Every point's
-    stencil is built in one broadcast and the stencil rows are evaluated
-    CHUNK at a time, so the energy's memory is bounded by the chunk;
-    energies are row-wise, so the chunking does not move a bit.
+    Column i at x is (g(x + h e_i) - g(x - h e_i)) / 2h (Nocedal & Wright
+    2006, 8.1), where e_i's off-axis coordinates are +0.0. target is
+    anything with a batch-capable .grad, so the same code serves the base
+    landscape and every abstraction level. The 2d shifted rows of every
+    point are built in one broadcast and evaluated CHUNK at a time, so the
+    gradient's memory is bounded by the chunk; gradients are row-wise, so
+    the chunking does not move a bit. A step that leaves some x_i where it
+    was raises InputError.
     """
     if not (h > 0):
         raise InputError(f"finite-difference step must be positive, got {h}")
     points = np.asarray(points, dtype=np.float64)
     m, d = points.shape
-    stencils = _hessian_stencil(points, h).reshape(-1, d)
-    values = np.empty(stencils.shape[0])
-    for lo in range(0, stencils.shape[0], CHUNK):
-        values[lo:lo + CHUNK] = target.energy(stencils[lo:lo + CHUNK])
-    raw = _assemble_hessian(values.reshape(m, -1), d, h)
+    if ((points + h == points) | (points - h == points)).any():
+        raise InputError(f"fd_step {h!r} is below the float resolution of the points: "
+                         "x + h e_i or x - h e_i rounds to x")
+    steps = np.stack([np.diag(np.full(d, h)), np.diag(np.full(d, -h))])
+    shifted = (points[:, None, None] + steps).reshape(-1, d)
+    grads = np.empty_like(shifted)
+    for lo in range(0, shifted.shape[0], CHUNK):
+        grads[lo:lo + CHUNK] = target.grad(shifted[lo:lo + CHUNK])
+    grads = grads.reshape(m, 2, d, d)
+    raw = (grads[:, 0] - grads[:, 1]) / (2.0 * h)
     return 0.5 * (raw + raw.transpose(0, 2, 1))
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from scipy.stats import norm
 
 from landscape_lab import dynamics
+from landscape_lab.abstraction import TanhDecoder
 from landscape_lab.errors import InputError
 from landscape_lab.knn import SoftWeights
 from landscape_lab.landscape import CHUNK, EnergyLandscape, MemorySet, sqdist
@@ -65,15 +66,42 @@ def analytic_hessian(points, beta, x):
     and d(sum w_i x_i)/dx = beta * Cov_w(x_i), so H = I - beta * Cov_w(x_i).
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    x = np.asarray(x, dtype=np.float64)
-    s = -0.5 * beta * ((x - points) ** 2).sum(axis=1)
-    s -= s.max()
-    w = np.exp(s)
-    w /= w.sum()
-    mean = (w[:, None] * points).sum(axis=0)
+    w, mean = _weighted_mean(points, beta, x)
     cov = (w[:, None, None] * (points[:, :, None] - mean[:, None])
            * (points[:, None, :] - mean[None, :])).sum(axis=0)
     return np.eye(points.shape[1]) - beta * cov
+
+
+def _weighted_mean(points, beta, x):
+    """Softmax weights w = softmax(-beta |x - x_i|^2 / 2) and sum w_i x_i."""
+    s = -0.5 * beta * ((np.asarray(x, dtype=np.float64) - points) ** 2).sum(axis=1)
+    s -= s.max()
+    w = np.exp(s)
+    w /= w.sum()
+    return w, (w[:, None] * points).sum(axis=0)
+
+
+def analytic_level_hessian(landscape, decoder, z):
+    """Closed-form Hessian of a level energy E(psi(z)) at one point z.
+
+    Derivation: psi is elementwise, so d(E o psi)/dz_j = psi'_j g_j(psi(z))
+    with g = grad E, and d/dz_i of that is psi'_i H_ij psi'_j + delta_ij
+    psi''_i g_i: J H(psi(z)) J + diag(psi''(z) * grad E(psi(z))) with
+    J = diag(psi'(z)). psi, psi' and psi'' come from the decoder's factor c
+    alone: c z, c and 0 for the diagonal decoder; c tanh z, c sech^2 z and
+    -2c tanh z sech^2 z for the tanh decoder.
+    """
+    points = landscape.memories.points
+    z = np.asarray(z, dtype=np.float64)
+    c = decoder.factor
+    if isinstance(decoder, TanhDecoder):
+        t = np.tanh(z)
+        x, jac, curv = c * t, c * (1.0 - t * t), -2.0 * c * t * (1.0 - t * t)
+    else:
+        x, jac, curv = c * z, np.full_like(z, c), np.zeros_like(z)
+    grad = x - _weighted_mean(points, landscape.beta, x)[1]
+    return (jac[:, None] * analytic_hessian(points, landscape.beta, x) * jac[None, :]
+            + np.diag(curv * grad))
 
 
 def _derivative_1d(points, beta, x, h=1e-7):

@@ -162,6 +162,23 @@ def test_non_finite_flow_settings_exit_2(tmp_path, capsys, experiment, text, mes
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("entry, message", [
+    # a step that leaves the probes where they were wrote a Hessian norm
+    # of 0.0 at every level; an infinite step or radius ended in NaN
+    ('"fd_step": 1e-20', "fd_step 1e-20 is below the float resolution of the points: "
+                         "x + h e_i or x - h e_i rounds to x"),
+    ('"fd_step": Infinity', "fd_step must be positive and finite, got inf"),
+    ('"probe_radius": Infinity', "probe_radius must be positive and finite, got inf"),
+])
+def test_unusable_smoothness_step_or_radius_exits_2(tmp_path, capsys, entry, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(f'{{{entry}, "probes": 16, "jacobian_probes": 4}}', encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["smoothness", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(out.glob("*.csv"))
+
+
 _TRIPLES = "scenarios must be a non-empty list of [p, q, S] triples"
 
 
@@ -781,6 +798,15 @@ def test_out_dir_naming_a_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (f"error: cannot make out_dir {taken} a directory: "
                                        "File exists\n")
     assert taken.read_text(encoding="utf-8") == "kept"
+
+
+@pytest.mark.parametrize("artifact", ["odds.csv", "manifest.json"])
+def test_unwritable_artifact_exits_2(tmp_path, capsys, artifact):
+    # a directory where a table or the manifest goes ended in a traceback
+    (tmp_path / artifact).mkdir()
+    assert main(["odds", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {tmp_path / artifact}: "
+                                       "Is a directory\n")
 
 
 def test_numerical_failure_exit_code(tmp_path):

@@ -13,8 +13,6 @@ from landscape_lab.landscape import (
     TILE,
     EnergyLandscape,
     MemorySet,
-    _assemble_hessian,
-    _hessian_stencil,
     gaussian_blobs,
     hessian_fd_batch,
     load_memory_csv,
@@ -22,7 +20,7 @@ from landscape_lab.landscape import (
     sqdist,
     weighted_sum,
 )
-from landscape_lab.abstraction import diagonal_hierarchy, tanh_hierarchy
+from landscape_lab.abstraction import TanhDecoder, diagonal_hierarchy, tanh_hierarchy
 
 
 def two_memory_1d(beta):
@@ -659,69 +657,85 @@ def test_hessian_matches_analytic_random():
                       - oracles.analytic_hessian(pts, 3.0, x)).max() < 1e-5
 
 
-def test_hessian_asymmetry_tiny():
-    rng = np.random.default_rng(5)
-    pts = rng.normal(size=(6, 4))
-    ls = EnergyLandscape(MemorySet(pts, tuple(range(6))), 2.0)
-    stencil = _hessian_stencil(rng.normal(size=(1, 4)), 1e-4)
-    raw = _assemble_hessian(np.asarray(ls.energy(stencil[0]))[None], 4, 1e-4)[0]
-    assert np.abs(raw - raw.T).max() < 1e-6
-
-
-def per_point_stencils(points, h):
-    # reference: x, x +- h e_i, then x +- h e_i +- h e_j for i < j, per point
+def per_point_hessians(target, points, h):
+    # reference: for each point x and coordinate i, one single-point grad
+    # at x + h e_i and one at x - h e_i, each offset a fresh vector of +0.0
+    # with +-h at i (so off-axis coordinates are x_j + 0.0); column i is
+    # their difference over 2h, and the matrix is symmetrized
     d = points.shape[1]
-    eye = h * np.eye(d)
-    rows = []
-    for x in points:
-        rows.append(x)
-        for i in range(d):
-            rows += [x + eye[i], x - eye[i]]
-        for i in range(d):
-            for j in range(i + 1, d):
-                rows += [x + eye[i] + eye[j], x + eye[i] - eye[j],
-                         x - eye[i] + eye[j], x - eye[i] - eye[j]]
-    return np.array(rows)
-
-
-def per_point_hessians(values, d, h):
-    # reference: one loop assembly per point over its stencil energies (as
-    # Python floats, whose arithmetic rounds as numpy's float64 does)
     out = []
-    for v in values.tolist():
-        raw = [[0.0] * d for _ in range(d)]
+    for x in points:
+        raw = np.empty((d, d))
         for i in range(d):
-            raw[i][i] = (v[1 + 2 * i] - 2.0 * v[0] + v[2 + 2 * i]) / (h * h)
-        k = 1 + 2 * d
-        for i in range(d):
-            for j in range(i + 1, d):
-                fpp, fpm, fmp, fmm = v[k:k + 4]
-                k += 4
-                raw[i][j] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-                raw[j][i] = (fpp - fmp - fpm + fmm) / (4.0 * h * h)
-        raw = np.array(raw)
+            up, down = np.zeros(d), np.zeros(d)
+            up[i], down[i] = h, -h
+            raw[i] = (target.grad(x + up) - target.grad(x + down)) / (2.0 * h)
         out.append(0.5 * (raw + raw.T))
-    return np.array(out).reshape(len(values), d, d)
+    return np.array(out).reshape(len(points), d, d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
 @pytest.mark.parametrize("m", [1, 1025])
 def test_hessian_fd_batch_matches_per_point_assembly(d, m):
-    # base landscape and a diagonal and a tanh level; 1025 points, or a
-    # single 16-D point's 513 stencil rows, cross the CHUNK boundary
+    # base landscape and a diagonal and a tanh level; 1025 points cross the
+    # CHUNK boundary, and the -0.0 start must shift as -0.0 + 0.0 does
     rng = np.random.default_rng(d)
     base = EnergyLandscape(MemorySet(rng.normal(size=(9, d)), tuple(range(9))), 3.0)
     points = 0.5 * rng.normal(size=(m, d))
     points[0, 0] = -0.0
-    stencils = per_point_stencils(points, 1e-4)
-    # bytes, so signed zeros must agree too
-    assert _hessian_stencil(points, 1e-4).reshape(-1, d).tobytes() == stencils.tobytes()
     targets = [base] + [hier([0.7], d).level_energy(base, 1)
                         for hier in (diagonal_hierarchy, tanh_hierarchy)]
     for target in targets:
-        values = np.asarray(target.energy(stencils)).reshape(m, -1)
         assert np.array_equal(hessian_fd_batch(target, points),
-                              per_point_hessians(values, d, 1e-4))
+                              per_point_hessians(target, points, 1e-4))
+
+
+def fourth_derivative_bound(memories, beta, decoder):
+    # A bound on every fourth partial of E(psi(z)), anywhere.
+    # E's partials are cumulants of the weighted memories. Each memory
+    # coordinate sits within D (the largest coordinate range) of its
+    # weighted mean, so |E_ab| <= 1 + beta D^2, |E_abc| <= beta^2 D^3,
+    # |E_abcd| <= 4 beta^3 D^4 (E[abcd] less three covariance products),
+    # and |E_a| = |x_a - mean_a| <= c + max |x_i| on the tanh family.
+    # psi = c tanh has |psi'| <= c, |psi''| <= c, |psi'''| <= 2c and
+    # |psi''''| <= 16c; in t = tanh z they are (1 - t^2), 2|t|(1 - t^2),
+    # (1 - t^2)|6t^2 - 2| and (1 - t^2)|t||16 - 24t^2|. The diagonal
+    # psi = c z has c, 0, 0 and 0.
+    # psi acts coordinatewise, so for i != j d_i^3 d_j is
+    # psi'_j (E_jiii psi'_i^3 + 3 E_jii psi'_i psi''_i + E_ji psi'''_i),
+    # and d_i^4 is E_iiii psi'^4 + 6 E_iii psi'^2 psi'' + 3 E_ii psi''^2
+    # + 4 E_ii psi' psi''' + E_i psi''''.
+    spread = np.ptp(memories, axis=0).max()
+    e2, e3, e4 = 1 + beta * spread**2, beta**2 * spread**3, 4 * beta**3 * spread**4
+    c = decoder.factor
+    if isinstance(decoder, TanhDecoder):
+        p1, p2, p3, p4 = c, c, 2 * c, 16 * c
+    else:
+        p1, p2, p3, p4 = c, 0.0, 0.0, 0.0
+    e1 = c + np.abs(memories).max()
+    mixed = p1 * (e4 * p1**3 + 3 * e3 * p1 * p2 + e2 * p3)
+    pure = e4 * p1**4 + 6 * e3 * p1**2 * p2 + 3 * e2 * p2**2 + 4 * e2 * p1 * p3 + e1 * p4
+    return max(mixed, pure)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+def test_hessian_fd_batch_matches_the_analytic_level_hessian(d):
+    # Central differences of g err by (h^2 / 6) g''' per entry (Taylor to
+    # third order), so by at most h^2 M4 / 6, where M4 bounds the fourth
+    # partials of E o psi. Rounding adds at most 2 delta / 2h for a
+    # gradient good to delta, taken as 1e3 ulps of its largest term.
+    h = 1e-4
+    rng = np.random.default_rng(40 + d)
+    pts = rng.normal(size=(9, d))
+    base = EnergyLandscape(MemorySet(pts, tuple(range(9))), 3.0)
+    z = 0.5 * rng.normal(size=(8, d))
+    for hier in (diagonal_hierarchy, tanh_hierarchy):
+        lvl = hier([0.7], d).level_energy(base, 1)
+        bound = (h * h * fourth_derivative_bound(pts, 3.0, lvl.decoder) / 6
+                 + 1e3 * np.finfo(float).eps * (1 + np.abs(pts).max()) / h)
+        for zi, fd in zip(z, hessian_fd_batch(lvl, z, h)):
+            err = np.abs(fd - oracles.analytic_level_hessian(base, lvl.decoder, zi)).max()
+            assert err <= bound, (hier.__name__, err, bound)
 
 
 def test_hessian_fd_batch_memory_is_bounded_by_the_chunk():
@@ -738,9 +752,35 @@ def test_hessian_fd_batch_memory_is_bounded_by_the_chunk():
     assert peak < 40e6
 
 
+def test_hessian_fd_batch_evaluates_at_most_chunk_rows_per_call():
+    # with 2d gradient rows per point, an unchunked call over the memory
+    # test's points peaks at 26 MB, under that test's 40 MB bound
+    rng = np.random.default_rng(8)
+    ls = EnergyLandscape(MemorySet(rng.normal(size=(20, 16)), tuple(range(20))), 2.0)
+    rows = []
+
+    class Counted:
+        def grad(self, x):
+            rows.append(len(x))
+            return ls.grad(x)
+
+    hessian_fd_batch(Counted(), rng.normal(size=(128, 16)))
+    assert rows == [landscape.CHUNK] * 4
+
+
 def test_hessian_step_validation():
     with pytest.raises(InputError):
         hessian_fd_batch(two_memory_1d(1.0), np.array([[0.0]]), h=0.0)
+
+
+@pytest.mark.parametrize("point", [[[0.5, 1.0]], [[0.0, 1.0]], [[1e-3, 2.0]]])
+def test_hessian_step_below_float_resolution_raises(point):
+    # 1e-17 moves 0.0 and 1e-3 but not 0.5, 1.0 or 2.0: a zero difference
+    # would read as a flat landscape
+    ls = EnergyLandscape(MemorySet(np.array([[0.0, 0.0], [1.0, 1.0]]), ("a", "b")), 1.0)
+    with pytest.raises(InputError, match=r"fd_step 1e-17 is below the float resolution"):
+        hessian_fd_batch(ls, np.array(point), h=1e-17)
+    assert np.isfinite(hessian_fd_batch(ls, np.array(point), h=1e-6)).all()
 
 
 # ---------------------------------------------------------------------------
