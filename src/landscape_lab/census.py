@@ -48,7 +48,7 @@ from functools import partial
 import numpy as np
 
 from landscape_lab._seeds import derive_rng
-from landscape_lab.abstraction import AbstractionHierarchy
+from landscape_lab.abstraction import AbstractionHierarchy, LevelEnergy
 from landscape_lab.dynamics import FlowConfig, flow_chunked, ordered_map
 from landscape_lab.errors import CensusFailureError, InputError
 from landscape_lab.knn import argmax_class
@@ -334,22 +334,18 @@ def _bootstrap_log_counts(mem: MemorySet, rng: np.random.Generator,
 
 
 class _Rounds:
-    """The bootstrap rounds of one level, evaluated in one pass:
-    energy_grad(z, rounds) decodes its rows once and hands them to
-    landscape.energy_grad with their rounds' log_counts rows, so each row
-    gets the bits of the full landscape with its own round's offsets on
-    the scores, composed with the level's decoder, from one score pass.
-    memories is the full landscape's: each score pass spans them all.
-    """
+    """The bootstrap rounds of one level in one pass: energy_grad(z, rounds)
+    is the level's energy_grad with each row's round's log_counts row, so
+    a row gets the bits of the level on the full landscape with its
+    round's offsets on the scores. memories is the full landscape's: each
+    score pass spans them all."""
 
-    def __init__(self, landscape: EnergyLandscape, decoder, log_counts: np.ndarray):
-        self.landscape, self.decoder, self.log_counts = landscape, decoder, log_counts
-        self.dim, self.memories = landscape.dim, landscape.memories
+    def __init__(self, lvl: LevelEnergy, log_counts: np.ndarray):
+        self.lvl, self.log_counts = lvl, log_counts
+        self.dim, self.memories = lvl.dim, lvl.memories
 
     def energy_grad(self, z: np.ndarray, rounds: np.ndarray) -> tuple:
-        e, g = self.landscape.energy_grad(self.decoder.decode(z),
-                                          log_counts=self.log_counts[rounds])
-        return e, self.decoder.jacobian_diag(z) * g
+        return self.lvl.energy_grad(z, log_counts=self.log_counts[rounds])
 
 
 def _nearest_drawn(points: np.ndarray, undrawn: np.ndarray, rounds: np.ndarray,
@@ -423,11 +419,11 @@ def bias_variance_probes(landscape: EnergyLandscape,
     budget = _MAX_FAILURE_RATE * planned
     failures = 0
     for a in levels:
-        decoder = hierarchy.decoders[a]
-        starts = np.tile(np.asarray(decoder.encode(probes)), (bootstrap_rounds, 1))
+        lvl = hierarchy.level_energy(landscape, a)
+        starts = np.tile(np.asarray(lvl.encode(probes)), (bootstrap_rounds, 1))
         t_flow = time.perf_counter()
-        out, ok = flow_chunked(_Rounds(landscape, decoder, log_counts), starts,
-                               flow_config, workers, budget - failures, keys=block)
+        out, ok = flow_chunked(_Rounds(lvl, log_counts), starts, flow_config, workers,
+                               budget - failures, keys=block)
         failures += int((~ok).sum())
         if failures > budget:
             raise CensusFailureError(
@@ -436,7 +432,7 @@ def bias_variance_probes(landscape: EnergyLandscape,
         t_class = time.perf_counter()
         hit = np.flatnonzero(ok)
         nearest = _nearest_drawn(mem.points, undrawn, block[hit],
-                                 decoder.decode(out["terminals"][hit]))
+                                 lvl.decode(out["terminals"][hit]))
         probe = hit % mem.n
         np.add.at(counts[a], (probe, mem.class_index[nearest]), 1.0)
         valid[a] += np.bincount(probe, minlength=mem.n)

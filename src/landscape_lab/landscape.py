@@ -60,6 +60,7 @@ _NUMERIC_TYPES = (int, float, np.integer, np.floating)
 CHUNK = 1024            # rows per work item of every chunked batch routine
 _FLOW_CELLS = 256 * CHUNK  # (row, memory or coordinate) cells per later flow chunk
 TILE = 32               # rows per tile of every upper-triangle pair walk
+FD_STEP = 1e-4          # default step of the FD Hessians (smoothness fd_step)
 _BLOCK_CELLS = 65536    # (row, memory) cells per sqdist block, d >= 8
 _PAIRWISE_BLOCK = 128   # numpy's pairwise_sum splits ranges longer than this
 _SMALL_BUFFER = 256     # numpy ufunc buffer (elements) in _small_ufunc_buffer
@@ -569,7 +570,7 @@ def default_probe_radius(memories: MemorySet) -> float:
     return 2.0 * memories.radius if memories.radius > 0 else 1.0
 
 
-def hessian_fd_batch(target, points: np.ndarray, h: float = 1e-4) -> np.ndarray:
+def hessian_fd_batch(target, points: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """Symmetrized central differences of the gradient at many points, (m, d, d).
 
     Column i at x is (g(x + h e_i) - g(x - h e_i)) / 2h (Nocedal & Wright
@@ -578,16 +579,20 @@ def hessian_fd_batch(target, points: np.ndarray, h: float = 1e-4) -> np.ndarray:
     landscape and every abstraction level. The 2d shifted rows of every
     point are built in one broadcast and evaluated CHUNK at a time, so the
     gradient's memory is bounded by the chunk; gradients are row-wise, so
-    the chunking does not move a bit. A step that leaves some x_i where it
-    was raises InputError.
+    the chunking does not move a bit. Rounding x +- h e_i errs by up to
+    eps |x| / 2 each, which moves the step by up to eps |x| / 2h of itself,
+    so a step below sqrt(eps) max|x| (an error above sqrt(eps) / 2) raises
+    InputError.
     """
     if not (h > 0):
         raise InputError(f"finite-difference step must be positive, got {h}")
     points = np.asarray(points, dtype=np.float64)
     m, d = points.shape
-    if ((points + h == points) | (points - h == points)).any():
-        raise InputError(f"fd_step {h!r} is below the float resolution of the points: "
-                         "x + h e_i or x - h e_i rounds to x")
+    floor = math.sqrt(np.finfo(np.float64).eps) * float(np.abs(points).max(initial=0.0))
+    if h < floor:
+        raise InputError(f"fd_step {h!r} is below sqrt(eps) * max|x| = {floor:.3g}: "
+                         "rounding x + h e_i would move the step by more than "
+                         "sqrt(eps) / 2 of itself")
     steps = np.stack([np.diag(np.full(d, h)), np.diag(np.full(d, -h))])
     shifted = (points[:, None, None] + steps).reshape(-1, d)
     grads = np.empty_like(shifted)

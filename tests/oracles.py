@@ -104,6 +104,16 @@ def analytic_level_hessian(landscape, decoder, z):
             + np.diag(curv * grad))
 
 
+def fd_jacobian_norms(decoder, points, h):
+    """Central-difference Jacobian operator norm of decoder at each point:
+    one column per coordinate shift, one column_stack and one 2-norm (an
+    SVD) per point."""
+    eye = h * np.eye(points.shape[1])
+    return np.array([np.linalg.norm(np.column_stack(
+        [(decoder.decode(x + e) - decoder.decode(x - e)) / (2.0 * h) for e in eye]), 2)
+        for x in points])
+
+
 def _derivative_1d(points, beta, x, h=1e-7):
     return (lse_energy_1d(points, beta, x + h)
             - lse_energy_1d(points, beta, x - h)) / (2.0 * h)

@@ -8,7 +8,7 @@ from landscape_lab.abstraction import (
     AbstractionHierarchy,
     DiagonalDecoder,
     TanhDecoder,
-    _fd_jacobian_norms,
+    _jacobian_norms,
     _max_difference_quotient,
     diagonal_hierarchy,
     jacobian_norm_probe,
@@ -30,10 +30,13 @@ def random_landscape(seed, n=10, dim=2, beta=4.0, scale=1.0):
 # ---------------------------------------------------------------------------
 
 class OverclaimingDecoder(DiagonalDecoder):
-    """Claims its factor but decodes by 0.9."""
+    """Claims its factor but decodes by 0.9, and declares that derivative."""
 
     def decode(self, z):
         return 0.9 * np.asarray(z, dtype=np.float64)
+
+    def jacobian_diag(self, z):
+        return np.full_like(np.asarray(z, dtype=np.float64), 0.9)
 
 
 def test_hierarchy_validation():
@@ -54,6 +57,17 @@ def test_hierarchy_validation():
         h.check_level(3)
     with pytest.raises(InputError):
         h.check_level(-1)
+
+
+def test_a_derivative_above_its_factor_by_any_margin_is_rejected():
+    # the check reads the declared derivative, so no finite-difference
+    # slack lets one ulp above the factor through
+    class JustAbove(TanhDecoder):
+        def jacobian_diag(self, z):
+            return np.nextafter(super().jacobian_diag(z), np.inf)
+
+    with pytest.raises(InputError, match="level 1 exceeds its contraction factor"):
+        AbstractionHierarchy((DiagonalDecoder(1.0), JustAbove(0.5)), dim=2)
 
 
 def test_level_out_of_range():
@@ -225,22 +239,33 @@ def test_jacobian_probe_strictly_decreasing_both_families():
             assert all(b < a for a, b in zip(vals, vals[1:])), vals
 
 
-def per_point_jacobian_norms(decoder, points, h=1e-6):
-    # reference: one column_stack and one 2-norm per point
-    eye = h * np.eye(points.shape[1])
-    return np.array([np.linalg.norm(np.column_stack(
-        [(decoder.decode(x + e) - decoder.decode(x - e)) / (2.0 * h) for e in eye]), 2)
-        for x in points])
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
 def test_fd_jacobian_norms_match_per_point_norms(d):
+    # Each decoder's jacobian_diag norms against the central-difference
+    # reference at step h. Both Jacobians are diagonal (an off-axis shift
+    # adds +0.0), so the reference errs by the Taylor term
+    # h^2 / 6 max|psi'''|, which is 2c for c tanh and 0 for c z, plus
+    # rounding: each decode is good to 4 ulps of max|psi| (c for c tanh,
+    # c R for c z on points within R), the two decodes' errors divide by
+    # 2h, and rounding x +- h (eps R / 2 each) moves the quotient by up to
+    # eps R c / 2h; the quotient and the SVD add a few ulps of c.
+    h = 1e-6
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(d)
     points = np.concatenate([np.zeros((1, d)), 2.0 * rng.standard_normal((256, d))])
+    radius = np.abs(points).max() + h
     for hier in (diagonal_hierarchy([0.9, 0.6], d), tanh_hierarchy([0.9, 0.6], d)):
         for decoder in hier.decoders:
-            assert np.array_equal(_fd_jacobian_norms(decoder, points),
-                                  per_point_jacobian_norms(decoder, points))
+            c = decoder.factor
+            tanh = isinstance(decoder, TanhDecoder)
+            top = c if tanh else c * radius
+            bound = (h * h / 6 * (2 * c if tanh else 0.0)
+                     + (2 * 4 * eps * top + eps * radius * c) / (2 * h)
+                     + 4 * eps * c)
+            norms = _jacobian_norms(decoder, points)
+            err = np.abs(norms - oracles.fd_jacobian_norms(decoder, points, h)).max()
+            assert err <= bound, (type(decoder).__name__, err, bound)
+            assert norms.max() == norms[0] == c
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,7 @@ def test_biasvar_fails_before_running_every_round(monkeypatch):
     real = dynamics.flow_batch
 
     def counting(target, starts, *args, **kwargs):
-        level = hierarchy.decoders.index(target.decoder)
+        level = target.lvl.level
         flowed[level] = flowed.get(level, 0) + starts.shape[0]
         return real(target, starts, *args, **kwargs)
 
@@ -527,7 +527,7 @@ def round_blocks(dim, class_counts, decoder, level, rounds, seed=0):
     starts = np.tile(np.asarray(hierarchy.decoders[level].encode(probes)), (rounds, 1))
     starts[[0, starts.shape[0] // 2, -1]] = np.nan
     sizes = set(np.isfinite(log_counts).sum(axis=1).tolist())
-    return (census._Rounds(ls, hierarchy.decoders[level], log_counts),
+    return (census._Rounds(hierarchy.level_energy(ls, level), log_counts),
             oracles.KeyedEvaluators(lvls), block, starts, sizes)
 
 
@@ -661,7 +661,8 @@ def test_one_pass_classification_equals_each_rounds_nearest_memory():
 
 def test_bootstrap_flows_take_one_score_pass_per_evaluation(monkeypatch):
     # each evaluation of a level's rows is one sqdist and one softmax, also
-    # over rows of distinct subset sizes, never a per-round evaluator call
+    # over rows of distinct subset sizes: one call of the level's evaluator
+    # with every row's own offsets, never a per-round evaluator call
     ls = EnergyLandscape(gaussian_blobs(dim=2, class_counts=[6, 4], spread=0.3, seed=1,
                                         center_scale=0.5), 12.0)
     calls = {"sqdist": 0, "_softmax": 0}
@@ -684,13 +685,18 @@ def test_bootstrap_flows_take_one_score_pass_per_evaluation(monkeypatch):
                          calls["_softmax"] - before["_softmax"], len(sizes)))
         return out
 
-    def per_round(*args):
-        raise AssertionError("a per-round evaluator was called")
+    level_calls = []
+    real_level_energy_grad = LevelEnergy.energy_grad
+
+    def level_call(level, z, *, log_counts=None):
+        level_calls.append(log_counts is not None and len(log_counts) == len(z))
+        return real_level_energy_grad(level, z, log_counts=log_counts)
 
     monkeypatch.setattr(census._Rounds, "energy_grad", logged)
-    monkeypatch.setattr(LevelEnergy, "energy_grad", per_round)
+    monkeypatch.setattr(LevelEnergy, "energy_grad", level_call)
     bias_variance_probes(ls, diagonal_hierarchy([0.9], dim=2), seed=0, bootstrap_rounds=20)
     assert len(per_call) > 20
+    assert level_calls == [True] * len(per_call)
     assert any(distinct > 1 for _, _, distinct in per_call)
     for sqdist_calls, softmax_calls, distinct in per_call:
         assert sqdist_calls == 1 and softmax_calls == 1
@@ -698,7 +704,8 @@ def test_bootstrap_flows_take_one_score_pass_per_evaluation(monkeypatch):
 
 def test_biasvar_builds_no_per_round_landscape(monkeypatch):
     # each round is a row of log-counts, so once called, a 20-round,
-    # 2-level run constructs no MemorySet, EnergyLandscape or LevelEnergy
+    # 2-level run constructs no MemorySet or EnergyLandscape, and one
+    # LevelEnergy per level
     ls = EnergyLandscape(gaussian_blobs(dim=2, class_counts=[6, 4], spread=0.3, seed=1,
                                         center_scale=0.5), 12.0)
     hierarchy = diagonal_hierarchy([0.9], dim=2)
@@ -711,4 +718,4 @@ def test_biasvar_builds_no_per_round_landscape(monkeypatch):
         monkeypatch.setattr(cls, "__init__", counting)
     results = bias_variance_probes(ls, hierarchy, seed=0, bootstrap_rounds=20)
     assert [r["level"] for r in results] == [0, 1]
-    assert not built, built
+    assert built == Counter(LevelEnergy=2), built

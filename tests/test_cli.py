@@ -162,11 +162,16 @@ def test_non_finite_flow_settings_exit_2(tmp_path, capsys, experiment, text, mes
     assert not list(out.glob("*.csv"))
 
 
+_BELOW_FLOOR = ("is below sqrt(eps) * max|x| = 4.35e-08: rounding x + h e_i would "
+                "move the step by more than sqrt(eps) / 2 of itself")
+
+
 @pytest.mark.parametrize("entry, message", [
     # a step that leaves the probes where they were wrote a Hessian norm
     # of 0.0 at every level; an infinite step or radius ended in NaN
-    ('"fd_step": 1e-20', "fd_step 1e-20 is below the float resolution of the points: "
-                         "x + h e_i or x - h e_i rounds to x"),
+    ('"fd_step": 1e-20', f"fd_step 1e-20 {_BELOW_FLOOR}"),
+    # above the float resolution, but rounding moved hessian_norm_est 3.9 %
+    ('"fd_step": 1e-15', f"fd_step 1e-15 {_BELOW_FLOOR}"),
     ('"fd_step": Infinity', "fd_step must be positive and finite, got inf"),
     ('"probe_radius": Infinity', "probe_radius must be positive and finite, got inf"),
 ])
@@ -177,6 +182,12 @@ def test_unusable_smoothness_step_or_radius_exits_2(tmp_path, capsys, entry, mes
     assert main(["smoothness", "--config", str(cfg), "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("fd_step", [1e-4, 1e-6])
+def test_smoothness_steps_above_the_floor_run(tmp_path, fd_step):
+    cfg = write_cfg(tmp_path, "c.json", {"fd_step": fd_step})
+    assert main(["smoothness", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
 
 
 _TRIPLES = "scenarios must be a non-empty list of [p, q, S] triples"

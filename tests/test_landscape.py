@@ -739,7 +739,9 @@ def test_hessian_fd_batch_matches_the_analytic_level_hessian(d):
 
 
 def test_hessian_fd_batch_memory_is_bounded_by_the_chunk():
-    # one energy call over every stencil row peaked at 403 MB here
+    # 128 points in 16-D: their 2d shifted rows each, CHUNK rows per
+    # gradient call, stay under 40 MB (an unchunked call peaks at 26 MB,
+    # so the next test counts the rows of each call)
     rng = np.random.default_rng(8)
     ls = EnergyLandscape(MemorySet(rng.normal(size=(250, 16)), tuple(range(250))), 2.0)
     points = rng.normal(size=(128, 16))
@@ -775,10 +777,11 @@ def test_hessian_step_validation():
 
 @pytest.mark.parametrize("point", [[[0.5, 1.0]], [[0.0, 1.0]], [[1e-3, 2.0]]])
 def test_hessian_step_below_float_resolution_raises(point):
-    # 1e-17 moves 0.0 and 1e-3 but not 0.5, 1.0 or 2.0: a zero difference
-    # would read as a flat landscape
+    # 1e-17 is below sqrt(eps) * max|x| of each point (1.5e-8 and 3e-8),
+    # and leaves 0.5, 1.0 and 2.0 where they were: a zero difference would
+    # read as a flat landscape
     ls = EnergyLandscape(MemorySet(np.array([[0.0, 0.0], [1.0, 1.0]]), ("a", "b")), 1.0)
-    with pytest.raises(InputError, match=r"fd_step 1e-17 is below the float resolution"):
+    with pytest.raises(InputError, match=r"fd_step 1e-17 is below sqrt\(eps\) \* max\|x\|"):
         hessian_fd_batch(ls, np.array(point), h=1e-17)
     assert np.isfinite(hessian_fd_batch(ls, np.array(point), h=1e-6)).all()
 
