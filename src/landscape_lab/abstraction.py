@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from landscape_lab._seeds import derive_rng
-from landscape_lab.errors import InputError
+from landscape_lab.errors import InputError, require_integer
 from landscape_lab.landscape import (FD_STEP, EnergyLandscape, default_probe_radius,
                                      hessian_fd_batch, pair_tiles, spectral_norm,
                                      sqdist)
@@ -124,7 +124,7 @@ class AbstractionHierarchy:
         return len(self.decoders) - 1
 
     def check_level(self, a: int) -> int:
-        if not (0 <= a <= self.levels):
+        if not (0 <= require_integer("level", a) <= self.levels):
             raise InputError(f"level {a} out of range 0..{self.levels}")
         return int(a)
 
@@ -188,9 +188,10 @@ class LevelEnergy:
     def grad(self, z):
         return self.energy_grad(z)[1]
 
-    def nearest_memory(self, z) -> np.ndarray | int:
-        """Nearest memory of the decoded point: classes live in base space."""
-        return self.base.nearest_memory(self.decoder.decode(z))
+    def nearest_memory(self, z, *, log_counts=None) -> np.ndarray | int:
+        """Nearest memory of the decoded point (classes live in base space),
+        with log_counts, if given, on the base landscape's nearest_memory."""
+        return self.base.nearest_memory(self.decoder.decode(z), log_counts=log_counts)
 
     def encoded_memories(self) -> np.ndarray:
         return self.decoder.encode(self.base.memories.points)
@@ -237,13 +238,12 @@ def smoothness_report(hierarchy: AbstractionHierarchy,
     Estimates are sampled suprema, not certified bounds; deterministic
     given the seed.
     """
-    if probes < 2:
+    if require_integer("probes", probes) < 2:
         raise InputError(f"probes must be >= 2, got {probes}")
     if probe_radius is None:
         probe_radius = default_probe_radius(base.memories)
-    for name, value in (("probe_radius", probe_radius), ("fd_step", fd_step)):
-        if not (0 < value < math.inf):
-            raise InputError(f"{name} must be positive and finite, got {value}")
+    if not (0 < probe_radius < math.inf):   # fd_step is hessian_fd_batch's to check
+        raise InputError(f"probe_radius must be positive and finite, got {probe_radius}")
 
     rng = derive_rng(seed, "smoothness-probes")
     base_pts = base.memories.centroid + probe_radius * _ball_samples(rng, probes, base.dim)
@@ -299,7 +299,7 @@ def jacobian_norm_probe(hierarchy: AbstractionHierarchy,
     shipped decoder families.
     """
     a = hierarchy.check_level(a)
-    if probes < 1:
+    if require_integer("probes", probes) < 1:
         raise InputError(f"probes must be >= 1, got {probes}")
     rng = derive_rng(seed, "jacobian-probes")
     pts = np.concatenate([np.zeros((1, hierarchy.dim)),

@@ -21,7 +21,9 @@ memory set, each a row of log(count) offsets on the memories' scores
 (-inf where not drawn); a level's rounds flow as one batch keyed by round
 (_Rounds), with no per-round landscape: each evaluation adds every row's
 offsets to its full row of scores and takes one softmax, so a row gets
-the bits of the full landscape with its round's offsets.
+the bits of the full landscape with its round's offsets. The terminals
+classify through nearest_memory with the same offsets, in the census's
+classification blocks.
 
 Determinism: all draws derive from (seed, purpose, index) streams, query
 noise is shared across levels (common random numbers), flows run in
@@ -30,10 +32,9 @@ first CHUNK-row chunk, then chunks sized to the memories a score pass
 spans, all of the landscape's for the bootstrap rounds), diversity sums
 fixed TILE-row pair tiles, added in tile order, and classification and
 privacy run over fixed CHUNK-row blocks of the terminals, the privacy
-block sums added in block order, so reports
-are bit-identical for any worker count. The worker threads run the flow
-chunks, the classification blocks, the diversity tiles and the privacy
-blocks.
+block sums added in block order, so reports are bit-identical for any
+worker count. The worker threads run the flow chunks, the classification
+blocks, the diversity tiles and the privacy blocks.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 from landscape_lab._seeds import derive_rng
 from landscape_lab.abstraction import AbstractionHierarchy, LevelEnergy
 from landscape_lab.dynamics import FlowConfig, flow_chunked, ordered_map
-from landscape_lab.errors import CensusFailureError, InputError
+from landscape_lab.errors import CensusFailureError, InputError, require_integer
 from landscape_lab.knn import argmax_class
 from landscape_lab.landscape import (TILE, EnergyLandscape, MemorySet, chunk_bounds,
                                      pair_tiles, sqdist)
@@ -67,7 +68,7 @@ class CensusConfig:
     levels: tuple | None = None         # default: every hierarchy level
 
     def __post_init__(self):
-        if self.n_queries < 1:
+        if require_integer("n_queries", self.n_queries) < 1:
             raise InputError(f"n_queries must be >= 1, got {self.n_queries}")
         if self.n_queries < 100:
             warnings.warn("n_queries < 100: reported statistics will be noisy",
@@ -76,8 +77,6 @@ class CensusConfig:
                                                  and math.isfinite(self.query_sigma)):
             raise InputError(
                 f"query_sigma must be a positive finite real, got {self.query_sigma}")
-        if self.levels is not None:
-            self.levels = tuple(int(a) for a in self.levels)
 
 
 @dataclass
@@ -200,13 +199,16 @@ def _mean_pairwise_distance(points: np.ndarray, workers: int = 1) -> float:
     return total / (m * (m - 1) / 2.0)
 
 
-def _nearest_in_blocks(lvl, points: np.ndarray, workers: int = 1) -> np.ndarray:
+def _nearest_in_blocks(lvl, points: np.ndarray, workers: int = 1,
+                       keys: np.ndarray | None = None) -> np.ndarray:
     """lvl.nearest_memory of each row, over CHUNK-row blocks on ordered_map's
-    workers threads. A row's index does not depend on its block."""
+    workers threads, given keys (one per row) as nearest_memory(z, keys[lo:hi]),
+    the way flow_batch passes them. A row's index does not depend on its block."""
     bounds = chunk_bounds(points.shape[0])
+    arrays = (points,) if keys is None else (points, keys)   # sliced per block
     idx = np.empty(points.shape[0], dtype=np.intp)
     for (lo, hi), part in zip(bounds, ordered_map(
-            lambda b: lvl.nearest_memory(points[b[0]:b[1]]), bounds, workers)):
+            lambda b: lvl.nearest_memory(*(a[b[0]:b[1]] for a in arrays)), bounds, workers)):
         idx[lo:hi] = part
     return idx
 
@@ -335,10 +337,10 @@ def _bootstrap_log_counts(mem: MemorySet, rng: np.random.Generator,
 
 class _Rounds:
     """The bootstrap rounds of one level in one pass: energy_grad(z, rounds)
-    is the level's energy_grad with each row's round's log_counts row, so
-    a row gets the bits of the level on the full landscape with its
-    round's offsets on the scores. memories is the full landscape's: each
-    score pass spans them all."""
+    and nearest_memory(z, rounds) are the level's with each row's round's
+    log_counts row, so a row gets the bits of the level on the full
+    landscape with its round's offsets, and its nearest drawn memory.
+    memories is the full landscape's: each score pass spans them all."""
 
     def __init__(self, lvl: LevelEnergy, log_counts: np.ndarray):
         self.lvl, self.log_counts = lvl, log_counts
@@ -347,19 +349,8 @@ class _Rounds:
     def energy_grad(self, z: np.ndarray, rounds: np.ndarray) -> tuple:
         return self.lvl.energy_grad(z, log_counts=self.log_counts[rounds])
 
-
-def _nearest_drawn(points: np.ndarray, undrawn: np.ndarray, rounds: np.ndarray,
-                   x: np.ndarray) -> np.ndarray:
-    """Index of each row of x's nearest memory among those drawn by its
-    round rounds[r] (undrawn (rounds, n) marks the others): one sqdist per
-    CHUNK rows, the undrawn columns at +inf, and an argmin, whose ties go
-    to the lower index as in the round's own ascending nearest_memory."""
-    idx = np.empty(x.shape[0], dtype=np.intp)
-    for lo, hi in chunk_bounds(x.shape[0]):
-        d = sqdist(x[lo:hi], points)
-        d[undrawn[rounds[lo:hi]]] = np.inf
-        idx[lo:hi] = d.argmin(axis=1)
-    return idx
+    def nearest_memory(self, z: np.ndarray, rounds: np.ndarray) -> np.ndarray:
+        return self.lvl.nearest_memory(z, log_counts=self.log_counts[rounds])
 
 
 def bias_variance_probes(landscape: EnergyLandscape,
@@ -382,8 +373,9 @@ def bias_variance_probes(landscape: EnergyLandscape,
     probes. Per level, every round's probes flow as one batch keyed by
     round, and each evaluation of its rows is one score pass against the
     full memory set with each row's round offsets on its scores (see
-    _Rounds); the converged terminals of all rounds are
-    then classified in one pass (_nearest_drawn). The bootstrap
+    _Rounds). The converged terminals then classify through the level's
+    nearest_memory with their rounds' log-counts (their nearest drawn
+    memory), in the census's CHUNK-row blocks on workers threads. The bootstrap
     expectation over rounds gives, per probe, the mean one-hot prediction
     p. Bias is the mean of (p - true one-hot) over probes, per class;
     variance is the mean of (1 - ||p||^2), the one-hot shortcut for the
@@ -394,7 +386,7 @@ def bias_variance_probes(landscape: EnergyLandscape,
     """
     if not (probe_sigma > 0 and math.isfinite(probe_sigma)):
         raise InputError(f"probe_sigma must be a positive finite real, got {probe_sigma}")
-    if bootstrap_rounds < 10:
+    if require_integer("bootstrap_rounds", bootstrap_rounds) < 10:
         raise InputError(f"bootstrap_rounds must be >= 10, got {bootstrap_rounds}")
     levels = _resolve_levels(hierarchy, levels)
     flow_config = flow_config or default_flow_config()
@@ -410,7 +402,6 @@ def bias_variance_probes(landscape: EnergyLandscape,
     log_counts = np.array([_bootstrap_log_counts(mem, derive_rng(seed, "bootstrap", b),
                                                  stratified)
                            for b in range(bootstrap_rounds)])
-    undrawn = np.isinf(log_counts)
     # the rounds' probes are stacked round-major, each row keyed by its round
     block = np.repeat(np.arange(bootstrap_rounds), mem.n)
     # failures only grow and every planned flow runs unless this raises,
@@ -419,10 +410,10 @@ def bias_variance_probes(landscape: EnergyLandscape,
     budget = _MAX_FAILURE_RATE * planned
     failures = 0
     for a in levels:
-        lvl = hierarchy.level_energy(landscape, a)
-        starts = np.tile(np.asarray(lvl.encode(probes)), (bootstrap_rounds, 1))
+        rounds = _Rounds(hierarchy.level_energy(landscape, a), log_counts)
+        starts = np.tile(np.asarray(rounds.lvl.encode(probes)), (bootstrap_rounds, 1))
         t_flow = time.perf_counter()
-        out, ok = flow_chunked(_Rounds(lvl, log_counts), starts, flow_config, workers,
+        out, ok = flow_chunked(rounds, starts, flow_config, workers,
                                budget - failures, keys=block)
         failures += int((~ok).sum())
         if failures > budget:
@@ -431,8 +422,8 @@ def bias_variance_probes(landscape: EnergyLandscape,
                 "flows failed" + _decoder_range_hint(landscape, hierarchy, levels))
         t_class = time.perf_counter()
         hit = np.flatnonzero(ok)
-        nearest = _nearest_drawn(mem.points, undrawn, block[hit],
-                                 lvl.decode(out["terminals"][hit]))
+        nearest = _nearest_in_blocks(rounds, out["terminals"][hit], workers,
+                                     keys=block[hit])
         probe = hit % mem.n
         np.add.at(counts[a], (probe, mem.class_index[nearest]), 1.0)
         valid[a] += np.bincount(probe, minlength=mem.n)

@@ -218,12 +218,17 @@ def _flow_config(params: dict) -> FlowConfig:
                       max_steps=int(params["max_steps"]))
 
 
+def _levels(params: dict) -> list | None:
+    """The levels key as ints: the schema passes a whole float (1.0)."""
+    return None if params.get("levels") is None else [int(a) for a in params["levels"]]
+
+
 def _census_config(params: dict, seed: int) -> CensusConfig:
     return CensusConfig(
         n_queries=int(params["n_queries"]),
         query_sigma=params.get("query_sigma"),
         seed=seed,
-        levels=params.get("levels"),
+        levels=_levels(params),
     )
 
 
@@ -284,7 +289,7 @@ def _experiment_biasvar(cfg: RunConfig, records: dict) -> dict:
         probe_sigma=float(cfg.params["probe_sigma"]),
         bootstrap_rounds=int(cfg.params["bootstrap_rounds"]),
         stratified=bool(cfg.params["stratified"]),
-        seed=cfg.seed, levels=cfg.params.get("levels"), workers=cfg.workers,
+        seed=cfg.seed, levels=_levels(cfg.params), workers=cfg.workers,
         phases=records.setdefault("phases", []))
     rows = [(r["level"], c, b, r["variance_mean"])
             for r in results for c, b in sorted(r["bias_per_class"].items())]

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -47,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from landscape_lab.errors import InputError, NumericalFlowError
+from landscape_lab.errors import InputError, NumericalFlowError, require_integer
 from landscape_lab.landscape import flow_bounds, sqdist
 
 logger = logging.getLogger(__name__)
@@ -80,9 +79,7 @@ class FlowConfig:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise InputError(f"{name} must be positive and finite, got {value}")
-        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral):
-            raise InputError(f"max_steps must be an integer, got {self.max_steps!r}")
-        if self.max_steps < 1:
+        if require_integer("max_steps", self.max_steps) < 1:
             raise InputError(f"max_steps must be >= 1, got {self.max_steps}")
 
 

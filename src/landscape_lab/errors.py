@@ -1,8 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer check, shared across the package."""
+
+import numbers
 
 
 class InputError(ValueError):
     """Invalid argument or malformed input data."""
+
+
+def require_integer(name: str, value) -> int:
+    """value as an int; InputError unless it is an integer (numpy's too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class ConfigError(InputError):

@@ -15,23 +15,16 @@ canonical choice here:
   so every critical point lies in the convex hull of the memories.
 
 All evaluators accept a single point of shape (d,) or a batch of shape
-(m, d). Every distance in the package comes from sqdist, whose docstring
-states the chunk-invariance contract the evaluators inherit. sqdist gives
-the bits of a plain broadcast-and-sum with no (..., n, d) temporary: below
-8 coordinates it accumulates one coordinate at a time, as numpy sums fewer
-than 8 terms; from 8 up it rebuilds numpy's pairwise sum with 8 (..., n)
-lane accumulators, over row blocks, reading the memories coordinate-major
-(at most one copy) so that each coordinate is contiguous. No path uses
-BLAS, so a row's distances never depend on the batch it is computed in.
+(m, d). Every distance in the package comes from sqdist, which gives the
+bits of a plain broadcast-and-sum with no (..., n, d) temporary and no
+BLAS, so a row's distances never depend on the batch it is computed in;
+its docstring states this chunk-invariance contract, which the evaluators
+inherit, and how each path keeps numpy's order of summation.
 
-numpy runs a ufunc with a broadcast operand, like sqdist's column-minus-
-row subtractions, through its buffered iterator, whose default 8192-element
-buffers cost 2-4x a plain contiguous operation while they hold several
-rows. So where _small_buffer (decided from rows, n and d alone) says so,
-either path's elementwise work runs inside _small_ufunc_buffer, a scope
-with a small ufunc buffer that restores the caller's size, and reads each
-memory coordinate as a contiguous row. Only elementwise ufuncs run in it,
-whose bits the buffer cannot change; every reduction stays outside.
+Where _small_buffer (decided from rows, n and d alone) says so, sqdist's
+elementwise work runs in _small_ufunc_buffer, a scope with a small numpy
+ufunc buffer that makes its broadcasts 2-4x cheaper. Only elementwise
+ufuncs run in it, whose bits the buffer cannot change.
 
 Scores come in two layouts with the same bits. Row-major (rows, n) is the
 default. Below 8 coordinates, from _MAJOR_ROWS + 8 n rows on (_by_memory,
@@ -503,12 +496,8 @@ class EnergyLandscape:
         return -0.5 * self.beta * sqdist(x, self.memories.points, by_memory)
 
     def energy(self, x) -> np.ndarray | float:
-        """Log-sum-exp energy, computed with max subtraction."""
-        x = self._check_dim(x)
-        by_memory = _by_memory(x, len(self.memories.points))
-        m, _, z = _softmax(self._scores(x, by_memory), by_memory)
-        e = -(m + np.log(z)) / self.beta
-        return float(e) if e.ndim == 0 else e
+        """Log-sum-exp energy, energy_grad's (its cold callers discard the gradient)."""
+        return self.energy_grad(x)[0]
 
     def weights(self, x) -> np.ndarray:
         """Softmax attention over memories; non-negative, sums to 1. A
@@ -524,17 +513,17 @@ class EnergyLandscape:
         """Energy and analytic gradient from one score pass.
 
         The softmax weights that normalise the log-sum-exp also give the
-        gradient x - sum_i w_i x_i, so both come from the same exp. Each
-        is bit-identical to what energy and weights compute alone.
+        gradient x - sum_i w_i x_i, so both come from the same exp. The
+        weights are bit-identical to what weights computes alone.
 
         log_counts (m, n), if given, puts each row x_r (of x (m, d)) on its
         own bootstrap multiset of the memories: row r is added to x_r's
         scores, log(count) on each memory drawn and -inf on the others,
-        which is the multiset's log-sum-exp, and an undrawn memory's
-        weight is an exact zero. A row gets the bits of the full landscape
+        which is the multiset's log-sum-exp, and a memory not drawn
+        gets an exact zero weight. A row gets the bits of the full landscape
         with its offsets on the scores, in either score layout, from the
         same one score pass. It is keyword-only, so flow_batch's keys,
-        passed positionally, never reach it.
+        passed positionally, never reach it. energy returns this energy.
         """
         x = self._check_dim(x)
         by_memory = _by_memory(x, len(self.memories.points))
@@ -552,17 +541,23 @@ class EnergyLandscape:
         """Analytic gradient: x minus the weight-averaged memory."""
         return self.energy_grad(x)[1]
 
-    def nearest_memory(self, x) -> np.ndarray | int:
+    def nearest_memory(self, x, *, log_counts: np.ndarray | None = None) -> np.ndarray | int:
         """Index of the closest memory (ties go to the lower index), taking
-        batches CHUNK rows at a time so memory is bounded by the chunk."""
+        batches CHUNK rows at a time so memory is bounded by the chunk: the
+        package's one nearest-memory routine. log_counts, if given, is
+        energy_grad's keyword, (m, n), or (n,) for one point: a memory at
+        -inf, not drawn by the row's bootstrap round, is never nearest."""
         x = self._check_dim(x)
-        points = self.memories.points
-        if x.ndim == 1:
-            return int(sqdist(x, points).argmin())
-        idx = np.empty(x.shape[0], dtype=np.intp)
-        for lo in range(0, x.shape[0], CHUNK):
-            idx[lo:lo + CHUNK] = sqdist(x[lo:lo + CHUNK], points).argmin(axis=1)
-        return idx
+        rows = x.reshape(-1, self.dim)
+        if log_counts is not None:
+            log_counts = np.reshape(log_counts, (len(rows), -1))
+        idx = np.empty(len(rows), dtype=np.intp)
+        for lo in range(0, len(rows), CHUNK):
+            d = sqdist(rows[lo:lo + CHUNK], self.memories.points)
+            if log_counts is not None:
+                d[np.isneginf(log_counts[lo:lo + CHUNK])] = np.inf
+            idx[lo:lo + CHUNK] = d.argmin(axis=1)
+        return int(idx[0]) if x.ndim == 1 else idx
 
 
 def default_probe_radius(memories: MemorySet) -> float:
@@ -584,8 +579,8 @@ def hessian_fd_batch(target, points: np.ndarray, h: float = FD_STEP) -> np.ndarr
     so a step below sqrt(eps) max|x| (an error above sqrt(eps) / 2) raises
     InputError.
     """
-    if not (h > 0):
-        raise InputError(f"finite-difference step must be positive, got {h}")
+    if not (0 < h < math.inf):
+        raise InputError(f"fd_step must be positive and finite, got {h}")
     points = np.asarray(points, dtype=np.float64)
     m, d = points.shape
     floor = math.sqrt(np.finfo(np.float64).eps) * float(np.abs(points).max(initial=0.0))

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 from landscape_lab import dynamics
@@ -114,67 +115,62 @@ def fd_jacobian_norms(decoder, points, h):
         for x in points])
 
 
-def _derivative_1d(points, beta, x, h=1e-7):
-    return (lse_energy_1d(points, beta, x + h)
-            - lse_energy_1d(points, beta, x - h)) / (2.0 * h)
+def _gradient_1d(points, beta, x):
+    """Analytic gradient x - sum_i w_i x_i of the 1D energy at each x, with
+    the softmax weights w_i(x) shifted by their max exponent."""
+    s = -0.5 * beta * (x[:, None] - points[None, :]) ** 2
+    w = np.exp(s - s.max(axis=1, keepdims=True))
+    return x - (w * points).sum(axis=1) / w.sum(axis=1)
 
 
-def _bisect_derivative(points, beta, lo, hi, tol=1e-12):
-    flo = _derivative_1d(points, beta, lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = _derivative_1d(points, beta, mid)
-        if hi - lo < tol:
-            break
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def basins_1d(points, beta, grid=200001):
+    """Sorted interior maxima and minima of the 1D energy, as two arrays.
+
+    Every critical point lies in the memories' hull, where the analytic
+    gradient's sign changes on a grid of that many points, each refined
+    by brentq: - to + is a minimum, + to - a maximum. The grid reaches a
+    little past the hull, where the gradient is nonzero, so that a
+    minimum within roundoff of an outer memory is still bracketed. Minima
+    and maxima alternate, with one minimum more, so the basin between
+    maxima j - 1 and j (the outer basins unbounded) drains to minimum j.
+    """
+    points = np.asarray(points, dtype=np.float64).ravel()
+    pad = 1e-3 * (points.max() - points.min()) + 1e-9
+    xs = np.linspace(points.min() - pad, points.max() + pad, grid)
+    g = np.concatenate([_gradient_1d(points, beta, part)
+                        for part in np.array_split(xs, max(1, grid // 20000))])
+
+    def grad(x):
+        return float(_gradient_1d(points, beta, np.array([x]))[0])
+
+    def roots(cells):
+        return np.array([brentq(grad, xs[i], xs[i + 1], xtol=1e-15) for i in cells])
+
+    maxima = roots(np.flatnonzero((g[:-1] > 0) & (g[1:] <= 0)))
+    minima = roots(np.flatnonzero((g[:-1] < 0) & (g[1:] >= 0)))
+    return maxima, minima
 
 
-def minima_1d(points, beta, lo=-3.0, hi=3.0, n_grid=4001):
-    """Fine 1D grid search plus derivative bisection; returns minima."""
-    xs = np.linspace(lo, hi, n_grid)
-    ds = np.array([_derivative_1d(points, beta, x) for x in xs])
-    mins = []
-    for i in range(n_grid - 1):
-        # non-strict right side catches derivative zeros that land on grid
-        if ds[i] < 0 and ds[i + 1] >= 0:
-            mins.append(_bisect_derivative(points, beta, xs[i], xs[i + 1]))
-    return mins
+def minima_1d(points, beta):
+    """Local minima of the 1D energy, ascending (basins_1d)."""
+    return basins_1d(points, beta)[1].tolist()
 
 
-def maxima_1d(points, beta, lo=-3.0, hi=3.0, n_grid=4001):
-    """Interior local maxima (basin boundaries) by the same method."""
-    xs = np.linspace(lo, hi, n_grid)
-    ds = np.array([_derivative_1d(points, beta, x) for x in xs])
-    maxs = []
-    for i in range(n_grid - 1):
-        if ds[i] > 0 and ds[i + 1] <= 0:
-            maxs.append(_bisect_derivative(points, beta, xs[i], xs[i + 1]))
-    return maxs
-
-
-def basin_class_probabilities_1d(points, labels, beta, center, sigma,
-                                 lo=-8.0, hi=8.0):
+def basin_class_probabilities_1d(points, labels, beta, center, sigma):
     """Query-measure mass per class, integrated over 1D basins.
 
-    Basin boundaries are the landscape's interior maxima; each interval
-    between consecutive boundaries drains to one minimum, classified by its
-    nearest memory.
+    Basin boundaries are the landscape's interior maxima (basins_1d); each
+    interval between consecutive boundaries drains to one minimum,
+    classified by its nearest memory, and holds the N(center, sigma^2)
+    mass between its bounds.
     """
-    bounds = [lo] + maxima_1d(points, beta, lo, hi, 8001) + [hi]
+    maxima, minima = basins_1d(points, beta)
+    cdf = norm.cdf(np.concatenate([[-np.inf], maxima, [np.inf]]), loc=center, scale=sigma)
     mass = {}
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        mins = minima_1d(points, beta, a, b, 2001)
-        assert len(mins) == 1, f"interval ({a}, {b}) holds {len(mins)} minima"
-        target = mins[0]
+    for target, p in zip(minima, np.diff(cdf)):
         label = labels[int(np.argmin([abs(target - m) for m in points]))]
-        p = norm.cdf(b, loc=center, scale=sigma) - norm.cdf(a, loc=center, scale=sigma)
-        mass[label] = mass.get(label, 0.0) + p
-    total = sum(mass.values())
-    return {c: v / total for c, v in mass.items()}
+        mass[label] = mass.get(label, 0.0) + float(p)
+    return mass
 
 
 def knn_bruteforce(points, labels, q, k):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,39 @@ def test_a_derivative_above_its_factor_by_any_margin_is_rejected():
 
     with pytest.raises(InputError, match="level 1 exceeds its contraction factor"):
         AbstractionHierarchy((DiagonalDecoder(1.0), JustAbove(0.5)), dim=2)
+
+
+@pytest.mark.parametrize("level", [0.5, 1.9, 1.0, True, "1"])
+def test_levels_must_be_integers(level):
+    # check_level used to truncate: 0.5 named level 0, 1.9 and True level 1
+    h = diagonal_hierarchy([0.9, 0.8], dim=2)
+    message = re.escape(f"level must be an integer, got {level!r}")
+    with pytest.raises(InputError, match=message):
+        h.check_level(level)
+    with pytest.raises(InputError, match=message):
+        h.level_energy(random_landscape(0), level)
+    with pytest.raises(InputError, match=message):
+        jacobian_norm_probe(h, level)
+
+
+def test_numpy_integer_levels_and_probe_counts_pass():
+    h = diagonal_hierarchy([0.9, 0.8], dim=2)
+    assert h.check_level(np.int64(2)) == 2 and type(h.check_level(np.int64(2))) is int
+    assert jacobian_norm_probe(h, np.int64(1), probes=np.int32(8)) == jacobian_norm_probe(
+        h, 1, probes=8)
+    ls = random_landscape(0)
+    assert smoothness_report(h, ls, probes=np.int64(8)) == smoothness_report(h, ls, probes=8)
+
+
+@pytest.mark.parametrize("probes", [2.5, 16.0, True])
+def test_probe_counts_must_be_integers(probes):
+    # 2.5 raised numpy's TypeError; jacobian_norm_probe took True as 1 probe
+    h = diagonal_hierarchy([0.5], dim=2)
+    message = re.escape(f"probes must be an integer, got {probes!r}")
+    with pytest.raises(InputError, match=message):
+        smoothness_report(h, random_landscape(0), probes=probes)
+    with pytest.raises(InputError, match=message):
+        jacobian_norm_probe(h, 1, probes=probes)
 
 
 def test_level_out_of_range():

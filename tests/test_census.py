@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -7,8 +8,9 @@ from functools import partial
 import numpy as np
 import pytest
 
+import goldens
 import oracles
-from landscape_lab import census, dynamics, landscape
+from landscape_lab import census, cli, dynamics, landscape
 from landscape_lab._seeds import derive_rng, derive_seed
 from landscape_lab.abstraction import LevelEnergy, diagonal_hierarchy, tanh_hierarchy
 from landscape_lab.census import (
@@ -46,6 +48,36 @@ def test_census_config_validation():
         bias_variance_probes(biased_1d_landscape(), hierarchy_1d(1), probe_sigma=0.0)
     with pytest.warns(UserWarning):
         CensusConfig(n_queries=50)
+
+
+@pytest.mark.parametrize("levels", [(1.5,), (0.5,), (1.0,), (True,)])
+def test_census_and_biasvar_levels_must_be_integers(levels):
+    # a fractional level or a bool used to be truncated: (1.5,) reported
+    # level 1 and (0.5,) ran level 0
+    ls = biased_1d_landscape()
+    message = f"level must be an integer, got {levels[0]!r}"
+    with pytest.raises(InputError, match=message):
+        run_census(ls, hierarchy_1d(2), CensusConfig(n_queries=100, levels=levels))
+    with pytest.raises(InputError, match=message):
+        bias_variance_probes(ls, hierarchy_1d(2), bootstrap_rounds=10, levels=levels)
+
+
+def test_census_and_biasvar_counts_must_be_integers():
+    # these raised numpy's TypeError deep in a draw, not InputError
+    with pytest.raises(InputError, match=r"n_queries must be an integer, got 200\.5"):
+        CensusConfig(n_queries=200.5)
+    with pytest.raises(InputError, match="n_queries must be an integer, got True"):
+        CensusConfig(n_queries=True)
+    with pytest.raises(InputError, match=r"bootstrap_rounds must be an integer, got 10\.5"):
+        bias_variance_probes(biased_1d_landscape(), hierarchy_1d(1), bootstrap_rounds=10.5)
+    # numpy integers are integers
+    ls = EnergyLandscape(MemorySet(np.array([[-1.0], [1.0]]), ("a", "b")), 4.0)
+    assert (run_census(ls, hierarchy_1d(1), CensusConfig(n_queries=np.int64(100),
+                                                         levels=(np.int64(1),)))
+            == run_census(ls, hierarchy_1d(1), CensusConfig(n_queries=100, levels=(1,))))
+    assert (bias_variance_probes(ls, hierarchy_1d(1), bootstrap_rounds=np.int64(10),
+                                 levels=(np.int64(1),))
+            == bias_variance_probes(ls, hierarchy_1d(1), bootstrap_rounds=10, levels=(1,)))
 
 
 def test_census_report_validation():
@@ -86,6 +118,86 @@ def test_census_matches_basin_integration_oracle():
     reports = run_census(ls, hierarchy_1d(1), CensusConfig(
         n_queries=20000, seed=3, levels=(0,)))
     assert abs(reports[0].p_gen["A"] - expected["A"]) < 0.02
+
+
+def _census_1d_cases():
+    """(name, landscape, hierarchy, seed) of every 1-D census the exact
+    oracle covers: test_09's 20 one-dimensional landscapes with their
+    census seeds, census_biased at seed 7 and the biasvar config's
+    landscape at seed 0, each built as the CLI builds it."""
+    from test_acceptance import FACTORS, biased_landscape
+    for seed in range(20):
+        yield (f"test_09 landscape {4000 + seed}", biased_landscape(1, 4000 + seed, 40.0),
+               diagonal_hierarchy(FACTORS, 1), seed)
+    for name, seed in (("census_biased", 7), ("biasvar", 0)):
+        given = json.loads((goldens.ROOT / "configs" / f"{name}.json").read_text())
+        params = cli.validate_params(given.pop("experiment"), given)
+        ls = cli._build_landscape(params, seed)
+        yield f"{name} at seed {seed}", ls, cli._build_hierarchy(params, ls.dim), seed
+
+
+def test_census_rows_end_in_the_basin_of_their_start_1d(monkeypatch):
+    # exact, not statistical. In 1-D a diagonal level's step, read in base
+    # coordinates, is x' = (1 - h c^2) x + h c^2 m(x) with m the weighted
+    # memory mean, m' = beta Var_w >= 0 and h <= step_size <= 1, so x' is
+    # nondecreasing in x and fixes every maximum of E: no iterate crosses
+    # one. Each converged row therefore ends at the minimum between the
+    # two maxima around its decoded start, and the census classifies it
+    # by that minimum's nearest memory. Rows starting within 1e-9 of a
+    # maximum, where rounding could tip them, are counted apart (none
+    # are). Tanh levels are left out: their step in base coordinates is
+    # not of that form, so the argument does not hold there. About 8 s on
+    # a 2-core host, half of it in the Gaussian-mass oracle.
+    seen = {"flows": [], "nearest": []}
+    real_flow, real_nearest = census.flow_chunked, census._nearest_in_blocks
+
+    def flow_chunked(target, starts, *args, **kwargs):
+        out, ok = real_flow(target, starts, *args, **kwargs)
+        seen["flows"].append((starts, ok))
+        return out, ok
+
+    def nearest_in_blocks(*args, **kwargs):
+        seen["nearest"].append(real_nearest(*args, **kwargs))
+        return seen["nearest"][-1]
+
+    monkeypatch.setattr(census, "flow_chunked", flow_chunked)
+    monkeypatch.setattr(census, "_nearest_in_blocks", nearest_in_blocks)
+    n, near_maximum, pairs = 5000, 0, 0
+    for name, ls, hierarchy, seed in _census_1d_cases():
+        mem = ls.memories
+        points = mem.points[:, 0]
+        maxima, minima = oracles.basins_1d(points, ls.beta)
+        assert len(minima) == len(maxima) + 1
+        assert np.all(minima[:-1] < maxima) and np.all(maxima < minima[1:])
+        minimum_class = mem.class_index[np.abs(minima[:, None] - points).argmin(axis=1)]
+        sigma = census.default_query_sigma(mem)
+        unit = derive_rng(seed, "census-queries").standard_normal((n, 1))
+        for record in seen.values():
+            record.clear()
+        reports = run_census(ls, hierarchy, CensusConfig(n_queries=n, seed=seed))
+        assert len(reports) == hierarchy.levels + 1
+        for r, (starts, ok), nearest in zip(reports, seen["flows"], seen["nearest"]):
+            lvl = hierarchy.level_energy(ls, r.level)
+            assert np.array_equal(starts, np.asarray(lvl.encode(mem.centroid)) + sigma * unit)
+            x0 = lvl.decode(starts[ok])[:, 0]
+            expected = minimum_class[np.searchsorted(maxima, x0)]
+            apart = (np.abs(x0[:, None] - maxima).min(axis=1, initial=np.inf) < 1e-9)
+            near_maximum += int(apart.sum())
+            wrong = (mem.class_index[nearest] != expected) & ~apart
+            assert not wrong.any(), (f"{name}, level {r.level}: {int(wrong.sum())} rows "
+                                     "left the basin they started in")
+            m_ok = x0.shape[0]
+            law = oracles.basin_class_probabilities_1d(
+                points, mem.labels, ls.beta, mem.centroid[0],
+                hierarchy.factors[r.level] * sigma)
+            for i, c in enumerate(mem.classes()):
+                assert r.p_gen[c] == float((expected == i).sum()) / m_ok, (name, r.level)
+                p = law.get(c, 0.0)
+                assert abs(r.p_gen[c] - p) <= 4 * math.sqrt(p * (1 - p) / m_ok), (
+                    name, r.level, c, r.p_gen[c], p)
+            pairs += 1
+    assert pairs == 20 * 5 + 5 + 3
+    assert near_maximum == 0
 
 
 def test_census_single_class_exact():
@@ -634,29 +746,34 @@ def test_drawn_only_landscapes_agree_within_summation_order(n, dim):
 
 
 def test_one_pass_classification_equals_each_rounds_nearest_memory():
-    # _nearest_drawn classifies every round's decoded terminals at once;
-    # each row's memory is the one its round's LevelEnergy.nearest_memory
-    # names, over more than one CHUNK of rows
+    # every round's terminals classify at once through _Rounds.nearest_memory,
+    # in _nearest_in_blocks' CHUNK-row blocks at workers 1 and 2; each row's
+    # memory is the one its round's LevelEnergy.nearest_memory names, over
+    # more than one CHUNK of rows
     ms = gaussian_blobs(dim=2, class_counts=[6, 4], spread=0.3, seed=5, center_scale=0.5)
     ls = EnergyLandscape(ms, 12.0)
     hierarchy = tanh_hierarchy([0.9], dim=2)
     log_counts = bootstrap_log_counts(ms, 12, 5)
     rounds = [oracles.round_landscape(ls, row) for row in log_counts]
-    undrawn = np.isinf(log_counts)
     z = np.random.default_rng(6).standard_normal((CHUNK + 50, 2))
     which = np.arange(z.shape[0]) % len(rounds)
-    for a in (0, 1):
-        got = census._nearest_drawn(ms.points, undrawn, which,
-                                    hierarchy.decoders[a].decode(z))
-        for b, r in enumerate(rounds):
-            lvl = hierarchy.level_energy(r, a)
-            assert np.array_equal(got[which == b], r.drawn[lvl.nearest_memory(z[which == b])])
+    for workers in (1, 2):
+        for a in (0, 1):
+            one_pass = census._Rounds(hierarchy.level_energy(ls, a), log_counts)
+            got = _nearest_in_blocks(one_pass, z, workers, keys=which)
+            for b, r in enumerate(rounds):
+                lvl = hierarchy.level_energy(r, a)
+                assert np.array_equal(got[which == b],
+                                      r.drawn[lvl.nearest_memory(z[which == b])])
     # equidistant memories: the tie goes to the lower index the round drew
     ms = MemorySet(np.array([[-1.0], [1.0], [3.0]]), ("a", "b", "b"))
-    undrawn = np.array([[False, False, True], [True, False, False]])
+    log_counts = np.array([[0.0, 0.0, -np.inf], [-np.inf, 0.0, 0.0]])
+    one_pass = census._Rounds(hierarchy_1d(1).level_energy(EnergyLandscape(ms, 1.0), 0),
+                              log_counts)
     z = np.array([[0.0], [2.0], [0.0], [2.0]])
-    got = census._nearest_drawn(ms.points, undrawn, np.array([0, 0, 1, 1]), z)
-    assert got.tolist() == [0, 1, 1, 1]
+    for workers in (1, 2):
+        got = _nearest_in_blocks(one_pass, z, workers, keys=np.array([0, 0, 1, 1]))
+        assert got.tolist() == [0, 1, 1, 1]
 
 
 def test_bootstrap_flows_take_one_score_pass_per_evaluation(monkeypatch):

@@ -865,6 +865,19 @@ def test_whole_float_accepted_for_int_key():
     assert params["n_queries"] == 5000.0 and params["levels"] == [1.0]
 
 
+@pytest.mark.parametrize("experiment, params", [
+    ("census", {"n_queries": 200, "depth": 2, "levels": [1.0]}),
+    ("biasvar", {"depth": 2, "bootstrap_rounds": 10, "levels": [1.0]}),
+])
+def test_whole_float_levels_run_as_their_integers(tmp_path, experiment, params):
+    # the library takes integer levels only; the builders pass 1.0 as 1
+    out = tmp_path / "out"
+    assert main([experiment, "--config", write_cfg(tmp_path, "c.json", params),
+                 "--out-dir", str(out)]) == 0
+    rows = (out / f"{experiment}.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert rows and {row.split(",")[0] for row in rows} == {"1"}
+
+
 def test_missing_config_file(tmp_path):
     assert main(["grid", "--config", str(tmp_path / "nope.json"),
                  "--out-dir", str(tmp_path / "out")]) == 2

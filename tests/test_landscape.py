@@ -522,6 +522,18 @@ def test_nearest_memory_single_point_and_ties():
         ls.nearest_memory(np.zeros(2))
 
 
+def test_nearest_memory_skips_undrawn_memories():
+    # a memory whose log-count is -inf is never nearest, however close; the
+    # draw counts themselves do not matter, and one point takes an (n,) row
+    ls = EnergyLandscape(MemorySet(np.array([[-1.0], [1.0], [3.0]]), ("a", "b", "b")), 1.0)
+    x = np.array([[-1.0], [0.0], [2.9], [1.2]])
+    log_counts = np.array([[-np.inf, 0.0, 0.0], [np.log(3.0), -np.inf, 0.0],
+                           [0.0, 0.0, -np.inf], [np.log(2.0), 0.0, np.log(5.0)]])
+    assert ls.nearest_memory(x).tolist() == [0, 0, 2, 1]
+    assert ls.nearest_memory(x, log_counts=log_counts).tolist() == [1, 0, 1, 1]
+    assert ls.nearest_memory(x[0], log_counts=log_counts[0]) == 1
+
+
 # ---------------------------------------------------------------------------
 # Weights and gradient
 # ---------------------------------------------------------------------------
@@ -773,6 +785,14 @@ def test_hessian_fd_batch_evaluates_at_most_chunk_rows_per_call():
 def test_hessian_step_validation():
     with pytest.raises(InputError):
         hessian_fd_batch(two_memory_1d(1.0), np.array([[0.0]]), h=0.0)
+
+
+@pytest.mark.parametrize("h", [math.inf, math.nan, -math.inf])
+def test_hessian_step_must_be_finite(h):
+    # an infinite step used to give NaN matrices with no error
+    ls = EnergyLandscape(MemorySet(np.array([[0.0, 0.0], [1.0, 1.0]]), ("a", "b")), 1.0)
+    with pytest.raises(InputError, match=f"fd_step must be positive and finite, got {h}"):
+        hessian_fd_batch(ls, np.zeros((1, 2)), h=h)
 
 
 @pytest.mark.parametrize("point", [[[0.5, 1.0]], [[0.0, 1.0]], [[1e-3, 2.0]]])

@@ -119,6 +119,35 @@ def test_only_the_softmax_helper_calls_exp():
     assert offenders == []
 
 
+def _is_argmin(node: ast.AST) -> bool:
+    """True for a name, attribute or import of argmin, called or not."""
+    return ((isinstance(node, ast.Name) and node.id == "argmin")
+            or (isinstance(node, ast.Attribute) and node.attr == "argmin")
+            or (isinstance(node, ast.alias) and node.name == "argmin"))
+
+
+def test_scan_detects_argmin():
+    # a planted second nearest-memory routine, beside the other spellings
+    tree = ast.parse("def nearest_drawn(d, undrawn):\n    d[undrawn] = np.inf\n"
+                     "    return d.argmin(axis=1)\n"
+                     "from numpy import argmin\ni = np.argmin(x) + argmin(y)\n"
+                     "j = np.argmax(x) + np.argsort(y)[0]\n")
+    assert _sites(tree, _is_argmin) == [("nearest_drawn", 3), (None, 4), (None, 5),
+                                        (None, 5)]
+
+
+def test_only_nearest_memory_takes_an_argmin():
+    # EnergyLandscape.nearest_memory is the package's one nearest-memory
+    # routine: the census, the bootstrap rounds and flow's basin index all
+    # classify through it, bootstrap rows with their rounds' log-counts
+    allowed = {("landscape.py", "nearest_memory")}
+    offenders = [f"{name}:{line} in {func}"
+                 for name, func, line in _package_sites(_is_argmin)
+                 if (name, func) not in allowed]
+    assert offenders == []
+    assert {(name, func) for name, func, _ in _package_sites(_is_argmin)} == allowed
+
+
 def _is_labels_read(node: ast.AST) -> bool:
     """True for a load of an attribute named labels."""
     return (isinstance(node, ast.Attribute) and node.attr == "labels"
