@@ -7,8 +7,10 @@ precedence flag > environment > config > default, computes its result
 tables once, plot data included, and writes each from memory, and echoes
 the fully resolved configuration into manifest.json (a census manifest
 also holds each level's phase timings). Each experiment's
-schema holds exactly the keys it reads. Exit codes: 0 success, 2 input or
-config error, 3 numerical failure.
+schema holds exactly the keys it reads and types each of them once (a
+whole 1.0 for an int key is 1, an int for a float key a float); the
+experiments pass the typed values to the library, and the manifest echoes
+them. Exit codes: 0 success, 2 input or config error, 3 numerical failure.
 
 census writes census.csv and privacy.csv from one census run; privacy is
 an alias of census, kept for existing scripts, with the same schema and
@@ -21,6 +23,7 @@ derives per-item seeds and chunks work deterministically.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import inspect
@@ -84,10 +87,12 @@ _HIERARCHY_KEYS = {
     "contraction_base": 0.9,  # used when factors is None
     "depth": 4,
 }
-_FLOW_KEYS = {key: getattr(default_flow_config(), key)
-              for key in ("step_size", "grad_tol", "max_steps")}
-_CENSUS_KEYS = {f.name: f.default for f in dataclasses.fields(CensusConfig)
-                if f.name != "seed"}    # seed is a global key
+# keys passed as they are to the library call whose defaults they take
+_FLOW_KEYS = ("step_size", "grad_tol", "max_steps")
+_CENSUS_KEYS = ("n_queries", "query_sigma", "levels")    # seed is a global key
+_BIASVAR_KEYS = ("probe_sigma", "bootstrap_rounds", "stratified", "levels")
+_SMOOTHNESS_KEYS = ("probes", "probe_radius", "fd_step")
+_FLOW_DEFAULTS = {key: getattr(default_flow_config(), key) for key in _FLOW_KEYS}
 
 
 def _defaults(fn, *names) -> dict:
@@ -96,16 +101,21 @@ def _defaults(fn, *names) -> dict:
     return {name: parameters[name].default for name in names}
 
 
+def _pick(params: dict, keys: tuple) -> dict:
+    """The named keys of params, as keyword arguments."""
+    return {key: params[key] for key in keys}
+
+
 SCHEMAS = {
-    "census": {**_LANDSCAPE_KEYS, **_HIERARCHY_KEYS, **_FLOW_KEYS, **_CENSUS_KEYS},
-    "biasvar": {**_LANDSCAPE_KEYS, **_HIERARCHY_KEYS, **_FLOW_KEYS,
-                **_defaults(bias_variance_probes, "probe_sigma", "bootstrap_rounds",
-                            "stratified", "levels")},
+    "census": {**_LANDSCAPE_KEYS, **_HIERARCHY_KEYS, **_FLOW_DEFAULTS,
+               **_defaults(CensusConfig, *_CENSUS_KEYS)},
+    "biasvar": {**_LANDSCAPE_KEYS, **_HIERARCHY_KEYS, **_FLOW_DEFAULTS,
+                **_defaults(bias_variance_probes, *_BIASVAR_KEYS)},
     "smoothness": {**_LANDSCAPE_KEYS, **_HIERARCHY_KEYS,
-                   **_defaults(smoothness_report, "probes", "probe_radius", "fd_step"),
+                   **_defaults(smoothness_report, *_SMOOTHNESS_KEYS),
                    "jacobian_probes": _defaults(jacobian_norm_probe, "probes")["probes"]},
     # each tau sets beta = 2/tau, so knn reads the memories but no beta
-    "knn": {**_MEMORY_KEYS, **_FLOW_KEYS,
+    "knn": {**_MEMORY_KEYS, **_FLOW_DEFAULTS,
             "taus": [0.02, 0.1, 0.5, 2.0, 10.0], "n_queries": 50,
             "query_sigma": None},
     "odds": {"scenarios": [[2, 1, 2], [3, 1, 3], [3, 2, 4], [9, 1, 3]],
@@ -143,7 +153,8 @@ class RunConfig:
 
 
 def validate_params(experiment: str, given: dict) -> dict:
-    """Closed-schema merge of given keys over the experiment defaults."""
+    """Closed-schema merge of given keys, each in its schema type, over the
+    experiment defaults."""
     schema = SCHEMAS[experiment]
     params = dict(schema)
     for key, value in given.items():
@@ -152,14 +163,16 @@ def validate_params(experiment: str, given: dict) -> dict:
                               f"{experiment!r}")
         default = schema[key]
         if value is not None or default is not None:
-            _check_type(key, _NULLABLE_TYPES[key] if default is None else default,
-                        value)
+            value = _check_type(key, _NULLABLE_TYPES[key] if default is None else default,
+                                value)
         params[key] = value
     return params
 
 
-def _check_type(key: str, example, value) -> None:
-    """Reject value unless it has the type of example, list elements too."""
+def _check_type(key: str, example, value):
+    """value in the type of example, list elements too: a whole float for an
+    int key as its int, an int for a float key as its float. ConfigError
+    unless value has example's type, where any number but a bool is a number."""
     # bool is tested first: it is an int subclass, but not a number here
     for kind, name in ((bool, "bool"), ((int, float), "number"), (str, "string"),
                        (list, "list")):
@@ -167,13 +180,18 @@ def _check_type(key: str, example, value) -> None:
             if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
                 raise ConfigError(f"config key {key!r} expects a {name}")
             break
-    # the builders apply int() to int keys, which would truncate a fraction
-    if (isinstance(example, int) and not isinstance(example, bool)
-            and isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"config key {key!r} expects a whole number")
     if isinstance(example, list):
-        for item in value:
-            _check_type(key, example[0], item)
+        return [_check_type(key, example[0], item) for item in value]
+    if isinstance(example, float):
+        try:
+            return float(value)
+        except OverflowError:    # an int past 1.8e308
+            raise ConfigError(f"config key {key!r} expects a number in float range") from None
+    if isinstance(example, int) and not isinstance(example, bool):
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"config key {key!r} expects a whole number")
+        return int(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -183,53 +201,31 @@ def _check_type(key: str, example, value) -> None:
 def _build_memories(params: dict, seed: int) -> MemorySet:
     if params.get("memories_csv"):
         return load_memory_csv(params["memories_csv"])
-    counts = [int(c) for c in params["class_counts"]]
+    counts = params["class_counts"]
     return gaussian_blobs(
-        dim=int(params["dim"]),
+        dim=params["dim"],
         class_counts=counts,
-        spread=float(params["blob_spread"]),
+        spread=params["blob_spread"],
         seed=derive_seed(seed, "landscape"),
-        center_scale=float(params["center_scale"]),
+        center_scale=params["center_scale"],
         labels=[f"c{i}" for i in range(len(counts))],
     )
 
 
 def _build_landscape(params: dict, seed: int) -> EnergyLandscape:
-    return EnergyLandscape(_build_memories(params, seed), beta=float(params["beta"]))
+    return EnergyLandscape(_build_memories(params, seed), beta=params["beta"])
 
 
 def _build_hierarchy(params: dict, dim: int):
     factors = params.get("factors")
     if factors is None:
-        base = float(params["contraction_base"])
-        depth = int(params["depth"])
-        factors = [base ** a for a in range(1, depth + 1)]
+        factors = [params["contraction_base"] ** a for a in range(1, params["depth"] + 1)]
     family = params.get("decoder", "diagonal")
     if family == "diagonal":
         return diagonal_hierarchy(factors, dim)
     if family == "tanh":
         return tanh_hierarchy(factors, dim)
     raise ConfigError(f"unknown decoder family {family!r}")
-
-
-def _flow_config(params: dict) -> FlowConfig:
-    return FlowConfig(step_size=float(params["step_size"]),
-                      grad_tol=float(params["grad_tol"]),
-                      max_steps=int(params["max_steps"]))
-
-
-def _levels(params: dict) -> list | None:
-    """The levels key as ints: the schema passes a whole float (1.0)."""
-    return None if params.get("levels") is None else [int(a) for a in params["levels"]]
-
-
-def _census_config(params: dict, seed: int) -> CensusConfig:
-    return CensusConfig(
-        n_queries=int(params["n_queries"]),
-        query_sigma=params.get("query_sigma"),
-        seed=seed,
-        levels=_levels(params),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +252,9 @@ def _experiment_census(cfg: RunConfig, records: dict) -> dict:
     run_census call; records gets each level's phase timings."""
     landscape = _build_landscape(cfg.params, cfg.seed)
     hierarchy = _build_hierarchy(cfg.params, landscape.dim)
-    reports = run_census(landscape, hierarchy, _census_config(cfg.params, cfg.seed),
-                         _flow_config(cfg.params), workers=cfg.workers)
+    reports = run_census(landscape, hierarchy,
+                         CensusConfig(seed=cfg.seed, **_pick(cfg.params, _CENSUS_KEYS)),
+                         FlowConfig(**_pick(cfg.params, _FLOW_KEYS)), workers=cfg.workers)
     records["phases"] = [{"level": r.level, **r.phases} for r in reports]
     census = [(r.level, c, r.p_data[c], r.p_gen[c], r.amplification,
                r.diversity_mean_pairwise,
@@ -285,12 +282,9 @@ def _experiment_biasvar(cfg: RunConfig, records: dict) -> dict:
     landscape = _build_landscape(cfg.params, cfg.seed)
     hierarchy = _build_hierarchy(cfg.params, landscape.dim)
     results = bias_variance_probes(
-        landscape, hierarchy, _flow_config(cfg.params),
-        probe_sigma=float(cfg.params["probe_sigma"]),
-        bootstrap_rounds=int(cfg.params["bootstrap_rounds"]),
-        stratified=bool(cfg.params["stratified"]),
-        seed=cfg.seed, levels=_levels(cfg.params), workers=cfg.workers,
-        phases=records.setdefault("phases", []))
+        landscape, hierarchy, FlowConfig(**_pick(cfg.params, _FLOW_KEYS)),
+        seed=cfg.seed, workers=cfg.workers, phases=records.setdefault("phases", []),
+        **_pick(cfg.params, _BIASVAR_KEYS))
     rows = [(r["level"], c, b, r["variance_mean"])
             for r in results for c, b in sorted(r["bias_per_class"].items())]
     return {"biasvar": _columns(["level", "class", "bias", "variance_mean"], rows)}
@@ -299,16 +293,12 @@ def _experiment_biasvar(cfg: RunConfig, records: dict) -> dict:
 def _experiment_smoothness(cfg: RunConfig, records: dict) -> dict:
     landscape = _build_landscape(cfg.params, cfg.seed)
     hierarchy = _build_hierarchy(cfg.params, landscape.dim)
-    reports = smoothness_report(
-        hierarchy, landscape,
-        probes=int(cfg.params["probes"]),
-        probe_radius=cfg.params.get("probe_radius"),
-        seed=cfg.seed,
-        fd_step=float(cfg.params["fd_step"]))
+    reports = smoothness_report(hierarchy, landscape, seed=cfg.seed,
+                                **_pick(cfg.params, _SMOOTHNESS_KEYS))
     columns = ["level", "hessian_norm_est", "lipschitz_est", "jacobian_norm_est"]
     rows = [(r.level, r.hessian_norm_est, r.lipschitz_est,
              jacobian_norm_probe(hierarchy, r.level,
-                                 probes=int(cfg.params["jacobian_probes"]), seed=cfg.seed))
+                                 probes=cfg.params["jacobian_probes"], seed=cfg.seed))
             for r in reports]
     plot = [(series, level, y, None)
             for level, *ys in rows for series, y in zip(columns[1:], ys)]
@@ -318,10 +308,10 @@ def _experiment_smoothness(cfg: RunConfig, records: dict) -> dict:
 
 def _experiment_knn(cfg: RunConfig, records: dict) -> dict:
     mem = _build_memories(cfg.params, cfg.seed)
-    sigma = cfg.params.get("query_sigma")
+    sigma = cfg.params["query_sigma"]
     if sigma is None:
         sigma = default_query_sigma(mem)
-    n_queries = int(cfg.params["n_queries"])
+    n_queries = cfg.params["n_queries"]
     if n_queries < 1:
         raise InputError(f"n_queries must be >= 1, got {n_queries}")
     if sigma < 0:
@@ -330,10 +320,10 @@ def _experiment_knn(cfg: RunConfig, records: dict) -> dict:
         raise InputError(f"query_sigma must be a finite real, got {sigma}")
     if not cfg.params["taus"]:
         raise InputError("taus must name at least one tau")
-    queries = mem.centroid + float(sigma) * derive_rng(
+    queries = mem.centroid + sigma * derive_rng(
         cfg.seed, "knn-queries").standard_normal((n_queries, mem.dim))
-    flow_cfg = _flow_config(cfg.params)
-    taus = [float(tau) for tau in cfg.params["taus"]]
+    flow_cfg = FlowConfig(**_pick(cfg.params, _FLOW_KEYS))
+    taus = cfg.params["taus"]
     landscapes = [tau_landscape(mem, tau) for tau in taus]
     # each memory's class, as the census reads it, for every label type
     classes = np.array(mem.classes(), dtype=object)
@@ -392,10 +382,10 @@ def _experiment_odds(cfg: RunConfig, records: dict) -> dict:
     scenarios = cfg.params["scenarios"]
     if not scenarios or any(len(scenario) != 3 for scenario in scenarios):
         raise InputError("scenarios must be a non-empty list of [p, q, S] triples")
-    trials = int(cfg.params["trials"])
+    trials = cfg.params["trials"]
     rows = []
-    for i, (p, q, s) in enumerate(scenarios):
-        scenario = MergeScenario(int(p), int(q), int(s))
+    for i, triple in enumerate(scenarios):
+        scenario = MergeScenario(*triple)
         counts = simulate_merge(scenario, trials, seed=derive_seed(cfg.seed, "odds", i))
         rows.append((scenario.majority_minima, scenario.minority_minima,
                      scenario.feature_count, initial_odds(scenario),
@@ -410,14 +400,14 @@ def _experiment_grid(cfg: RunConfig, records: dict) -> dict:
     if not cfg.params["p_red"]:
         raise InputError("p_red must name at least one initial share")
     rows = []
-    side = int(cfg.params["side"])
-    levels = int(cfg.params["levels"])
     for i, p in enumerate(cfg.params["p_red"]):
         sub_seed = derive_seed(cfg.seed, "grid", i)
-        for level, grid in coarsening_levels(side, float(p), levels, seed=sub_seed):
-            rows.append((float(p), level, grid.red_share))
+        for level, grid in coarsening_levels(cfg.params["side"], p, cfg.params["levels"],
+                                             seed=sub_seed):
+            rows.append((p, level, grid.red_share))
             if cfg.params["dump_bitmaps"]:
-                write_pbm(grid, cfg.out_dir / f"grid_p{p}_level{level}.pbm")
+                with _writing():
+                    write_pbm(grid, cfg.out_dir / f"grid_p{p}_level{level}.pbm")
     plot = [(f"p_red={p}", level, share, None) for p, level, share in rows]
     return {"grid": _columns(["p_red_init", "level", "red_share"], rows),
             "plotdata_grid": _columns(_PLOTDATA_COLUMNS, plot)}
@@ -466,6 +456,15 @@ def _environment() -> dict:
             "sqdist_ufunc_buffer": _SMALL_BUFFER}
 
 
+@contextlib.contextmanager
+def _writing():
+    """A scope whose OSError, a file the run cannot write, is a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror or exc}") from None
+
+
 def run(config: RunConfig) -> int:
     """Execute one experiment and write its artifacts."""
     t0 = time.monotonic()
@@ -487,15 +486,13 @@ def run(config: RunConfig) -> int:
         "environment": _environment(),
         **records,
     }
-    try:
+    with _writing():
         for name, columns in tables.items():
             write_table(config.out_dir, name, columns, config.format)
         manifest["wall_time_s"] = time.monotonic() - t0
         with open(config.out_dir / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror or exc}") from None
     return 0
 
 
@@ -528,8 +525,7 @@ def build_run_config(experiment: str, args: argparse.Namespace) -> RunConfig:
     defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     resolved = {}
     for key in ("seed", "out_dir", "format", "workers"):
-        resolved[key] = file_cfg.get(key, defaults[key])
-        _check_type(key, defaults[key], resolved[key])
+        resolved[key] = _check_type(key, defaults[key], file_cfg.get(key, defaults[key]))
     if os.environ.get(ENV_SEED):
         try:
             resolved["seed"] = int(os.environ[ENV_SEED])
@@ -540,8 +536,6 @@ def build_run_config(experiment: str, args: argparse.Namespace) -> RunConfig:
     for key in resolved:
         if getattr(args, key) is not None:
             resolved[key] = getattr(args, key)
-    for key in ("seed", "workers"):
-        resolved[key] = int(resolved[key])
     return RunConfig(experiment=experiment, params=params, **resolved)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from landscape_lab._seeds import derive_rng, derive_seed
-from landscape_lab.errors import InputError
+from landscape_lab.errors import InputError, require_integer
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -87,7 +87,7 @@ def _draws_below(rng: np.random.Generator, side: int, p: float) -> np.ndarray:
 
 def init_grid(side: int, p_red: float, seed: int = 0) -> ClassGrid:
     """iid Bernoulli(p_red) grid; deterministic per seed."""
-    if not _is_power_of_two(side) or side < 2:
+    if not _is_power_of_two(require_integer("side", side)) or side < 2:
         raise InputError(f"side must be a power of two >= 2, got {side}")
     if not (0.0 <= p_red <= 1.0):
         raise InputError(f"p_red must be in [0, 1], got {p_red}")
@@ -122,10 +122,10 @@ def coarsen(grid: ClassGrid, seed: int = 0) -> ClassGrid:
 
 def coarsening_levels(side: int, p_red: float, levels: int, seed: int = 0):
     """Yield (level, grid) from the initial grid (level 0) to `levels`."""
-    if not _is_power_of_two(side) or side < 2:
+    if not _is_power_of_two(require_integer("side", side)) or side < 2:
         raise InputError(f"side must be a power of two >= 2, got {side}")
     max_levels = int(math.log2(side))
-    if levels > max_levels:
+    if require_integer("levels", levels) > max_levels:
         raise InputError(f"levels {levels} exceeds log2(side) = {max_levels}")
     if levels < 0:
         raise InputError(f"levels must be >= 0, got {levels}")

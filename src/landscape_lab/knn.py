@@ -85,6 +85,8 @@ def tau_landscape(memories: MemorySet, tau: float) -> EnergyLandscape:
     """The landscape whose softmax weights are the soft k-NN weights at tau."""
     if not (tau > 0):
         raise InputError(f"tau must be positive, got {tau}")
+    if not (0 < 2.0 / tau < math.inf):
+        raise InputError(f"2 / tau must be positive and finite, got tau = {tau}")
     return EnergyLandscape(memories, beta=2.0 / tau)
 
 

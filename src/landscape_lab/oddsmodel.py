@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from landscape_lab._seeds import derive_rng
-from landscape_lab.errors import InputError
+from landscape_lab.errors import InputError, require_integer
 
 _OVERFLOW_LIMIT = 1e300
 
@@ -33,7 +33,7 @@ class MergeScenario:
 
     def __post_init__(self):
         for name in ("majority_minima", "minority_minima", "feature_count"):
-            if getattr(self, name) < 1:
+            if require_integer(name, getattr(self, name)) < 1:
                 raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
@@ -77,7 +77,7 @@ def simulate_merge(scenario: MergeScenario, trials: int, seed: int = 0) -> Merge
     does not change the stream); a block's S columns of draws < p are added
     as bytes into a per-trial count of a dtype that holds S.
     """
-    if trials < 1:
+    if require_integer("trials", trials) < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     rng = derive_rng(seed, "merge-trials")
     p = scenario.majority_prob

@@ -16,7 +16,8 @@ import oracles
 from landscape_lab import cli, dynamics, gridsim, landscape
 from landscape_lab.abstraction import jacobian_norm_probe, smoothness_report
 from landscape_lab._seeds import derive_rng
-from landscape_lab.census import bias_variance_probes, default_flow_config, default_query_sigma
+from landscape_lab.census import (CensusConfig, bias_variance_probes, default_flow_config,
+                                  default_query_sigma)
 from landscape_lab.cli import (
     SCHEMAS,
     RunConfig,
@@ -61,13 +62,21 @@ def test_unknown_key_rejected_by_name(experiment, key):
 
 
 def test_schema_defaults_are_the_library_defaults():
+    # each key tuple names both the schema's defaults and the call's
+    # keyword arguments, so the two cannot drift apart
     def default(fn, name):
         return inspect.signature(fn).parameters[name].default
 
-    for key in ("probe_sigma", "bootstrap_rounds", "stratified", "levels"):
-        assert SCHEMAS["biasvar"][key] == default(bias_variance_probes, key)
-    for key in ("probes", "probe_radius", "fd_step"):
-        assert SCHEMAS["smoothness"][key] == default(smoothness_report, key)
+    for fn, keys, experiments in (
+            (bias_variance_probes, cli._BIASVAR_KEYS, ["biasvar"]),
+            (smoothness_report, cli._SMOOTHNESS_KEYS, ["smoothness"]),
+            (CensusConfig, cli._CENSUS_KEYS, ["census", "privacy"])):
+        assert keys
+        for experiment, key in itertools.product(experiments, keys):
+            assert SCHEMAS[experiment][key] == default(fn, key)
+    for experiment in ("census", "privacy", "biasvar", "knn"):
+        for key in cli._FLOW_KEYS:
+            assert SCHEMAS[experiment][key] == getattr(default_flow_config(), key)
     assert SCHEMAS["smoothness"]["jacobian_probes"] == default(jacobian_norm_probe, "probes")
 
 
@@ -99,6 +108,12 @@ def test_type_checks():
     ("odds", "workers", None),
     ("odds", "workers", 2.5),
     ("odds", "out_dir", 5),
+    # fractional list elements past the first
+    ("census", "levels", [1, 1.5]),
+    ("odds", "scenarios", [[2, 1, 2], [3, 1, 2.5]]),
+    # an int no float can hold, for a float key
+    ("census", "beta", 10 ** 400),
+    ("knn", "taus", [1, 10 ** 400]),
 ])
 def test_wrong_types_exit_2(tmp_path, capsys, experiment, key, value):
     cfg = write_cfg(tmp_path, "c.json", {key: value})
@@ -204,6 +219,9 @@ _TRIPLES = "scenarios must be a non-empty list of [p, q, S] triples"
     ("odds", "scenarios", [[]], _TRIPLES),
     *[(experiment, "class_counts", [], "class_counts must name at least one class")
       for experiment in ("census", "biasvar", "smoothness", "knn")],
+    # 2 / tau is the landscape's beta: 0.0 at an infinite tau, inf at 1e-320
+    ("knn", "taus", [0.5, math.inf], "2 / tau must be positive and finite, got tau = inf"),
+    ("knn", "taus", [1e-320], "2 / tau must be positive and finite, got tau = 1e-320"),
 ])
 def test_empty_lists_and_bad_counts_exit_2(tmp_path, capsys, experiment, key, value,
                                           message):
@@ -862,7 +880,38 @@ def test_failing_census_reports_the_same_at_any_worker_count(tmp_path, capsys):
 
 def test_whole_float_accepted_for_int_key():
     params = validate_params("census", {"n_queries": 5000.0, "levels": [1.0]})
-    assert params["n_queries"] == 5000.0 and params["levels"] == [1.0]
+    assert params["n_queries"] == 5000 and params["levels"] == [1]
+    with pytest.raises(ConfigError, match="'levels' expects a whole number"):
+        validate_params("census", {"levels": [1, 1.5]})
+
+
+def _typed(value):
+    """value with each number spelled with its type, lists too."""
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return (type(value).__name__, value)
+
+
+@pytest.mark.parametrize("experiment, given, typed", [
+    ("census", {"levels": [1.0], "n_queries": 200.0, "max_steps": 100.0, "beta": 40,
+                "depth": 2.0, "class_counts": [9.0, 1], "query_sigma": 1},
+     {"levels": [1], "n_queries": 200, "max_steps": 100, "beta": 40.0, "depth": 2,
+      "class_counts": [9, 1], "query_sigma": 1.0}),
+    ("odds", {"scenarios": [[2.0, 1, 2]], "trials": 100.0},
+     {"scenarios": [[2, 1, 2]], "trials": 100}),
+    ("grid", {"side": 16.0, "p_red": [1, 0.5], "levels": 1.0},
+     {"side": 16, "p_red": [1.0, 0.5], "levels": 1}),
+])
+def test_manifest_echoes_each_key_in_its_schema_type(tmp_path, experiment, given, typed):
+    # the schema types a key once: an int key holds an int, a float key a
+    # float, in params and in the manifest, whatever number the file spells
+    assert _typed(list(validate_params(experiment, given).values())) == _typed(
+        list({**SCHEMAS[experiment], **typed}.values()))
+    out = tmp_path / "out"
+    assert main([experiment, "--config", write_cfg(tmp_path, "c.json", given),
+                 "--out-dir", str(out)]) == 0
+    echoed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["params"]
+    assert {k: _typed(echoed[k]) for k in typed} == {k: _typed(v) for k, v in typed.items()}
 
 
 @pytest.mark.parametrize("experiment, params", [
@@ -870,7 +919,7 @@ def test_whole_float_accepted_for_int_key():
     ("biasvar", {"depth": 2, "bootstrap_rounds": 10, "levels": [1.0]}),
 ])
 def test_whole_float_levels_run_as_their_integers(tmp_path, experiment, params):
-    # the library takes integer levels only; the builders pass 1.0 as 1
+    # the library takes integer levels only; the schema reads 1.0 as 1
     out = tmp_path / "out"
     assert main([experiment, "--config", write_cfg(tmp_path, "c.json", params),
                  "--out-dir", str(out)]) == 0
@@ -904,6 +953,29 @@ def test_pbm_dump(tmp_path):
     assert main(["grid", "--config", cfg, "--out-dir", str(out)]) == 0
     assert (out / "grid_p0.8_level0.pbm").exists()
     assert (out / "grid_p0.8_level2.pbm").exists()
+
+
+def test_pbm_names_spell_the_share_as_the_plot_series_does(tmp_path):
+    cfg = write_cfg(tmp_path, "g.json",
+                    {"side": 4, "p_red": [1], "levels": 1, "dump_bitmaps": True})
+    out = tmp_path / "out"
+    assert main(["grid", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert {r["series"] for r in read_csv(out / "plotdata_grid.csv")} == {"p_red=1.0"}
+    assert sorted(p.name for p in out.glob("*.pbm")) == ["grid_p1.0_level0.pbm",
+                                                         "grid_p1.0_level1.pbm"]
+
+
+def test_unwritable_bitmap_exits_2(tmp_path, capsys):
+    # a bitmap that cannot be written is reported as a table is, not with
+    # an IsADirectoryError traceback
+    cfg = write_cfg(tmp_path, "g.json",
+                    {"side": 16, "p_red": [0.5], "levels": 2, "dump_bitmaps": True})
+    out = tmp_path / "out"
+    (out / "grid_p0.5_level0.pbm").mkdir(parents=True)
+    assert main(["grid", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out / 'grid_p0.5_level0.pbm'}: Is a directory\n")
+    assert not (out / "grid.csv").exists()
 
 
 def test_pbm_dump_builds_each_level_once(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,19 @@ from landscape_lab.gridsim import (
     init_grid,
     write_pbm,
 )
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    # each raised a TypeError from a bit or range operation on the float
+    (init_grid, (4.0, 0.5), "side must be an integer, got 4.0"),
+    (init_grid, (True, 0.5), "side must be an integer, got True"),
+    (coarsening_levels, (4.0, 0.5, 1), "side must be an integer, got 4.0"),
+    (coarsening_levels, (4, 0.5, 1.5), "levels must be an integer, got 1.5"),
+    (coarsening_levels, (4, 0.5, 1.0), "levels must be an integer, got 1.0"),
+], ids=["init-side-4.0", "init-side-True", "levels-side-4.0", "levels-1.5", "levels-1.0"])
+def test_grid_sizes_must_be_integers(fn, args, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        list(fn(*args)) if fn is coarsening_levels else fn(*args)
 
 
 def test_grid_validation():

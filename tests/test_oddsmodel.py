@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,25 @@ def test_scenario_validation():
         MergeScenario(0, 1, 1)
     with pytest.raises(InputError):
         MergeScenario(1, 1, 0)
+
+
+@pytest.mark.parametrize("args, message", [
+    # 2.5 was taken, with smoothed_odds 6.25, and True as the count 1
+    ((2.5, 1, 2), "majority_minima must be an integer, got 2.5"),
+    ((True, 1, 2), "majority_minima must be an integer, got True"),
+    ((2, 1.0, 2), "minority_minima must be an integer, got 1.0"),
+    ((2, 1, 2.5), "feature_count must be an integer, got 2.5"),
+])
+def test_scenario_counts_must_be_integers(args, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        MergeScenario(*args)
+
+
+@pytest.mark.parametrize("trials", [10.5, 10.0, True])
+def test_trials_must_be_an_integer(trials):
+    # 10.5 raised numpy's TypeError
+    with pytest.raises(InputError, match=re.escape(f"trials must be an integer, got {trials!r}")):
+        simulate_merge(MergeScenario(2, 1, 2), trials)
 
 
 def test_initial_odds():

@@ -299,3 +299,80 @@ def test_no_reduction_runs_in_the_small_buffer():
     assert _package_sites(_is_scoped_reduction) == []
     assert [(name, func) for name, func, _ in _package_sites(_enters_small_buffer)] == [
         ("landscape.py", "sqdist")] * 2
+
+
+def _reads_params(node: ast.AST, bound: set) -> bool:
+    """True for a params value: params[...] or params.get(...), params a
+    name or an attribute, a name in bound, or enumerate, zip, sorted or
+    list over a params value."""
+    def is_params(n):
+        return ((isinstance(n, ast.Name) and n.id == "params")
+                or (isinstance(n, ast.Attribute) and n.attr == "params"))
+
+    if isinstance(node, ast.Subscript):
+        return is_params(node.value) or _reads_params(node.value, bound)
+    if isinstance(node, ast.Name):
+        return node.id in bound
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+        return is_params(node.func.value)
+    return (isinstance(node.func, ast.Name)
+            and node.func.id in ("enumerate", "zip", "sorted", "list")
+            and any(_reads_params(arg, bound) for arg in node.args))
+
+
+def _is_params_cast(node: ast.AST, bound: set) -> bool:
+    """True for int, float or bool called on an expression holding a params
+    value."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("int", "float", "bool")
+            and any(_reads_params(n, bound) for arg in node.args for n in ast.walk(arg)))
+
+
+def _params_casts(tree: ast.AST) -> list[tuple[str, int]]:
+    """(function, line) of every cast of a params value, a name bound to
+    one by an assignment, a for loop or a comprehension included."""
+    sites = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound, size = set(), -1
+        while len(bound) != size:     # until no binding adds a name
+            size = len(bound)
+            for node in ast.walk(func):
+                if isinstance(node, ast.Assign):
+                    source, targets = node.value, node.targets
+                elif isinstance(node, (ast.For, ast.comprehension)):
+                    source, targets = node.iter, [node.target]
+                else:
+                    continue
+                if _reads_params(source, bound):
+                    bound |= {n.id for t in targets for n in ast.walk(t)
+                              if isinstance(n, ast.Name)}
+        sites += [(func.name, node.lineno) for node in ast.walk(func)
+                  if _is_params_cast(node, bound)]
+    return sorted(set(sites), key=lambda site: site[1])
+
+
+def test_scan_detects_params_casts():
+    # planted casts of params values, beside casts of other values
+    tree = ast.parse(
+        "def f(params, cfg, argv):\n"
+        "    n = int(params['n'])\n"
+        "    counts = [int(c) for c in params['counts']]\n"
+        "    sigma = cfg.params.get('sigma')\n"
+        "    x = 2.0 * float(sigma)\n"
+        "    for i, (p, q) in enumerate(cfg.params['pairs']):\n"
+        "        y = bool(q)\n"
+        "    seed = int(argv[0]) + int(len(params)) + float(n_steps)\n"
+        "def g(config):\n"
+        "    return int(config['n']), float(config.params['beta'] * 2)\n")
+    assert _params_casts(tree) == [("f", 2), ("f", 3), ("f", 5), ("f", 7), ("g", 10)]
+
+
+def test_cli_casts_no_params_value():
+    # the schema gives each config key its type once (cli._check_type), so
+    # the experiments pass params values to the library as they are
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert _params_casts(tree) == []
